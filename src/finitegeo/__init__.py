@@ -20,6 +20,7 @@ from .braid import (
     project_two_form,
     sigma_apply,
     sigma_build,
+    sigma_for,
     sigma_order,
     symmetric_universal_sigma_order,
     symmetrize,
@@ -61,7 +62,6 @@ from .connection import (
     nabla_sigma,
     nabla_sigma_inverse,
     sigma_family,
-    sigma_for,
     solve_torsion_free,
     two_sided_connection,
     two_sided_space,
@@ -84,7 +84,7 @@ from .dual import (
     vector_field_basis,
     verify_dual_invariance,
 )
-from .errors import FiniteGeoError
+from .errors import FiniteGeoError, InternalInconsistency
 from .funcs import GroupFunction, delta, ell, left_translate, r_op, right_translate
 from .groups import (
     FiniteGroup,

@@ -2,9 +2,21 @@
 
 For a bicovariant calculus sigma permutes basis tensors,
 sigma(theta^g (x) theta^g') = theta^{ad(g^-1)g'} (x) theta^g, and left
-coefficients ride along unchanged.  Everything downstream (powers, order,
-symmetrizers, the ker/im decomposition, 2-forms with projection pi = A)
-reduces to exact linear algebra on the |hatG|^2-dimensional fiber.
+coefficients ride along unchanged.  Powers, order and symmetrizers follow
+from the permutation, and so does the decomposition of the fiber under
+A = (1 - sigma)/2 and S = (1 + sigma)/2.  Index the pairs
+lexicographically; for a cycle C of sigma with largest index top,
+
+  ker A: the indicator of C;
+  im A:  e_a - e_top for each a in C other than top;
+  ker S: for even |C|, the vector alternating along C, 1 at top;
+  im S:  for odd |C|, e_a for each a in C; for even |C|,
+         e_a - (-1)^k e_top for each a other than top, k steps from it.
+
+Sorted by top, resp. a, these are the reduced echelon bases of dense
+elimination: a cycle's only relation among the columns of A or S uses
+all of them, so top is the free column.  2-forms are tensors projected
+by pi = A.
 """
 
 from fractions import Fraction
@@ -12,8 +24,8 @@ from math import gcd, lcm
 
 from . import funcs
 from .calculus import OneForm, StructureConstants
-from .errors import CalculusMismatch, NotBicovariant
-from .linalg import SubspaceReducer, image_basis, kernel_basis
+from .errors import CalculusMismatch, InternalInconsistency, NotBicovariant
+from .linalg import SubspaceReducer
 
 
 class TensorField:
@@ -154,7 +166,7 @@ class SigmaOperator:
             self._order = _permutation_order(self.perm)
             ad_order = self.calculus.group.ad_order()
             if (2 * ad_order) % self._order != 0:
-                raise AssertionError(
+                raise InternalInconsistency(
                     f"sigma order {self._order} does not divide 2|ad(G)| = {2 * ad_order}"
                 )
         return self._order
@@ -176,22 +188,34 @@ class SigmaOperator:
         if self._decomposition is None:
             pairs = self.calculus.pairs()
             m = len(pairs)
-            P = self.matrix()
-            half = Fraction(1, 2)
-            A = [
-                [half * ((1 if i == j else 0) - P[i][j]) for j in range(m)]
-                for i in range(m)
-            ]
-            S = [
-                [half * ((1 if i == j else 0) + P[i][j]) for j in range(m)]
-                for i in range(m)
-            ]
+            index = {p: i for i, p in enumerate(pairs)}
+            one = Fraction(1)
+
+            def vector(entries):
+                vec = [Fraction(0)] * m
+                for a, x in entries:
+                    vec[a] = x
+                return vec
+
+            ker_a, im_a, ker_s, im_s = {}, {}, {}, {}
+            for cycle in _cycles(self.perm):
+                cycle = [index[p] for p in cycle]
+                top = max(cycle)
+                t = cycle.index(top)
+                even = len(cycle) % 2 == 0
+                sign = {a: (-one) ** (k - t) for k, a in enumerate(cycle)}
+                ker_a[top] = vector((a, one) for a in cycle)
+                if even:
+                    ker_s[top] = vector(sign.items())
+                else:
+                    im_s[top] = vector([(top, one)])
+                for a in cycle:
+                    if a != top:
+                        im_a[a] = vector([(a, one), (top, -one)])
+                        tail = [(top, -sign[a])] if even else []
+                        im_s[a] = vector([(a, one)] + tail)
             self._decomposition = DecompositionReport(
-                pairs=pairs,
-                ker_a=kernel_basis(A),
-                im_a=image_basis(A),
-                ker_s=kernel_basis(S),
-                im_s=image_basis(S),
+                pairs, *([d[k] for k in sorted(d)] for d in (ker_a, im_a, ker_s, im_s))
             )
         return self._decomposition
 
@@ -225,20 +249,25 @@ class DecompositionReport:
         return (len(self.ker_a), len(self.im_a), len(self.ker_s), len(self.im_s))
 
 
-def _cycle_lengths(perm):
+def _cycles(perm):
+    """The cycles of a permutation given as a dict, each in cycle order."""
     seen = set()
-    lengths = []
+    cycles = []
     for start in perm:
         if start in seen:
             continue
-        length = 0
+        cycle = []
         x = start
         while x not in seen:
             seen.add(x)
+            cycle.append(x)
             x = perm[x]
-            length += 1
-        lengths.append(length)
-    return lengths
+        cycles.append(cycle)
+    return cycles
+
+
+def _cycle_lengths(perm):
+    return [len(c) for c in _cycles(perm)]
 
 
 def _permutation_order(perm):
@@ -247,6 +276,15 @@ def _permutation_order(perm):
 
 def sigma_build(calculus):
     return SigmaOperator(calculus)
+
+
+def sigma_for(calculus):
+    """Cached braid operator of a bicovariant calculus."""
+    got = getattr(calculus, "_sigma_cache", None)
+    if got is None:
+        got = sigma_build(calculus)
+        calculus._sigma_cache = got
+    return got
 
 
 def sigma_apply(sigma, t, power=1):

@@ -19,7 +19,7 @@ from .braid import (
     d_one_form_rep,
     d_theta,
     project_two_form,
-    sigma_build,
+    sigma_for,
     tensor_of_one_forms,
     wedge,
 )
@@ -34,28 +34,21 @@ from .errors import (
     BadLambdaLength,
     CalculusMismatch,
     Infeasible,
+    InternalInconsistency,
     NotExtensible,
     NotInHatG,
     NotUniversal,
     UsageError,
 )
 from .funcs import GroupFunction, constant, right_translate, zero
-from .linalg import solve_affine
+from .groups import orbits as group_orbits
+from .linalg import identity_matrix, matmul, solve_affine, solve_differences
 
 
 def _as_function(group, value):
     if isinstance(value, GroupFunction):
         return value
     return constant(group, Fraction(value))
-
-
-def sigma_for(calculus):
-    """Cached braid operator of a bicovariant calculus."""
-    got = getattr(calculus, "_sigma_cache", None)
-    if got is None:
-        got = sigma_build(calculus)
-        calculus._sigma_cache = got
-    return got
 
 
 class Connection:
@@ -366,7 +359,7 @@ def flatness_representation_check(conn):
     the reduced set, extended by U_e = id.  Returns True when they form
     a representation of the group.  The outcome is compared against the
     direct curvature computation; a mismatch between the two notions is
-    flagged by raising AssertionError rather than silently preferring
+    flagged by raising InternalInconsistency rather than silently preferring
     either answer.
     """
     cal = conn.calculus
@@ -377,73 +370,28 @@ def flatness_representation_check(conn):
         )
     if not conn.is_left_invariant():
         raise UsageError("transport matrices need constant coefficients")
-    n = len(cal.hatG)
     idx = {g: i for i, g in enumerate(cal.hatG)}
-    ident = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    mats = {0: ident}
+    mats = {0: identity_matrix(len(cal.hatG))}
     for g in cal.hatG:
-        m = [row[:] for row in ident]
+        m = identity_matrix(len(cal.hatG))
         for hp in cal.hatG:
             for h in cal.hatG:
                 f = conn.gamma.get((h, hp, g))
                 if f is not None:
                     m[idx[hp]][idx[h]] += f.values[0]
         mats[g] = m
-    is_rep = True
-    labels = [0] + list(cal.hatG)
-    for g in labels:
-        for gp in labels:
-            a, b, c = mats[g], mats[gp], mats[group.mul(g, gp)]
-            for i in range(n):
-                row = [
-                    sum(a[i][k] * b[k][j] for k in range(n))
-                    for j in range(n)
-                ]
-                if row != c[i]:
-                    is_rep = False
-                    break
-            if not is_rep:
-                break
-        if not is_rep:
-            break
+    is_rep = all(
+        matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
+        for g in mats
+        for gp in mats
+    )
     flat = conn.curvature_is_zero()
     if is_rep != flat:
-        raise AssertionError(
+        raise InternalInconsistency(
             "transport representation property and zero curvature disagree "
             f"(representation={is_rep}, flat={flat})"
         )
     return is_rep
-
-
-def _ad_orbits_on_triples(calculus):
-    group = calculus.group
-    seen = {}
-    orbits = []
-    for h in calculus.hatG:
-        for g in calculus.hatG:
-            for gp in calculus.hatG:
-                key = (h, g, gp)
-                if key in seen:
-                    continue
-                orb = set()
-                stack = [key]
-                while stack:
-                    t = stack.pop()
-                    if t in orb:
-                        continue
-                    orb.add(t)
-                    for a in range(group.order):
-                        img = tuple(group.adjoint(a, x) for x in t)
-                        if img not in orb:
-                            stack.append(img)
-                orb = tuple(sorted(orb))
-                orbits.append(orb)
-                for t in orb:
-                    seen[t] = orb
-    return orbits
 
 
 def invariance_constraints(calculus, mode="bi"):
@@ -456,16 +404,15 @@ def invariance_constraints(calculus, mode="bi"):
     orbit list and a predicate testing a given connection.
     """
     calculus.require_left_covariant()
+    group, hatG = calculus.group, calculus.hatG
+    triples = [(h, g, gp) for h in hatG for g in hatG for gp in hatG]
     if mode == "left":
-        orbits = [
-            ((h, g, gp),)
-            for h in calculus.hatG
-            for g in calculus.hatG
-            for gp in calculus.hatG
-        ]
+        orbits = [(t,) for t in triples]
     elif mode == "bi":
         calculus.require_bicovariant()
-        orbits = _ad_orbits_on_triples(calculus)
+        orbits = group_orbits(
+            triples, lambda a, t: tuple(group.adjoint(a, x) for x in t), group
+        )
     else:
         raise ValueError(f"unknown invariance mode {mode!r}")
 
@@ -507,7 +454,7 @@ class TorsionFreeFamily:
             params = [Fraction(0)] * self.dimension
         params = [Fraction(p) for p in params]
         if len(params) != self.dimension:
-            raise ValueError(
+            raise UsageError(
                 f"expected {self.dimension} parameters, got {len(params)}"
             )
         vec = list(self.particular)
@@ -553,33 +500,24 @@ def solve_torsion_free(calculus, mode="bi"):
         Gamma^h_{g,g'} - Gamma^h_{ad(g)g',g}
             = -delta^h_{g'} + delta^h_{ad(g)g'}
 
-    for all h, g, g' in the reduced set.  Returns a TorsionFreeFamily.
+    for all h, g, g' in the reduced set: a difference of two orbit
+    variables.  Union-find with potentials (linalg.solve_differences)
+    solves it: the potential of each orbit relative to the largest orbit
+    it is tied to is the particular solution, and each tied set gives one
+    free parameter.  Returns a TorsionFreeFamily.
     """
     info = invariance_constraints(calculus, mode)
     orbits = info["orbits"]
-    var_of = {}
-    for i, orb in enumerate(orbits):
-        for t in orb:
-            var_of[t] = i
+    var_of = {t: i for i, orb in enumerate(orbits) for t in orb}
     group = calculus.group
-    nvars = len(orbits)
-    rows = []
-    rhs = []
+    equations = []
     for h in calculus.hatG:
         for g in calculus.hatG:
             for gp in calculus.hatG:
                 adg = group.adjoint(g, gp)
-                row = [Fraction(0)] * nvars
-                row[var_of[(h, g, gp)]] += 1
-                row[var_of[(h, adg, g)]] -= 1
-                b = Fraction(0)
-                if h == gp:
-                    b -= 1
-                if h == adg:
-                    b += 1
-                rows.append(row)
-                rhs.append(b)
-    particular, basis = solve_affine(rows, rhs)
+                b = (h == adg) - (h == gp)
+                equations.append((var_of[(h, g, gp)], var_of[(h, adg, g)], b))
+    particular, basis = solve_differences(len(orbits), equations)
     return TorsionFreeFamily(calculus, mode, orbits, particular, basis)
 
 

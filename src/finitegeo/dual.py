@@ -10,19 +10,20 @@ their compatibility, and the canonical field-valued form whose covariant
 derivatives reproduce torsion and curvature.
 """
 
-import math
 from fractions import Fraction
 
 from .braid import (
     DegreeThreeIdeal,
     Rank3Field,
+    _permutation_order,
     d_two_rep,
     one_form_times_two_rep,
     project_two_form,
+    sigma_for,
     two_rep_times_one_form,
 )
 from .calculus import OneForm, differential, theta_form
-from .connection import extensibility_analysis, extend_on_pair, sigma_for
+from .connection import extensibility_analysis, extend_on_pair
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
 from .funcs import GroupFunction, constant, ell, right_translate, zero
 
@@ -301,23 +302,9 @@ def sigma_x(calculus, g, gp):
 def sigma_x_order(calculus):
     """Order of the doubled-field braid transpose."""
     calculus.require_bicovariant()
-    hatg = calculus.hatG
-    pairs = [(g, gp) for g in hatg for gp in hatg]
-    index = {p: i for i, p in enumerate(pairs)}
-    perm = [index[sigma_x(calculus, g, gp)] for (g, gp) in pairs]
-    lengths = []
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        n = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            n += 1
-        lengths.append(n)
-    return math.lcm(*lengths)
+    return _permutation_order(
+        {p: sigma_x(calculus, *p) for p in calculus.pairs()}
+    )
 
 
 class Metric:

@@ -63,3 +63,7 @@ class Infeasible(FiniteGeoError):
 
 class UsageError(FiniteGeoError):
     """Invalid arguments supplied to the command-line interface."""
+
+
+class InternalInconsistency(FiniteGeoError):
+    """Two computations of the same quantity disagree; a bug, not bad input."""

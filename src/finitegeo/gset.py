@@ -9,7 +9,7 @@ irreducible ones are the single orbits.
 
 from .calculus import digraph_dot
 from .errors import NotAnAction, TooLarge
-from .groups import from_permutations
+from .groups import from_permutations, orbits as group_orbits
 
 
 class GSet:
@@ -90,27 +90,11 @@ def pair_orbits(gs):
     Returns a list of sorted tuples of pairs, ordered by their smallest
     member.
     """
-    seen = set()
-    orbits = []
-    for x in range(gs.size):
-        for y in range(gs.size):
-            if x == y or (x, y) in seen:
-                continue
-            orb = set()
-            stack = [(x, y)]
-            while stack:
-                p = stack.pop()
-                if p in orb:
-                    continue
-                orb.add(p)
-                for a in range(gs.group.order):
-                    img = (gs.act(a, p[0]), gs.act(a, p[1]))
-                    if img not in orb:
-                        stack.append(img)
-            orb = tuple(sorted(orb))
-            orbits.append(orb)
-            seen.update(orb)
-    return orbits
+    return group_orbits(
+        [(x, y) for x in range(gs.size) for y in range(gs.size) if x != y],
+        lambda a, p: (gs.act(a, p[0]), gs.act(a, p[1])),
+        gs.group,
+    )
 
 
 def is_covariant(gs, edges):

@@ -11,7 +11,7 @@ basis tensors.
 
 from fractions import Fraction
 
-from .braid import sigma_build, symmetrize, antisymmetrize, tensor_from_vector
+from .braid import sigma_for, symmetrize, antisymmetrize, tensor_from_vector
 from .groups import orbits as group_orbits
 
 
@@ -36,7 +36,7 @@ class SolutionSpace:
 
     def verify(self):
         """Re-test the defining condition on every basis element."""
-        sig = sigma_build(self.calculus)
+        sig = sigma_for(self.calculus)
         for t in self.basis:
             if self.kind == "s_sym":
                 if not antisymmetrize(t, sig).is_zero():
@@ -102,7 +102,7 @@ def solve_symmetry(calculus, kind):
         raise ValueError(
             f"kind must be one of {sorted(_KIND_TO_PART)}, got {kind!r}"
         )
-    sig = sigma_build(calculus)
+    sig = sigma_for(calculus)
     report = sig.decompose()
     vectors = getattr(report, _KIND_TO_PART[kind])
     return SolutionSpace(calculus, kind, vectors)

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are lists of lists of Fraction, row major.  Everything here is
-plain Gaussian elimination; sizes in this package stay small enough
-(a few hundred rows) that no sparse or floating-point machinery is needed.
+plain Gaussian elimination, except solve_differences, which solves the
+systems of two-variable equations x_u - x_v = c by union-find.
 """
 
 from fractions import Fraction
@@ -135,6 +135,46 @@ def solve_affine(rows, rhs) -> tuple[Vector, list[Vector]]:
     for i, pc in enumerate(pivots):
         x[pc] = R[i][ncols]
     return x, kernel_basis(a)
+
+
+def solve_differences(nvars, equations) -> tuple[Vector, list[Vector]]:
+    """Solve the equations x_u - x_v = c, given as triples (u, v, c).
+
+    Union-find with potentials, pot[i] = x_i - x_parent(i), rooting each
+    connected set of variables at its largest index.  Returns exactly what
+    solve_affine returns for the same system: potentials relative to the
+    roots (roots read 0), and the indicators of the sets ordered by root.
+    Raises Infeasible on an inconsistent cycle or self-loop.
+    """
+    parent = list(range(nvars))
+    pot = [0] * nvars
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        for j in reversed(path):  # nearest the root first
+            if parent[j] != i:
+                pot[j] += pot[parent[j]]
+                parent[j] = i
+        return i
+
+    for u, v, c in equations:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            if pot[u] - pot[v] != c:
+                raise Infeasible("inconsistent linear system")
+        elif ru > rv:
+            parent[rv], pot[rv] = ru, pot[u] - pot[v] - c
+        else:
+            parent[ru], pot[ru] = rv, c - pot[u] + pot[v]
+    for i in range(nvars):
+        find(i)
+    basis = {r: [Fraction(0)] * nvars for r in range(nvars) if parent[r] == r}
+    for i in range(nvars):
+        basis[parent[i]][i] = Fraction(1)
+    return [Fraction(p) for p in pot], list(basis.values())
 
 
 class SubspaceReducer:

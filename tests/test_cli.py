@@ -91,6 +91,24 @@ def test_connection_solve_family_and_member():
     assert result.payload["member"]["gamma"] == named.payload["gamma"]
 
 
+def test_connection_solve_wrong_parameter_count_is_a_usage_error():
+    result = cli.run(
+        [
+            "connection",
+            "solve",
+            "--group",
+            "S3",
+            "--hatg",
+            "a,b,c",
+            "--bi-invariant",
+            "--torsion-free",
+            "--params=1,2",
+        ]
+    )
+    assert result.status == 2
+    assert result.payload == {"error": "expected 3 parameters, got 2"}
+
+
 def test_connection_roundtrip_through_json(tmp_path):
     named = cli.run(
         ["connection", "named", "--group", "Z4", "--hatg", "a,a2", "--name", "c"]

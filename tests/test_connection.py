@@ -26,6 +26,7 @@ from finitegeo.connection import (
 )
 from finitegeo.errors import (
     BadLambdaLength,
+    InternalInconsistency,
     NotInHatG,
     NotUniversal,
     UsageError,
@@ -154,7 +155,7 @@ def test_flatness_representation_for_structure_coefficients(s3_universal):
 def test_flatness_representation_flags_projective_counterexample(s3_universal):
     conn = canonical_connection(s3_universal)
     assert conn.curvature_is_zero()
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalInconsistency):
         flatness_representation_check(conn)
 
 
