@@ -210,17 +210,16 @@ class OneForm:
 
     def left_mul(self, f):
         """f * phi: coefficients multiply on the left."""
+        f = funcs.as_function(self.calculus.group, f)
         return OneForm(
-            self.calculus,
-            {g: _as_func(self.calculus.group, f) * self.coeffs[g] for g in self.calculus.hatG},
-            self.basis,
+            self.calculus, {g: f * self.coeffs[g] for g in self.calculus.hatG}, self.basis
         )
 
     def right_mul(self, f):
         """phi * f: the coefficient picks up a translated factor."""
         if self.basis != "theta":
             raise ValueError("right multiplication implemented in the theta basis")
-        f = _as_func(self.calculus.group, f)
+        f = funcs.as_function(self.calculus.group, f)
         grp = self.calculus.group
         return OneForm(
             self.calculus,
@@ -254,19 +253,13 @@ class OneForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _as_func(group, value):
-    if isinstance(value, funcs.GroupFunction):
-        return value
-    return funcs.constant(group, value)
-
-
 def zero_form(calculus):
     return OneForm(calculus, {})
 
 
 def theta_form(calculus, g, coeff=1):
     calculus.hat_index(g)
-    return OneForm(calculus, {g: _as_func(calculus.group, coeff)})
+    return OneForm(calculus, {g: funcs.as_function(calculus.group, coeff)})
 
 
 def omega_form(calculus, g):

@@ -37,7 +37,7 @@ def _max_order():
 def parse_group(spec, generators=None, set_size=None):
     """Resolve a group specification.
 
-    Accepts Zn, Sn, An, Dn, Dicn, products joined with `x`
+    Accepts Zn, Sn, An, Dn, Dicn, Q8 (= Dic2), products joined with `x`
     (e.g. Z2xZ2), and @file.json for an explicit Cayley table.  When
     permutation generators are given instead, the group they generate
     is returned together with its permutation elements.
@@ -74,6 +74,8 @@ def _parse_atom(token, bound):
         "A": groups_mod.alternating,
         "D": groups_mod.dihedral,
     }
+    if token == "Q8":
+        return groups_mod.dicyclic(2, max_order=bound)
     if token.startswith("Dic"):
         digits = token[3:]
         maker = groups_mod.dicyclic
@@ -220,7 +222,32 @@ def connection_to_json(conn):
     }
 
 
+def _check_document(calculus, doc):
+    """Refuse a connection or metric document written for another calculus.
+
+    The schema, group and hatG fields are optional; when present they
+    must match the calculus the document is applied to.
+    """
+    if not isinstance(doc, dict):
+        raise UsageError("a connection or metric document must be a JSON object")
+    group = calculus.group
+    if "schema" in doc and doc["schema"] != 1:
+        raise UsageError(f"unsupported document schema {doc['schema']!r}")
+    if "group" in doc and doc["group"] != group.label:
+        raise UsageError(
+            f"document is for group {doc['group']!r}, not {group.label!r}"
+        )
+    if "hatG" in doc:
+        names = doc["hatG"]
+        want = [group.name(g) for g in calculus.hatG]
+        if not isinstance(names, list) or set(map(str, names)) != set(want):
+            raise UsageError(
+                f"document hatG {names!r} differs from the reduced set {want}"
+            )
+
+
 def connection_from_json(calculus, doc):
+    _check_document(calculus, doc)
     group = calculus.group
     gamma = {}
     for key, value in doc.get("gamma", {}).items():
@@ -246,6 +273,7 @@ def metric_to_json(metric):
 
 
 def metric_from_json(calculus, doc):
+    _check_document(calculus, doc)
     group = calculus.group
     coeffs = {}
     for key, value in doc.get("coeffs", {}).items():

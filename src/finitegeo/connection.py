@@ -40,15 +40,9 @@ from .errors import (
     NotUniversal,
     UsageError,
 )
-from .funcs import GroupFunction, constant, right_translate, zero
+from .funcs import as_function, constant, right_translate, zero
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_affine, solve_differences
-
-
-def _as_function(group, value):
-    if isinstance(value, GroupFunction):
-        return value
-    return constant(group, Fraction(value))
 
 
 class Connection:
@@ -73,7 +67,7 @@ class Connection:
             h, g, gp = key
             if h not in hset or g not in hset or gp not in hset:
                 raise NotInHatG(f"gamma key {key} outside the reduced set")
-            func = _as_function(group, value)
+            func = as_function(group, value)
             if not func.is_zero():
                 coeffs[(h, g, gp)] = func
         self.gamma = coeffs
@@ -640,28 +634,29 @@ def bimodule_hom_space(calculus, kind="V"):
     return slots
 
 
-def _tensor3_left(t, phi):
-    """(tensor field) (x) (1-form), transporting the form coefficients."""
-    cal = t.calculus
-    group = cal.group
-    out = {}
-    for (u, v), f in t.coeffs.items():
-        trans = group.inverse(group.mul(v, u))
-        for w in cal.hatG:
-            c = phi.coeff(w)
-            if c.is_zero():
-                continue
-            g = f * right_translate(trans, c)
-            if not g.is_zero():
-                out[(u, v, w)] = out.get((u, v, w), zero(group)) + g
-    return Rank3Field(cal, {k: v for k, v in out.items() if not v.is_zero()})
+def _extend_pair(report, phi, psi, out):
+    """Add nabla(phi (x) psi) into out, a dict from triples to functions.
 
-
-def _extend_pair(report, phi, psi):
+    (nabla phi) (x) psi transports psi's coefficients across both legs;
+    (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
+    """
     conn = report.connection
     cal = conn.calculus
     group = cal.group
-    out = _tensor3_left(conn.apply(phi), psi)
+
+    def bump(key, f):
+        if not f.is_zero():
+            got = out.get(key)
+            out[key] = f if got is None else got + f
+
+    for (u, v), f in conn.apply(phi).coeffs.items():
+        if f.is_zero():
+            continue
+        trans = group.inverse(group.mul(v, u))
+        for w in cal.hatG:
+            c = psi.coeff(w)
+            if not c.is_zero():
+                bump((u, v, w), f * right_translate(trans, c))
     nab_psi = conn.apply(psi)
     for g in cal.hatG:
         c = phi.coeff(g)
@@ -669,14 +664,11 @@ def _extend_pair(report, phi, psi):
             continue
         ginv = group.inverse(g)
         for (u, v), f in nab_psi.coeffs.items():
-            piece = TensorField(
-                cal, {(g, u): c * right_translate(ginv, f)}
-            )
-            twisted = report.psi_apply(piece)
-            extra = {}
-            for (p, q), val in twisted.coeffs.items():
-                extra[(p, q, v)] = val
-            out = out + Rank3Field(cal, extra)
+            if f.is_zero():
+                continue
+            piece = TensorField(cal, {(g, u): c * right_translate(ginv, f)})
+            for (p, q), val in report.psi_apply(piece).coeffs.items():
+                bump((p, q, v), val)
     return out
 
 
@@ -689,7 +681,7 @@ def extend_on_pair(conn, phi, psi):
     report = extensibility_analysis(conn)
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
-    return _extend_pair(report, phi, psi)
+    return Rank3Field(conn.calculus, _extend_pair(report, phi, psi, {}))
 
 
 def extend_to_tensor(conn, t):
@@ -703,8 +695,7 @@ def extend_to_tensor(conn, t):
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
     cal = conn.calculus
-    group = cal.group
-    out = Rank3Field(cal, {})
+    out = {}
     for g in cal.hatG:
         col = {}
         for gp in cal.hatG:
@@ -712,10 +703,9 @@ def extend_to_tensor(conn, t):
             if c is not None:
                 col[gp] = right_translate(g, c)
         psi = OneForm(cal, col)
-        if psi.is_zero():
-            continue
-        out = out + _extend_pair(report, theta_form(cal, g), psi)
-    return out
+        if not psi.is_zero():
+            _extend_pair(report, theta_form(cal, g), psi, out)
+    return Rank3Field(cal, out)
 
 
 class TwoSidedConnection:

@@ -25,13 +25,7 @@ from .braid import (
 from .calculus import OneForm, differential, theta_form
 from .connection import extensibility_analysis, extend_on_pair
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
-from .funcs import GroupFunction, constant, ell, right_translate, zero
-
-
-def _as_function(group, value):
-    if isinstance(value, GroupFunction):
-        return value
-    return constant(group, Fraction(value))
+from .funcs import as_function, constant, ell, right_translate, zero
 
 
 class VectorField:
@@ -46,7 +40,7 @@ class VectorField:
         for g, value in coeffs.items():
             if g not in hset:
                 raise NotInHatG(f"field label {g} outside the reduced set")
-            f = _as_function(group, value)
+            f = as_function(group, value)
             if not f.is_zero():
                 clean[g] = f
         self.coeffs = clean
@@ -321,7 +315,7 @@ class Metric:
                 raise NotInHatG(
                     f"metric label {(g, gp)} outside the reduced set"
                 )
-            f = _as_function(group, value)
+            f = as_function(group, value)
             if not f.is_zero():
                 clean[(g, gp)] = f
         self.coeffs = clean
@@ -499,22 +493,23 @@ def canonical_form_and_torsion(conn):
         theta_caps[g] = project_two_form(rep, sig)
     bianchi = {}
     for g in cal.hatG:
-        lhs = d_two_rep(theta_reps[g])
+        # lhs - rhs = d Theta^g + omega^g_{g'} Theta^{g'} - Omega^g_{g'} theta^{g'},
+        # summed term by term into one coefficient dict.
+        terms = [d_two_rep(theta_reps[g])]
         for gp in cal.hatG:
             form = omega[(g, gp)]
             if not form.is_zero():
-                lhs = lhs + one_form_times_two_rep(form, theta_reps[gp])
-        rhs = Rank3Field(cal, {})
-        for gp in cal.hatG:
+                terms.append(one_form_times_two_rep(form, theta_reps[gp]))
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
-                rhs = rhs + two_rep_times_one_form(
-                    crep, theta_form(cal, gp)
-                )
-        bianchi[g] = {
-            "holds": ideal.contains(lhs - rhs),
-            "difference": lhs - rhs,
-        }
+                terms.append(two_rep_times_one_form(crep, theta_form(cal, gp, -1)))
+        diff = {}
+        for term in terms:
+            for key, f in term.coeffs.items():
+                if not f.is_zero():
+                    diff[key] = diff[key] + f if key in diff else f
+        difference = Rank3Field(cal, diff)
+        bianchi[g] = {"holds": ideal.contains(difference), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
 
 

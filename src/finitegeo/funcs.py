@@ -1,6 +1,13 @@
 """The commutative algebra of rational-valued functions on a finite group.
 
-Functions are stored densely as a tuple of Fractions indexed by element.
+Functions are stored densely as a tuple of exact values indexed by
+element: an integral value is a Python int, any other a Fraction
+(see _exact).  Sums, differences and products of ints stay ints, and an
+operation with a Fraction operand gives an exact Fraction, so no value
+is ever a float.  Values are never divided with `/`: any division goes
+through Fraction.  Because Fraction(n) == n and both hash alike, the
+storage choice does not show in == or hash.
+
 Translation operators and the difference operators built from them are
 the raw material for differentials:
 
@@ -10,6 +17,16 @@ the raw material for differentials:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub
+
+
+def _exact(v):
+    """v as an exact value: int when integral, otherwise a Fraction."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
@@ -24,26 +41,26 @@ class GroupFunction:
         return GroupFunction(self.group, tuple(values))
 
     def __add__(self, other):
-        other = _coerce(self.group, other)
-        return self._wrap(a + b for a, b in zip(self.values, other.values))
+        other = as_function(self.group, other)
+        return self._wrap(map(add, self.values, other.values))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(self.group, other)
-        return self._wrap(a - b for a, b in zip(self.values, other.values))
+        other = as_function(self.group, other)
+        return self._wrap(map(sub, self.values, other.values))
 
     def __rsub__(self, other):
-        return _coerce(self.group, other) - self
+        return as_function(self.group, other) - self
 
     def __mul__(self, other):
-        other = _coerce(self.group, other)
-        return self._wrap(a * b for a, b in zip(self.values, other.values))
+        other = as_function(self.group, other)
+        return self._wrap(map(mul, self.values, other.values))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._wrap(-a for a in self.values)
+        return self._wrap(map(neg, self.values))
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -55,7 +72,8 @@ class GroupFunction:
         return [str(v) for v in self.values]
 
 
-def _coerce(group, value):
+def as_function(group, value):
+    """The coefficient helper: a GroupFunction on group, or a constant."""
     if isinstance(value, GroupFunction):
         if value.group is not group:
             raise ValueError("functions live on different groups")
@@ -64,7 +82,7 @@ def _coerce(group, value):
 
 
 def constant(group, value):
-    return GroupFunction(group, (Fraction(value),) * group.order)
+    return GroupFunction(group, (_exact(value),) * group.order)
 
 
 def zero(group):
@@ -77,13 +95,11 @@ def one(group):
 
 def delta(group, g):
     """The indicator function e_g."""
-    return GroupFunction(
-        group, tuple(Fraction(1 if h == g else 0) for h in range(group.order))
-    )
+    return GroupFunction(group, tuple(int(h == g) for h in range(group.order)))
 
 
 def from_values(group, values):
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(map(_exact, values))
     if len(values) != group.order:
         raise ValueError("value list does not match the group order")
     return GroupFunction(group, values)

@@ -10,6 +10,7 @@ basis tensors.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .braid import sigma_for, symmetrize, antisymmetrize, tensor_from_vector
 from .groups import orbits as group_orbits
@@ -27,12 +28,16 @@ class SolutionSpace:
         self.calculus = calculus
         self.kind = kind
         self.vectors = [list(v) for v in vectors]
-        self.basis = [tensor_from_vector(calculus, v) for v in self.vectors]
         self.orbit_classes = orbit_classes
+
+    @cached_property
+    def basis(self):
+        """The basis vectors as constant tensor fields, built on first use."""
+        return [tensor_from_vector(self.calculus, v) for v in self.vectors]
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.vectors)
 
     def verify(self):
         """Re-test the defining condition on every basis element."""

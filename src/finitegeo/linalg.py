@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of lists of Fraction, row major.  Everything here is
-plain Gaussian elimination, except solve_differences, which solves the
-systems of two-variable equations x_u - x_v = c by union-find.
+plain dense Gaussian elimination, except solve_differences, which solves
+the systems of two-variable equations x_u - x_v = c by union-find, and
+SubspaceReducer, which keeps its rows sparse and its entries as ints
+where they are integral (values are divided only through Fraction).
 """
 
 from fractions import Fraction
 
 from .errors import Infeasible
+from .funcs import _exact
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -182,35 +185,36 @@ class SubspaceReducer:
 
     add(v) reduces v against the rows collected so far and absorbs any
     nonzero remainder; contains(v) checks membership without absorbing.
+    Each row is kept sparse, as the (index, value) pairs of its nonzeros,
+    scaled to 1 at its leading index.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[Vector] = []
+        self.rows: list[list[tuple[int, Fraction]]] = []
         self.lead: list[int] = []
 
-    def _reduce(self, v: Vector) -> Vector:
-        v = [Fraction(x) for x in v]
+    def _reduce(self, v) -> Vector:
+        v = list(map(_exact, v))
         for row, lc in zip(self.rows, self.lead):
-            if v[lc] != 0:
-                factor = v[lc]
-                v = [a - factor * b for a, b in zip(v, row)]
+            factor = v[lc]
+            if factor:
+                for i, y in row:
+                    v[i] -= factor * y
         return v
 
     def add(self, v) -> bool:
         """Absorb v into the span.  Returns True if the rank grew."""
-        v = self._reduce(v)
-        for c, x in enumerate(v):
-            if x != 0:
-                inv = Fraction(1) / x
-                v = [y * inv for y in v]
-                self.rows.append(v)
-                self.lead.append(c)
-                return True
-        return False
+        row = [(i, y) for i, y in enumerate(self._reduce(v)) if y]
+        if not row:
+            return False
+        lc, x = row[0]
+        self.rows.append([(i, _exact(Fraction(y) / x)) for i, y in row])
+        self.lead.append(lc)
+        return True
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     @property
     def rank(self) -> int:

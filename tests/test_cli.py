@@ -195,6 +195,38 @@ def test_metric_check_routes(tmp_path):
     assert result.payload["routes_agree"] is True
 
 
+def test_documents_for_another_calculus_are_refused(tmp_path):
+    named = cli.run(
+        ["connection", "named", "--group", "S3", "--hatg", "class:b", "--name", "c"]
+    )
+    assert named.payload["hatG"] == ["b", "a", "c"]
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps(named.payload))
+    analyze = ["connection", "analyze", "--group", "S3", "--connection", str(path)]
+    assert cli.run(analyze + ["--hatg", "class:b"]).status == 0
+    result = cli.run(analyze + ["--hatg", "all"])
+    assert result.status == 2
+    assert "hatG" in result.payload["error"]
+    for field, value in [("schema", 2), ("group", "D3"), ("hatG", "b,a,c")]:
+        path.write_text(json.dumps(dict(named.payload, **{field: value})))
+        result = cli.run(analyze + ["--hatg", "class:b"])
+        assert result.status == 2
+        assert "error" in result.payload
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"schema": 1, "group": "Z3", "coeffs": {"a|a": "1"}}))
+    check = ["metric", "check", "--group", "S3", "--hatg", "a,b,c", "--metric", str(metric)]
+    result = cli.run(check)
+    assert result.status == 2
+    assert "Z3" in result.payload["error"]
+
+
+def test_q8_names_the_dicyclic_group_of_order_eight():
+    q8 = cli.run(["group", "info", "Q8"])
+    assert q8.status == 0
+    assert q8.payload == cli.run(["group", "info", "Dic2"]).payload
+    assert q8.payload["order"] == 8
+
+
 def test_action_orbit_listings_use_one_based_points():
     result = cli.run(["action", "orbits", "--set", "3", "--group-generators", "(12)"])
     assert result.status == 0
