@@ -16,12 +16,9 @@ from .braid import (
     classify,
     d_one_form,
     d_theta,
-    decompose,
     project_two_form,
-    sigma_apply,
     sigma_build,
     sigma_for,
-    sigma_order,
     symmetric_universal_sigma_order,
     symmetrize,
     tensor_of_one_forms,
@@ -85,7 +82,7 @@ from .dual import (
     verify_dual_invariance,
 )
 from .errors import FiniteGeoError, InternalInconsistency
-from .funcs import GroupFunction, delta, ell, left_translate, r_op, right_translate
+from .funcs import GroupFunction, delta, ell, left_translate, right_translate
 from .groups import (
     FiniteGroup,
     alternating,

@@ -23,90 +23,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import funcs
-from .calculus import OneForm, StructureConstants
-from .errors import CalculusMismatch, InternalInconsistency, NotBicovariant
+from .calculus import StructureConstants, Tensor
+from .errors import CalculusMismatch, InternalInconsistency
 from .linalg import SubspaceReducer
 
 
-class TensorField:
+class TensorField(Tensor):
     """alpha = alpha_{g,g'} theta^g (x) theta^{g'} with left coefficients."""
 
-    def __init__(self, calculus, coeffs=None):
-        calculus.require_left_covariant()
-        self.calculus = calculus
-        grp = calculus.group
-        full = {}
-        coeffs = coeffs or {}
-        for pair in calculus.pairs():
-            c = coeffs.get(pair)
-            if c is None:
-                c = funcs.zero(grp)
-            elif not isinstance(c, funcs.GroupFunction):
-                c = funcs.constant(grp, c)
-            full[pair] = c
-        extra = set(coeffs) - set(full)
-        if extra:
-            raise ValueError(f"coefficients outside hatG x hatG: {sorted(extra)}")
-        self.coeffs = full
-
-    def _check(self, other):
-        if self.calculus != other.calculus:
-            raise CalculusMismatch("tensors live on different calculi")
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorField(
-            self.calculus, {p: self.coeffs[p] + other.coeffs[p] for p in self.coeffs}
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TensorField(
-            self.calculus, {p: self.coeffs[p] - other.coeffs[p] for p in self.coeffs}
-        )
-
-    def __neg__(self):
-        return TensorField(self.calculus, {p: -c for p, c in self.coeffs.items()})
-
-    def scale(self, a):
-        a = Fraction(a)
-        return TensorField(self.calculus, {p: a * c for p, c in self.coeffs.items()})
-
-    def left_mul(self, f):
-        return TensorField(self.calculus, {p: f * c for p, c in self.coeffs.items()})
-
-    def right_mul(self, f):
-        """t * f; the factor is translated across both basis legs."""
-        grp = self.calculus.group
-        out = {}
-        for (u, v), c in self.coeffs.items():
-            moved = funcs.right_translate(
-                grp.inverse(grp.mul(v, u)), f
-            )  # R_{u^-1} R_{v^-1} = R_{(vu)^-1}
-            out[(u, v)] = c * moved
-        return TensorField(self.calculus, out)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def is_constant(self):
-        return all(c.is_constant() for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorField)
-            and self.calculus == other.calculus
-            and self.coeffs == other.coeffs
-        )
-
-    def fiber(self, h):
-        """Coefficient vector at group point h, lexicographic pair order."""
-        return [self.coeffs[p](h) for p in self.calculus.pairs()]
-
-    def constant_vector(self):
-        if not self.is_constant():
-            raise ValueError("tensor has non-constant coefficients")
-        return [self.coeffs[p].values[0] for p in self.calculus.pairs()]
+    rank = 2
 
 
 def tensor_from_vector(calculus, vector):
@@ -123,15 +48,12 @@ def tensor_of_one_forms(phi, psi):
     if phi.calculus != psi.calculus:
         raise CalculusMismatch("forms live on different calculi")
     grp = phi.calculus.group
-    coeffs = {}
-    for g in phi.calculus.hatG:
-        moved = {
-            gp: funcs.right_translate(grp.inverse(g), psi.coeffs[gp])
-            for gp in phi.calculus.hatG
-        }
-        for gp in phi.calculus.hatG:
-            coeffs[(g, gp)] = phi.coeffs[g] * moved[gp]
-    return TensorField(phi.calculus, coeffs)
+    out = TensorField(phi.calculus)
+    for g, c in phi.terms.items():
+        ginv = grp.inverse(g)
+        for gp, d in psi.terms.items():
+            out.accumulate((g, gp), c * funcs.right_translate(ginv, d))
+    return out
 
 
 class SigmaOperator:
@@ -156,10 +78,10 @@ class SigmaOperator:
 
     def apply(self, t, power=1):
         """sigma^power on a tensor; coefficients ride with their basis pair."""
-        out = {}
-        for pair, c in t.coeffs.items():
-            out[self.map_pair(pair, power)] = c
-        return TensorField(self.calculus, out)
+        out = TensorField(self.calculus)
+        for pair, c in t.terms.items():
+            out.accumulate(self.map_pair(pair, power), c)
+        return out
 
     def order(self):
         if self._order is None:
@@ -287,14 +209,6 @@ def sigma_for(calculus):
     return got
 
 
-def sigma_apply(sigma, t, power=1):
-    return sigma.apply(t, power)
-
-
-def sigma_order(sigma):
-    return sigma.order()
-
-
 def symmetric_universal_sigma_order(n):
     """Order of sigma on the universal calculus of the symmetric group S_n.
 
@@ -343,10 +257,6 @@ def symmetrize(t, sigma):
 
 def antisymmetrize(t, sigma):
     return (t - sigma.apply(t)).scale(Fraction(1, 2))
-
-
-def decompose(sigma):
-    return sigma.decompose()
 
 
 def classify(t, sigma):
@@ -410,7 +320,7 @@ class TwoForm:
         basis = sigma.decompose().im_a
         pairs = self.calculus.pairs()
         pivots = [next(i for i, x in enumerate(row) if x != 0) for row in basis]
-        return [self.rep.coeffs[pairs[p]] for p in pivots]
+        return [self.rep.coeff(*pairs[p]) for p in pivots]
 
 
 def project_two_form(t, sigma):
@@ -441,16 +351,15 @@ def d_one_form_rep(phi):
     if phi.basis != "theta":
         raise ValueError("differential implemented in the theta basis")
     sc = StructureConstants(calculus)
-    coeffs = {(u, v): funcs.zero(calculus.group) for (u, v) in calculus.pairs()}
-    for g in calculus.hatG:
-        f = phi.coeffs[g]
+    out = TensorField(calculus)
+    for g, f in phi.terms.items():
         for h in calculus.hatG:
-            coeffs[(h, g)] = coeffs[(h, g)] + funcs.ell(h, f)
+            out.accumulate((h, g), funcs.ell(h, f))
         for u, v in calculus.pairs():
             cval = sc.C(g, v, u)
             if cval:
-                coeffs[(u, v)] = coeffs[(u, v)] - cval * f
-    return TensorField(calculus, coeffs)
+                out.accumulate((u, v), -cval * f)
+    return out
 
 
 def d_one_form(phi, sigma):
@@ -464,122 +373,54 @@ def d_one_form(phi, sigma):
 # differential ideal generated by the s-symmetric tensors.
 
 
-class Rank3Field:
+class Rank3Field(Tensor):
     """Coefficients over hatG^3, theta^u (x) theta^v (x) theta^w, left placed."""
 
-    def __init__(self, calculus, coeffs=None):
-        self.calculus = calculus
-        grp = calculus.group
-        self.coeffs = {}
-        for u in calculus.hatG:
-            for v in calculus.hatG:
-                for w in calculus.hatG:
-                    c = (coeffs or {}).get((u, v, w))
-                    if c is None:
-                        c = funcs.zero(grp)
-                    elif not isinstance(c, funcs.GroupFunction):
-                        c = funcs.constant(grp, c)
-                    self.coeffs[(u, v, w)] = c
-
-    def __add__(self, other):
-        return Rank3Field(
-            self.calculus, {t: self.coeffs[t] + other.coeffs[t] for t in self.coeffs}
-        )
-
-    def __sub__(self, other):
-        return Rank3Field(
-            self.calculus, {t: self.coeffs[t] - other.coeffs[t] for t in self.coeffs}
-        )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def is_constant(self):
-        return all(c.is_constant() for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Rank3Field)
-            and self.calculus == other.calculus
-            and self.coeffs == other.coeffs
-        )
+    rank = 3
 
     def triples(self):
-        return [
-            (u, v, w)
-            for u in self.calculus.hatG
-            for v in self.calculus.hatG
-            for w in self.calculus.hatG
-        ]
-
-    def fiber(self, h):
-        return [self.coeffs[t](h) for t in self.triples()]
+        return self._keys()
 
 
 def one_form_times_two_rep(phi, t):
     """(f theta^k) * (T_{u,v} theta^u theta^v) at rank 3."""
-    calculus = phi.calculus
-    grp = calculus.group
-    out = {}
-    for k in calculus.hatG:
-        f = phi.coeffs[k]
-        if f.is_zero():
-            continue
+    grp = phi.calculus.group
+    out = Rank3Field(phi.calculus)
+    for k, f in phi.terms.items():
         kinv = grp.inverse(k)
-        for (u, v), c in t.coeffs.items():
-            if c.is_zero():
-                continue
-            term = f * funcs.right_translate(kinv, c)
-            key = (k, u, v)
-            out[key] = out.get(key, funcs.zero(grp)) + term
-    return Rank3Field(calculus, out)
+        for (u, v), c in t.terms.items():
+            out.accumulate((k, u, v), f * funcs.right_translate(kinv, c))
+    return out
 
 
 def two_rep_times_one_form(t, psi):
     """(T_{u,v} theta^u theta^v) * (c_w theta^w) at rank 3."""
-    calculus = t.calculus
-    grp = calculus.group
-    out = {}
-    for (u, v), c in t.coeffs.items():
-        if c.is_zero():
-            continue
+    grp = t.calculus.group
+    out = Rank3Field(t.calculus)
+    for (u, v), c in t.terms.items():
         vu_inv = grp.inverse(grp.mul(v, u))
-        for w in calculus.hatG:
-            cw = psi.coeffs[w]
-            if cw.is_zero():
-                continue
-            term = c * funcs.right_translate(vu_inv, cw)
-            key = (u, v, w)
-            out[key] = out.get(key, funcs.zero(grp)) + term
-    return Rank3Field(calculus, out)
+        for w, cw in psi.terms.items():
+            out.accumulate((u, v, w), c * funcs.right_translate(vu_inv, cw))
+    return out
 
 
 def d_two_rep(t):
     """d of a represented 2-form, as a rank-3 coefficient array."""
     calculus = t.calculus
-    grp = calculus.group
     sc = StructureConstants(calculus)
-    out = {}
-
-    def bump(key, val):
-        out[key] = out.get(key, funcs.zero(grp)) + val
-
-    for (g, gp), c in t.coeffs.items():
-        if c.is_zero():
-            continue
+    out = Rank3Field(calculus)
+    for (g, gp), c in t.terms.items():
         for h in calculus.hatG:
-            lh = funcs.ell(h, c)
-            if not lh.is_zero():
-                bump((h, g, gp), lh)
+            out.accumulate((h, g, gp), funcs.ell(h, c))
         for u in calculus.hatG:
             for v in calculus.hatG:
                 c1 = sc.C(g, u, v)
                 if c1:
-                    bump((v, u, gp), c * (-c1))
+                    out.accumulate((v, u, gp), c * (-c1))
                 c2 = sc.C(gp, u, v)
                 if c2:
-                    bump((g, v, u), c * c2)
-    return Rank3Field(calculus, out)
+                    out.accumulate((g, v, u), c * c2)
+    return out
 
 
 class DegreeThreeIdeal:
@@ -617,7 +458,7 @@ class DegreeThreeIdeal:
                 generators.append(vec)
             kt = tensor_from_vector(self.calculus, kvec)
             dk = d_two_rep(kt)
-            generators.append([dk.coeffs[t].values[0] for t in triples])
+            generators.append([c.values[0] for c in dk.coeffs.values()])
         self.reducer = SubspaceReducer(dim)
         self.triples = triples
         for gen in generators:
@@ -633,7 +474,7 @@ class DegreeThreeIdeal:
 
     def contains(self, r3):
         grp = self.calculus.group
-        order = [r3.coeffs[t] for t in self.triples]
+        order = list(r3.coeffs.values())
         for h in range(grp.order):
             if not self.reducer.contains([c(h) for c in order]):
                 return False

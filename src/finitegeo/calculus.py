@@ -5,9 +5,24 @@ are in bijection with subsets hatG of the nonidentity elements: the edge
 (x, y) is present exactly when y^-1 x lies in hatG, so the basis 1-form
 theta^g collects the edges {(hg, h) : h in G}.  Edge-basis and
 theta-basis descriptions convert via e_{x,y} = e_x theta^{y^-1 x}.
+
+Tensor is the one tensor type of the package: a sparse map from
+hatG^rank to functions on the group.  Its terms hold only the nonzero
+coefficients; its coeffs list every key of hatG^rank, zero where no
+term is stored.  Its side says where the coefficients sit: left of the
+basis for 1-forms and their tensor powers, right of it for vector fields
+and metrics.  A factor multiplied on the coefficient side multiplies the
+coefficients.  A factor on the other side crosses the basis legs,
+nearest first, and each crossing translates it: theta^k f =
+(R_{k^-1} f) theta^k and f ell_k = ell_k (R_{k^-1} f).  After crossing
+c_1, ..., c_n it is R_{(c_1 ... c_n)^-1} f, so a left tensor times f
+has the coefficient t_k R_{(k_rank ... k_1)^-1} f at the key
+k = (k_1, ..., k_rank).  OneForm here, TensorField and Rank3Field in
+braid, VectorField and Metric in dual only fix rank and side.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from . import funcs
 from .errors import (
@@ -156,109 +171,206 @@ class StructureConstants:
         return val
 
 
-def structure_constants(calculus):
-    return StructureConstants(calculus)
+class _Coeffs(dict):
+    """A tensor's coefficient at every key of hatG^rank, lexicographic.
+
+    A key with nothing stored holds the zero function.  Assigning a key
+    also stores the function in the tensor, or drops the key when it is
+    zero; other changes stay in this dict.
+    """
+
+    __slots__ = ("tensor",)
+
+    def __init__(self, tensor):
+        zero = funcs.zero(tensor.calculus.group)
+        super().__init__((k, tensor.terms.get(k, zero)) for k in tensor._keys())
+        self.tensor = tensor
+
+    def __setitem__(self, key, f):
+        if key not in self:
+            raise NotInHatG(f"coefficient key {key!r} is not in hatG^{self.tensor.rank}")
+        super().__setitem__(key, f)
+        self.tensor.terms.pop(key, None)
+        self.tensor.accumulate(key, f)
 
 
-class OneForm:
+class Tensor:
+    """A sparse tensor field: nonzero coefficient functions on hatG^rank.
+
+    Subclasses set rank (keys are labels g at rank 1 and tuples
+    (k_1, ..., k_rank) above) and side, "left" or "right" of the basis,
+    where the coefficients sit; the module docstring gives the rule for
+    multiplying by functions.  terms holds only the nonzero functions;
+    coeffs reads every key of hatG^rank, zero where nothing is stored.
+    """
+
+    rank = 1
+    side = "left"
+
+    def __init__(self, calculus, coeffs=None):
+        calculus.require_left_covariant()
+        self.calculus = calculus
+        self.terms = {}
+        if not coeffs:
+            return
+        space = set(self._keys())
+        for key, value in coeffs.items():
+            if key not in space:
+                raise NotInHatG(f"coefficient key {key!r} is not in hatG^{self.rank}")
+            f = funcs.as_function(calculus.group, value)
+            if not f.is_zero():
+                self.terms[key] = f
+
+    @property
+    def coeffs(self):
+        return _Coeffs(self)
+
+    def _like(self, terms=()):
+        """A tensor of the same kind, calculus and basis holding terms."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.terms = dict(terms)
+        return out
+
+    def _space(self):
+        """What two tensors must share to be added or compared."""
+        return (type(self), self.calculus)
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise CalculusMismatch("tensors live on different calculi, kinds or bases")
+
+    def _keys(self):
+        """Every key of hatG^rank, lexicographic."""
+        hatG = self.calculus.hatG
+        if self.rank == 1:
+            return list(hatG)
+        return list(product(hatG, repeat=self.rank))
+
+    def _map(self, fn):
+        out = self._like()
+        for key, c in self.terms.items():
+            out.accumulate(key, fn(key, c))
+        return out
+
+    def accumulate(self, key, f):
+        """Add the GroupFunction f to the coefficient at key, in place."""
+        got = self.terms.get(key)
+        if got is not None:
+            f = got + f
+        if f.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = f
+
+    def coeff(self, *labels):
+        got = self.terms.get(labels[0] if self.rank == 1 else labels)
+        return funcs.zero(self.calculus.group) if got is None else got
+
+    def __iadd__(self, other):
+        self._check(other)
+        for key, f in other.terms.items():
+            self.accumulate(key, f)
+        return self
+
+    def __add__(self, other):
+        out = self._like(self.terms)
+        out += other
+        return out
+
+    def __sub__(self, other):
+        out = self._like(self.terms)
+        out += -other
+        return out
+
+    def __neg__(self):
+        return self._map(lambda key, c: -c)
+
+    def scale(self, a):
+        return self._map(lambda key, c: c * a)
+
+    def _crossing(self, f):
+        """key -> f translated across the basis legs of key."""
+        group = self.calculus.group
+        moved = {}
+
+        def across(key):
+            legs = (key,) if self.rank == 1 else key
+            if self.side == "left":
+                legs = reversed(legs)
+            p = 0
+            for k in legs:
+                p = group.mul(p, k)
+            got = moved.get(p)
+            if got is None:
+                got = moved[p] = funcs.right_translate(group.inverse(p), f)
+            return got
+
+        return across
+
+    def left_mul(self, f):
+        """f * self."""
+        f = funcs.as_function(self.calculus.group, f)
+        if self.side == "left":
+            return self._map(lambda key, c: f * c)
+        across = self._crossing(f)
+        return self._map(lambda key, c: across(key) * c)
+
+    def right_mul(self, f):
+        """self * f."""
+        f = funcs.as_function(self.calculus.group, f)
+        if self.side == "right":
+            return self._map(lambda key, c: c * f)
+        across = self._crossing(f)
+        return self._map(lambda key, c: c * across(key))
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        return all(c.is_constant() for c in self.terms.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def fiber(self, h):
+        """Coefficient vector at group point h, lexicographic key order."""
+        return [c(h) for c in self.coeffs.values()]
+
+    def constant_vector(self):
+        if not self.is_constant():
+            raise ValueError("tensor has non-constant coefficients")
+        return [c.values[0] for c in self.coeffs.values()]
+
+
+class OneForm(Tensor):
     """phi = phi_g theta^g with coefficients on the left (or the omega basis)."""
 
     def __init__(self, calculus, coeffs, basis="theta"):
-        calculus.require_left_covariant()
-        self.calculus = calculus
         self.basis = basis
-        full = {}
-        for g in calculus.hatG:
-            c = coeffs.get(g)
-            if c is None:
-                c = funcs.zero(calculus.group)
-            elif not isinstance(c, funcs.GroupFunction):
-                c = funcs.constant(calculus.group, c)
-            full[g] = c
-        extra = set(coeffs) - set(calculus.hatG)
-        if extra:
-            raise NotInHatG(f"coefficients on elements outside hatG: {sorted(extra)}")
-        self.coeffs = full
+        super().__init__(calculus, coeffs)
 
-    def coeff(self, g):
-        return self.coeffs[g]
-
-    def _check(self, other):
-        if self.calculus != other.calculus or self.basis != other.basis:
-            raise CalculusMismatch("one-forms live on different calculi or bases")
-
-    def __add__(self, other):
-        self._check(other)
-        return OneForm(
-            self.calculus,
-            {g: self.coeffs[g] + other.coeffs[g] for g in self.calculus.hatG},
-            self.basis,
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return OneForm(
-            self.calculus,
-            {g: self.coeffs[g] - other.coeffs[g] for g in self.calculus.hatG},
-            self.basis,
-        )
-
-    def __neg__(self):
-        return OneForm(
-            self.calculus, {g: -self.coeffs[g] for g in self.calculus.hatG}, self.basis
-        )
-
-    def left_mul(self, f):
-        """f * phi: coefficients multiply on the left."""
-        f = funcs.as_function(self.calculus.group, f)
-        return OneForm(
-            self.calculus, {g: f * self.coeffs[g] for g in self.calculus.hatG}, self.basis
-        )
+    def _space(self):
+        return super()._space() + (self.basis,)
 
     def right_mul(self, f):
         """phi * f: the coefficient picks up a translated factor."""
         if self.basis != "theta":
             raise ValueError("right multiplication implemented in the theta basis")
-        f = funcs.as_function(self.calculus.group, f)
-        grp = self.calculus.group
-        return OneForm(
-            self.calculus,
-            {
-                g: self.coeffs[g] * funcs.right_translate(grp.inverse(g), f)
-                for g in self.calculus.hatG
-            },
-        )
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def is_constant(self):
-        return all(c.is_constant() for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneForm)
-            and self.calculus == other.calculus
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
+        return super().right_mul(f)
 
     def __repr__(self):
         sym = "theta" if self.basis == "theta" else "omega"
         parts = [
             f"({'+'.join(c.as_strings())}) {sym}^{self.calculus.group.name(g)}"
-            for g, c in self.coeffs.items()
-            if not c.is_zero()
+            for g, c in sorted(self.terms.items())
         ]
         return " + ".join(parts) if parts else "0"
 
 
-def zero_form(calculus):
-    return OneForm(calculus, {})
-
-
 def theta_form(calculus, g, coeff=1):
-    calculus.hat_index(g)
     return OneForm(calculus, {g: funcs.as_function(calculus.group, coeff)})
 
 
@@ -316,7 +428,7 @@ def omega_theta_convert(calculus, form, direction="theta_to_omega"):
         out_basis = "omega"
 
         def source(k, h):
-            return form.coeffs[grp.adjoint(grp.inverse(h), k)](h)
+            return form.coeff(grp.adjoint(grp.inverse(h), k))(h)
 
     elif direction == "omega_to_theta":
         if form.basis != "omega":
@@ -324,7 +436,7 @@ def omega_theta_convert(calculus, form, direction="theta_to_omega"):
         out_basis = "theta"
 
         def source(k, h):
-            return form.coeffs[grp.adjoint(h, k)](h)
+            return form.coeff(grp.adjoint(h, k))(h)
 
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -339,7 +451,7 @@ def to_edge_coeffs(form):
     """theta-basis 1-form -> per-edge scalars via e_{x,y} = e_x theta^{y^-1 x}."""
     grp = form.calculus.group
     out = {}
-    for g, c in form.coeffs.items():
+    for g, c in form.terms.items():
         ginv = grp.inverse(g)
         for x in range(grp.order):
             if c(x) != 0:

@@ -10,6 +10,7 @@ marker, dictionary keys are sorted, and rational numbers render as
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -257,19 +258,6 @@ def connection_from_json(calculus, doc):
         h, g, gp = (group.element_index(p) for p in parts)
         gamma[(h, g, gp)] = _function_from_json(group, value)
     return connection_mod.Connection(calculus, gamma)
-
-
-def metric_to_json(metric):
-    group = metric.calculus.group
-    coeffs = {}
-    for (g, gp), f in sorted(metric.coeffs.items()):
-        coeffs[f"{group.name(g)}|{group.name(gp)}"] = _function_to_json(f)
-    return {
-        "schema": 1,
-        "group": group.label,
-        "hatG": [group.name(g) for g in metric.calculus.hatG],
-        "coeffs": coeffs,
-    }
 
 
 def metric_from_json(calculus, doc):
@@ -677,11 +665,27 @@ _DISPATCH = {
 }
 
 
+def _glue_list_values(argv):
+    """Write `--lambdas -1,2` as `--lambdas=-1,2`.
+
+    argparse reads a separate value such as -1,2 as an option name, since
+    only a plain negative number escapes that, and then refuses the option
+    for lacking its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--lambdas", "--params") and re.match(r"-\.?\d", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv):
     """Parse arguments and execute; returns a CommandResult."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_list_values(argv))
     except SystemExit as exc:
         return CommandResult(exc.code if exc.code else 0)
     handler = _DISPATCH.get((args.command, args.action))

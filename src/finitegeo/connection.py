@@ -106,14 +106,13 @@ class Connection:
         cal = self.calculus
         if h not in set(cal.hatG):
             raise NotInHatG(f"{h} not in the reduced set")
-        group = cal.group
-        out = {}
+        out = TensorField(cal)
         for g in cal.hatG:
             for gp in cal.hatG:
                 f = self.gamma.get((h, g, gp))
                 if f is not None:
-                    out[(gp, g)] = out.get((gp, g), zero(group)) - f
-        return TensorField(cal, {k: v for k, v in out.items() if not v.is_zero()})
+                    out.accumulate((gp, g), -f)
+        return out
 
     def connection_one_forms(self):
         """Matrix of 1-forms omega^i_j = Gamma^i_{j,k} theta^k with
@@ -142,7 +141,7 @@ class Connection:
         if phi.basis != "theta":
             raise CalculusMismatch("covariant derivative expects theta basis")
         group = cal.group
-        out = {}
+        out = TensorField(cal)
         for g in cal.hatG:
             ginv = group.inverse(g)
             for gp in cal.hatG:
@@ -151,24 +150,22 @@ class Connection:
                     f = self.gamma.get((h, gp, g))
                     if f is not None:
                         acc = acc - phi.coeff(h) * f
-                if not acc.is_zero():
-                    out[(g, gp)] = acc
-        return TensorField(cal, out)
+                out.accumulate((g, gp), acc)
+        return out
 
     def _torsion_raw_theta(self, h):
         cal = self.calculus
         group = cal.group
         sc = StructureConstants(cal)
-        out = {}
+        out = TensorField(cal)
         for u in cal.hatG:
             for v in cal.hatG:
                 acc = self.gamma_value(h, v, u)
                 c = sc.C(h, v, u)
                 if c:
                     acc = acc - constant(group, Fraction(c))
-                if not acc.is_zero():
-                    out[(u, v)] = acc
-        return TensorField(cal, out)
+                out.accumulate((u, v), acc)
+        return out
 
     def torsion(self, phi=None, raw=False):
         """Torsion T = nabla - d applied to a 1-form.
@@ -209,7 +206,7 @@ class Connection:
         cal = self.calculus
         group = cal.group
         sc = StructureConstants(cal)
-        rep = {}
+        rep = TensorField(cal)
         for u in cal.hatG:
             uinv = group.inverse(u)
             for v in cal.hatG:
@@ -227,9 +224,8 @@ class Connection:
                         gk = self.gamma.get((h, gp, k))
                         if gk is not None:
                             acc = acc - c * gk
-                if not acc.is_zero():
-                    rep[(u, v)] = acc
-        return TensorField(cal, rep)
+                rep.accumulate((u, v), acc)
+        return rep
 
     def curvature(self, h=None):
         """Curvature 2-forms with nabla^2 theta^h = -Omega^h_{g'} (x) theta^{g'}.
@@ -538,19 +534,15 @@ class ExtensibilityReport:
         """Apply the bimodule map V to a tensor field."""
         cal = self.connection.calculus
         group = cal.group
-        out = {}
-        for (g, gp), f in t.coeffs.items():
+        out = TensorField(cal)
+        for (g, gp), f in t.terms.items():
             prod = group.mul(gp, g)
             for h in cal.hatG:
                 hp = group.mul(group.inverse(h), prod)
                 val = self.v_map.get((g, gp, h, hp))
                 if val is not None:
-                    key = (hp, h)
-                    term = f * val
-                    out[key] = out.get(key, zero(group)) + term
-        return TensorField(
-            cal, {k: v for k, v in out.items() if not v.is_zero()}
-        )
+                    out.accumulate((hp, h), f * val)
+        return out
 
     def psi_apply(self, t):
         """Apply the twist Psi = sigma - V to a tensor field."""
@@ -635,7 +627,7 @@ def bimodule_hom_space(calculus, kind="V"):
 
 
 def _extend_pair(report, phi, psi, out):
-    """Add nabla(phi (x) psi) into out, a dict from triples to functions.
+    """Add nabla(phi (x) psi) into out, a Rank3Field.
 
     (nabla phi) (x) psi transports psi's coefficients across both legs;
     (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
@@ -643,32 +635,18 @@ def _extend_pair(report, phi, psi, out):
     conn = report.connection
     cal = conn.calculus
     group = cal.group
-
-    def bump(key, f):
-        if not f.is_zero():
-            got = out.get(key)
-            out[key] = f if got is None else got + f
-
-    for (u, v), f in conn.apply(phi).coeffs.items():
-        if f.is_zero():
-            continue
+    for (u, v), f in conn.apply(phi).terms.items():
         trans = group.inverse(group.mul(v, u))
-        for w in cal.hatG:
-            c = psi.coeff(w)
-            if not c.is_zero():
-                bump((u, v, w), f * right_translate(trans, c))
+        for w, c in psi.terms.items():
+            out.accumulate((u, v, w), f * right_translate(trans, c))
     nab_psi = conn.apply(psi)
-    for g in cal.hatG:
-        c = phi.coeff(g)
-        if c.is_zero():
-            continue
+    for g, c in phi.terms.items():
         ginv = group.inverse(g)
-        for (u, v), f in nab_psi.coeffs.items():
-            if f.is_zero():
-                continue
-            piece = TensorField(cal, {(g, u): c * right_translate(ginv, f)})
-            for (p, q), val in report.psi_apply(piece).coeffs.items():
-                bump((p, q, v), val)
+        for (u, v), f in nab_psi.terms.items():
+            piece = TensorField(cal)
+            piece.accumulate((g, u), c * right_translate(ginv, f))
+            for (p, q), val in report.psi_apply(piece).terms.items():
+                out.accumulate((p, q, v), val)
     return out
 
 
@@ -681,7 +659,7 @@ def extend_on_pair(conn, phi, psi):
     report = extensibility_analysis(conn)
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
-    return Rank3Field(conn.calculus, _extend_pair(report, phi, psi, {}))
+    return _extend_pair(report, phi, psi, Rank3Field(conn.calculus))
 
 
 def extend_to_tensor(conn, t):
@@ -695,17 +673,16 @@ def extend_to_tensor(conn, t):
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
     cal = conn.calculus
-    out = {}
+    out = Rank3Field(cal)
     for g in cal.hatG:
-        col = {}
+        psi = OneForm(cal, {})
         for gp in cal.hatG:
-            c = t.coeffs.get((g, gp))
+            c = t.terms.get((g, gp))
             if c is not None:
-                col[gp] = right_translate(g, c)
-        psi = OneForm(cal, col)
+                psi.accumulate(gp, right_translate(g, c))
         if not psi.is_zero():
             _extend_pair(report, theta_form(cal, g), psi, out)
-    return Rank3Field(cal, out)
+    return out
 
 
 class TwoSidedConnection:
@@ -729,30 +706,15 @@ class TwoSidedConnection:
     def check_leibniz(self, f, phi, fp):
         """Verify the two-sided Leibniz rule on the triple (f, phi, f')."""
         cal = self.calculus
-        group = cal.group
         middle = phi.left_mul(f).right_mul(fp)
         lhs_l, lhs_r = self.apply(middle)
         nl, nr = self.apply(phi)
-
-        def sandwich(t):
-            return TensorField(
-                cal,
-                {
-                    k: f
-                    * v
-                    * right_translate(
-                        group.inverse(group.mul(k[1], k[0])), fp
-                    )
-                    for k, v in t.coeffs.items()
-                },
-            )
-
         df = differential(cal, f)
         dfp = differential(cal, fp)
-        left_expected = sandwich(nl) + tensor_of_one_forms(
+        left_expected = nl.left_mul(f).right_mul(fp) + tensor_of_one_forms(
             df, phi.right_mul(fp)
         )
-        right_expected = sandwich(nr) + tensor_of_one_forms(
+        right_expected = nr.left_mul(f).right_mul(fp) + tensor_of_one_forms(
             phi.left_mul(f), dfp
         )
         return (lhs_l - left_expected).is_zero() and (
@@ -813,9 +775,9 @@ def two_sided_square(ts, phi):
         col = OneForm(
             cal,
             {
-                u: left_part.coeffs[(u, v)]
+                u: left_part.terms[(u, v)]
                 for u in cal.hatG
-                if (u, v) in left_part.coeffs
+                if (u, v) in left_part.terms
             },
         )
         if col.is_zero():
@@ -823,22 +785,18 @@ def two_sided_square(ts, phi):
         tf = d_one_form(col, sig) - wedge(col, r, sig)
         if not tf.is_zero():
             two_left[v] = tf
-    mixed = {}
-    for (u, v), c in left_part.coeffs.items():
+    mixed_field = Rank3Field(cal)
+    for (u, v), c in left_part.terms.items():
         for w in cal.hatG:
-            mixed[(u, v, w)] = mixed.get((u, v, w), zero(group)) + c
-    for (u, v), c in right_part.coeffs.items():
+            mixed_field.accumulate((u, v, w), c)
+    for (u, v), c in right_part.terms.items():
         for w in cal.hatG:
-            f = right_translate(group.inverse(w), c)
-            mixed[(w, u, v)] = mixed.get((w, u, v), zero(group)) + f
-    mixed_field = Rank3Field(
-        cal, {k: v for k, v in mixed.items() if not v.is_zero()}
-    )
+            mixed_field.accumulate((w, u, v), right_translate(group.inverse(w), c))
     two_right = {}
     for u in cal.hatG:
         acc = None
         for v in cal.hatG:
-            c = right_part.coeffs.get((u, v))
+            c = right_part.terms.get((u, v))
             if c is None:
                 continue
             base = d_theta(cal, sig, v) - wedge(r, theta_form(cal, v), sig)

@@ -10,8 +10,6 @@ their compatibility, and the canonical field-valued form whose covariant
 derivatives reproduce torsion and curvature.
 """
 
-from fractions import Fraction
-
 from .braid import (
     DegreeThreeIdeal,
     Rank3Field,
@@ -22,83 +20,21 @@ from .braid import (
     sigma_for,
     two_rep_times_one_form,
 )
-from .calculus import OneForm, differential, theta_form
+from .calculus import OneForm, Tensor, differential, theta_form
 from .connection import extensibility_analysis, extend_on_pair
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
-from .funcs import as_function, constant, ell, right_translate, zero
+from .funcs import ell, right_translate, zero
 
 
-class VectorField:
+class VectorField(Tensor):
     """A vector field X = ell_g X^g with right coefficient functions."""
 
-    def __init__(self, calculus, coeffs):
-        calculus.require_left_covariant()
-        self.calculus = calculus
-        group = calculus.group
-        hset = set(calculus.hatG)
-        clean = {}
-        for g, value in coeffs.items():
-            if g not in hset:
-                raise NotInHatG(f"field label {g} outside the reduced set")
-            f = as_function(group, value)
-            if not f.is_zero():
-                clean[g] = f
-        self.coeffs = clean
-
-    def coeff(self, g):
-        got = self.coeffs.get(g)
-        if got is None:
-            return zero(self.calculus.group)
-        return got
-
-    def __add__(self, other):
-        if self.calculus != other.calculus:
-            raise CalculusMismatch("vector fields on different calculi")
-        out = dict(self.coeffs)
-        for g, f in other.coeffs.items():
-            out[g] = out.get(g, zero(self.calculus.group)) + f
-        return VectorField(self.calculus, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, s):
-        return VectorField(
-            self.calculus, {g: f * s for g, f in self.coeffs.items()}
-        )
-
-    def right_mul(self, f):
-        """X f: coefficients multiply directly."""
-        return VectorField(
-            self.calculus, {g: c * f for g, c in self.coeffs.items()}
-        )
-
-    def left_mul(self, f):
-        """f X = ell_g (R_{g^-1} f) X^g."""
-        group = self.calculus.group
-        return VectorField(
-            self.calculus,
-            {
-                g: right_translate(group.inverse(g), f) * c
-                for g, c in self.coeffs.items()
-            },
-        )
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.coeffs.values())
-
-    def is_constant(self):
-        return all(f.is_constant() for f in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.calculus == other.calculus and (self - other).is_zero()
+    side = "right"
 
     def __repr__(self):
         parts = ", ".join(
             f"{self.calculus.group.name(g)}: {f.as_strings()}"
-            for g, f in sorted(self.coeffs.items())
+            for g, f in sorted(self.terms.items())
         )
         return f"VectorField({{{parts}}})"
 
@@ -106,14 +42,14 @@ class VectorField:
         """X f = <df, X> = (ell_g f) X^g."""
         group = self.calculus.group
         acc = zero(group)
-        for g, c in self.coeffs.items():
+        for g, c in self.terms.items():
             acc = acc + ell(g, f) * c
         return acc
 
 
 def vector_field_basis(calculus, g):
     """The basis field ell_g."""
-    return VectorField(calculus, {g: constant(calculus.group, Fraction(1))})
+    return VectorField(calculus, {g: 1})
 
 
 def pair(phi, x):
@@ -126,7 +62,7 @@ def pair(phi, x):
     acc = zero(group)
     for g in phi.calculus.hatG:
         c = phi.coeff(g)
-        xg = x.coeffs.get(g)
+        xg = x.terms.get(g)
         if xg is not None and not c.is_zero():
             acc = acc + c * xg
     return acc
@@ -142,30 +78,12 @@ def pair_tensor_field(t, x):
     if cal != x.calculus:
         raise CalculusMismatch("tensor and field on different calculi")
     group = cal.group
-    out = {}
-    for (u, v), f in t.coeffs.items():
-        xv = x.coeffs.get(v)
-        if xv is None:
-            continue
-        term = f * right_translate(group.inverse(u), xv)
-        out[u] = out.get(u, zero(group)) + term
-    return OneForm(cal, {k: v for k, v in out.items() if not v.is_zero()})
-
-
-def pair_metric(t, m):
-    """Full contraction of a tensor field with a metric.
-
-    <t_{a,b} theta^a (x) theta^b, ell_p (x) ell_q g^{p,q}> pairs the
-    inner slots first, giving the function t_{a,b} g^{b,a}.
-    """
-    cal = t.calculus
-    if cal != m.calculus:
-        raise CalculusMismatch("tensor and metric on different calculi")
-    group = cal.group
-    acc = zero(group)
-    for (a, b), f in t.coeffs.items():
-        acc = acc + f * m.coeff(b, a)
-    return acc
+    out = OneForm(cal, {})
+    for (u, v), f in t.terms.items():
+        xv = x.terms.get(v)
+        if xv is not None:
+            out.accumulate(u, f * right_translate(group.inverse(u), xv))
+    return out
 
 
 def pair_rank3_metric(r, m):
@@ -178,11 +96,12 @@ def pair_rank3_metric(r, m):
     if cal != m.calculus:
         raise CalculusMismatch("tensor and metric on different calculi")
     group = cal.group
-    out = {}
-    for (u, v, w), f in r.coeffs.items():
-        term = f * right_translate(group.inverse(u), m.coeff(w, v))
-        out[u] = out.get(u, zero(group)) + term
-    return OneForm(cal, {k: v for k, v in out.items() if not v.is_zero()})
+    out = OneForm(cal, {})
+    for (u, v, w), f in r.terms.items():
+        mwv = m.terms.get((w, v))
+        if mwv is not None:
+            out.accumulate(u, f * right_translate(group.inverse(u), mwv))
+    return out
 
 
 class DualConnection:
@@ -211,7 +130,7 @@ class DualConnection:
                 for g in cal.hatG:
                     gam = self.source.gamma.get((h, g, k))
                     if gam is not None:
-                        xg = x.coeffs.get(g)
+                        xg = x.terms.get(g)
                         if xg is not None:
                             acc = acc + gam * right_translate(
                                 group.inverse(k), xg
@@ -223,12 +142,9 @@ class DualConnection:
     def check_identity(self, gamma, x):
         """Verify <gamma, nabla* X> = d<gamma, X> - <nabla gamma, X>."""
         cal = self.calculus
-        dual = self.apply(x)
-        lhs = {}
-        for (h, k), c in dual.items():
-            term = gamma.coeff(h) * c
-            lhs[k] = lhs.get(k, zero(cal.group)) + term
-        lhs_form = OneForm(cal, {k: v for k, v in lhs.items() if not v.is_zero()})
+        lhs_form = OneForm(cal, {})
+        for (h, k), c in self.apply(x).items():
+            lhs_form.accumulate(k, gamma.coeff(h) * c)
         rhs = differential(cal, pair(gamma, x)) - pair_tensor_field(
             self.source.apply(gamma), x
         )
@@ -271,7 +187,7 @@ def sigma_prime_connection(calculus):
         def apply(self, x):
             cal = self.calculus
             out = {}
-            for g, c in x.coeffs.items():
+            for g, c in x.terms.items():
                 for k in cal.hatG:
                     val = ell(k, c)
                     if not val.is_zero():
@@ -301,58 +217,24 @@ def sigma_x_order(calculus):
     )
 
 
-class Metric:
+class Metric(Tensor):
     """A doubled vector field g = ell_g (x) ell_g' g^{g,g'}."""
 
-    def __init__(self, calculus, coeffs):
-        calculus.require_left_covariant()
-        self.calculus = calculus
-        group = calculus.group
-        hset = set(calculus.hatG)
-        clean = {}
-        for (g, gp), value in coeffs.items():
-            if g not in hset or gp not in hset:
-                raise NotInHatG(
-                    f"metric label {(g, gp)} outside the reduced set"
-                )
-            f = as_function(group, value)
-            if not f.is_zero():
-                clean[(g, gp)] = f
-        self.coeffs = clean
-
-    def coeff(self, g, gp):
-        got = self.coeffs.get((g, gp))
-        if got is None:
-            return zero(self.calculus.group)
-        return got
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, f in other.coeffs.items():
-            out[k] = out.get(k, zero(self.calculus.group)) - f
-        return Metric(self.calculus, out)
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, Metric):
-            return NotImplemented
-        return self.calculus == other.calculus and (self - other).is_zero()
+    rank = 2
+    side = "right"
 
     def is_left_invariant(self):
-        return all(f.is_constant() for f in self.coeffs.values())
+        return self.is_constant()
 
 
 def sigma_x_apply(m):
     """Apply the doubled-field transpose to a metric; right coefficients
     ride unchanged."""
     cal = m.calculus
-    out = {}
-    for (g, gp), f in m.coeffs.items():
-        key = sigma_x(cal, g, gp)
-        out[key] = out.get(key, zero(cal.group)) + f
-    return Metric(cal, out)
+    out = Metric(cal, {})
+    for (g, gp), f in m.terms.items():
+        out.accumulate(sigma_x(cal, g, gp), f)
+    return out
 
 
 def metric_symmetry(m):
@@ -371,18 +253,13 @@ def _dual_twist_apply(report, h, g):
     the field label q to the 1-form component."""
     cal = report.connection.calculus
     group = cal.group
-    out = {}
     q0, k0 = sigma_prime(cal, h, g)
-    out[q0] = theta_form(cal, k0)
+    out = {q0: theta_form(cal, k0)}
     for q in cal.hatG:
         kk = group.mul(group.mul(group.inverse(g), h), q)
-        if kk not in set(cal.hatG):
-            continue
         val = report.v_map.get((q, h, g, kk))
-        if val is None:
-            continue
-        form = OneForm(cal, {kk: val})
-        out[q] = out.get(q, OneForm(cal, {})) - form
+        if val is not None:
+            out.setdefault(q, OneForm(cal, {})).accumulate(kk, -val)
     return {q: f for q, f in out.items() if not f.is_zero()}
 
 
@@ -417,12 +294,10 @@ def metric_compatibility(m, route="both", connection=None):
         out = {}
 
         def add(p, q, form):
-            if form.is_zero():
-                return
-            key = (p, q)
-            out[key] = out.get(key, OneForm(cal, {})) + form
+            target = out.setdefault((p, q), OneForm(cal, {}))
+            target += form
 
-        for (g, gp), gv in m.coeffs.items():
+        for (g, gp), gv in m.terms.items():
             add(g, gp, differential(cal, gv))
             dgp = dual.apply(vector_field_basis(cal, gp))
             for (h, k), c in dgp.items():
@@ -494,21 +369,15 @@ def canonical_form_and_torsion(conn):
     bianchi = {}
     for g in cal.hatG:
         # lhs - rhs = d Theta^g + omega^g_{g'} Theta^{g'} - Omega^g_{g'} theta^{g'},
-        # summed term by term into one coefficient dict.
-        terms = [d_two_rep(theta_reps[g])]
+        # summed term by term in place.
+        difference = d_two_rep(theta_reps[g])
         for gp in cal.hatG:
             form = omega[(g, gp)]
             if not form.is_zero():
-                terms.append(one_form_times_two_rep(form, theta_reps[gp]))
+                difference += one_form_times_two_rep(form, theta_reps[gp])
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
-                terms.append(two_rep_times_one_form(crep, theta_form(cal, gp, -1)))
-        diff = {}
-        for term in terms:
-            for key, f in term.coeffs.items():
-                if not f.is_zero():
-                    diff[key] = diff[key] + f if key in diff else f
-        difference = Rank3Field(cal, diff)
+                difference += two_rep_times_one_form(crep, theta_form(cal, gp, -1))
         bianchi[g] = {"holds": ideal.contains(difference), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
 

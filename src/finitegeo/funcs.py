@@ -12,7 +12,7 @@ Translation operators and the difference operators built from them are
 the raw material for differentials:
 
     (R_g f)(h) = f(hg)        (L_g f)(h) = f(gh)
-    ell_g f = R_{g^-1} f - f   r_g f = L_{g^-1} f - f
+    ell_g f = R_{g^-1} f - f
 """
 
 from dataclasses import dataclass
@@ -106,20 +106,18 @@ def from_values(group, values):
 
 
 def right_translate(g, f):
-    grp = f.group
-    return GroupFunction(grp, tuple(f.values[grp.mul(h, g)] for h in range(grp.order)))
+    """(R_g f)(h) = f(hg): column g of the Cayley table indexes f."""
+    values = f.values
+    return GroupFunction(f.group, tuple(values[row[g]] for row in f.group.table))
 
 
 def left_translate(g, f):
-    grp = f.group
-    return GroupFunction(grp, tuple(f.values[grp.mul(g, h)] for h in range(grp.order)))
+    """(L_g f)(h) = f(gh): row g of the Cayley table indexes f."""
+    values = f.values
+    return GroupFunction(f.group, tuple(values[x] for x in f.group.table[g]))
 
 
 def ell(g, f):
     """Difference operator ell_g f = R_{g^-1} f - f."""
     return right_translate(f.group.inverse(g), f) - f
 
-
-def r_op(g, f):
-    """Difference operator r_g f = L_{g^-1} f - f."""
-    return left_translate(f.group.inverse(g), f) - f

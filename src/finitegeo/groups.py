@@ -143,12 +143,7 @@ def _default_names(n):
 
 def _validate_table(table):
     n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError(f"entry {v!r} out of range in row {i}")
+    _check_shape(table)
     if any(table[0][x] != x or table[x][0] != x for x in range(n)):
         raise NoIdentity("index 0 is not a two-sided identity")
     if n <= _EXHAUSTIVE_ASSOC_LIMIT:
@@ -456,17 +451,3 @@ def orbits(points, act, group):
         remaining -= orbit
         result.append(tuple(sorted(orbit)))
     return sorted(result)
-
-
-def verify_action(points, act, group):
-    """Exhaustive check that act is a left action; raises NotAnAction."""
-    for p in points:
-        if act(0, p) != p:
-            raise NotAnAction(f"identity moves {p!r}")
-    for g in group.elements():
-        for h in group.elements():
-            gh = group.mul(g, h)
-            for p in points:
-                if act(gh, p) != act(g, act(h, p)):
-                    raise NotAnAction(f"({g}{h})*{p!r} != {g}*({h}*{p!r})")
-    return True

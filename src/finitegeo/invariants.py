@@ -59,13 +59,13 @@ class SolutionSpace:
                     return False
             elif self.kind == "bi_invariant":
                 group = self.calculus.group
-                for (g, gp), f in t.coeffs.items():
+                for (g, gp), f in t.terms.items():
                     if not f.is_constant():
                         return False
                     val = f.values[0]
                     for a in range(group.order):
                         img = (group.adjoint(a, g), group.adjoint(a, gp))
-                        got = t.coeffs.get(img)
+                        got = t.terms.get(img)
                         gval = got.values[0] if got is not None else 0
                         if gval != val:
                             return False

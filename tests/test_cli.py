@@ -109,6 +109,20 @@ def test_connection_solve_wrong_parameter_count_is_a_usage_error():
     assert result.payload == {"error": "expected 3 parameters, got 2"}
 
 
+def test_leading_negative_list_values_need_no_equals_sign():
+    base = ["connection", "named", "--group", "S3", "--hatg", "class:b"]
+    glued = cli.run(base + ["--name", "family", "--lambdas=-1,1,0"])
+    spaced = cli.run(base + ["--name", "family", "--lambdas", "-1,1,0", "--json"])
+    assert glued.status == spaced.status == 0
+    assert spaced.payload == glued.payload
+    base = ["connection", "solve", "--group", "S3", "--hatg", "a,b,c"]
+    base += ["--bi-invariant", "--torsion-free"]
+    glued = cli.run(base + ["--params=-2,0,0"])
+    spaced = cli.run(base + ["--params", "-2,0,0"])
+    assert glued.status == spaced.status == 0
+    assert spaced.payload == glued.payload
+
+
 def test_connection_roundtrip_through_json(tmp_path):
     named = cli.run(
         ["connection", "named", "--group", "Z4", "--hatg", "a,a2", "--name", "c"]
