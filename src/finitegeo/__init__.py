@@ -12,6 +12,7 @@ from .braid import (
     TensorField,
     TwoForm,
     antisymmetrize,
+    apply_a3,
     braid_check,
     classify,
     d_one_form,
@@ -51,6 +52,7 @@ from .connection import (
     bimodule_hom_space,
     c_connection,
     canonical_connection,
+    extend_on_basis_pairs,
     extend_on_pair,
     extend_to_tensor,
     extensibility_analysis,

@@ -33,7 +33,6 @@ from .calculus import (
 from .errors import (
     BadLambdaLength,
     CalculusMismatch,
-    Infeasible,
     InternalInconsistency,
     NotExtensible,
     NotInHatG,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .funcs import as_function, constant, right_translate, zero
 from .groups import orbits as group_orbits
-from .linalg import identity_matrix, matmul, solve_affine, solve_differences
+from .linalg import identity_matrix, matmul, solve_differences
 
 
 class Connection:
@@ -425,7 +424,9 @@ class TorsionFreeFamily:
 
     Members are parametrized by the free orbit variables; the family
     records a particular solution and a basis of the homogeneous
-    solution space, both expressed over the coefficient orbits.
+    solution space, both expressed over the coefficient orbits.  Each
+    basis vector is the indicator of one union-find set of orbits, and
+    the particular solution reads 0 at each set's root.
     """
 
     def __init__(self, calculus, mode, orbits, particular, basis):
@@ -439,6 +440,15 @@ class TorsionFreeFamily:
     def dimension(self):
         return len(self.basis)
 
+    def _vector(self, params):
+        """particular + sum_j params[j] * basis[j], one value per orbit."""
+        vec = list(self.particular)
+        for p, b in zip(params, self.basis):
+            for i, x in enumerate(b):
+                if x:
+                    vec[i] += p * x
+        return vec
+
     def member(self, params=None):
         if params is None:
             params = [Fraction(0)] * self.dimension
@@ -447,19 +457,20 @@ class TorsionFreeFamily:
             raise UsageError(
                 f"expected {self.dimension} parameters, got {len(params)}"
             )
-        vec = list(self.particular)
-        for p, b in zip(params, self.basis):
-            for i, x in enumerate(b):
-                vec[i] += p * x
         gamma = {}
-        for val, orb in zip(vec, self.orbits):
+        for val, orb in zip(self._vector(params), self.orbits):
             if val:
                 for t in orb:
                     gamma[t] = val
         return Connection(self.calculus, gamma)
 
     def contains(self, conn):
-        """Parameters reproducing the connection, or None."""
+        """Parameters reproducing the connection, or None.
+
+        The parameter of each union-find set is the connection's value
+        at the set's root, the largest orbit index of its indicator; the
+        member with these parameters must then match every orbit value.
+        """
         if conn.calculus != self.calculus:
             return None
         if not conn.is_left_invariant():
@@ -470,16 +481,9 @@ class TorsionFreeFamily:
             if len(vals) > 1:
                 return None
             target.append(vals.pop())
-        rows = [
-            [self.basis[j][i] for j in range(self.dimension)]
-            for i in range(len(self.orbits))
-        ]
-        rhs = [t - p for t, p in zip(target, self.particular)]
-        try:
-            sol, _ = solve_affine(rows, rhs)
-        except Infeasible:
-            return None
-        return sol
+        roots = [max(i for i, x in enumerate(b) if x) for b in self.basis]
+        params = [Fraction(target[r]) for r in roots]
+        return params if self._vector(params) == target else None
 
 
 def solve_torsion_free(calculus, mode="bi"):
@@ -626,23 +630,22 @@ def bimodule_hom_space(calculus, kind="V"):
     return slots
 
 
-def _extend_pair(report, phi, psi, out):
-    """Add nabla(phi (x) psi) into out, a Rank3Field.
+def _extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
+    """Add nabla(phi (x) psi) into out, a Rank3Field, given nabla phi and
+    nabla psi.
 
     (nabla phi) (x) psi transports psi's coefficients across both legs;
     (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
     """
-    conn = report.connection
-    cal = conn.calculus
+    cal = report.connection.calculus
     group = cal.group
-    for (u, v), f in conn.apply(phi).terms.items():
+    for (u, v), f in nabla_phi.terms.items():
         trans = group.inverse(group.mul(v, u))
         for w, c in psi.terms.items():
             out.accumulate((u, v, w), f * right_translate(trans, c))
-    nab_psi = conn.apply(psi)
     for g, c in phi.terms.items():
         ginv = group.inverse(g)
-        for (u, v), f in nab_psi.terms.items():
+        for (u, v), f in nabla_psi.terms.items():
             piece = TensorField(cal)
             piece.accumulate((g, u), c * right_translate(ginv, f))
             for (p, q), val in report.psi_apply(piece).terms.items():
@@ -659,7 +662,28 @@ def extend_on_pair(conn, phi, psi):
     report = extensibility_analysis(conn)
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
-    return _extend_pair(report, phi, psi, Rank3Field(conn.calculus))
+    return _extend_pair(
+        report, phi, conn.apply(phi), psi, conn.apply(psi), Rank3Field(conn.calculus)
+    )
+
+
+def extend_on_basis_pairs(report):
+    """Yield ((v, w), nabla(theta^v (x) theta^w)) for every pair of labels.
+
+    Takes the connection's ExtensibilityReport and computes each
+    nabla theta^g once.  Raises NotExtensible when the connection has no
+    twist map.
+    """
+    if not report.extensible:
+        raise NotExtensible("connection does not extend to tensor products")
+    conn = report.connection
+    cal = conn.calculus
+    theta = {g: theta_form(cal, g) for g in cal.hatG}
+    nabla = {g: conn.apply(form) for g, form in theta.items()}
+    for v in cal.hatG:
+        for w in cal.hatG:
+            out = Rank3Field(cal)
+            yield (v, w), _extend_pair(report, theta[v], nabla[v], theta[w], nabla[w], out)
 
 
 def extend_to_tensor(conn, t):
@@ -681,7 +705,8 @@ def extend_to_tensor(conn, t):
             if c is not None:
                 psi.accumulate(gp, right_translate(g, c))
         if not psi.is_zero():
-            _extend_pair(report, theta_form(cal, g), psi, out)
+            theta = theta_form(cal, g)
+            _extend_pair(report, theta, conn.apply(theta), psi, conn.apply(psi), out)
     return out
 
 
@@ -818,17 +843,14 @@ def verify_invariance_transport(conn):
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
     cal = conn.calculus
-    ok_psi = True
-    ok_tensor = True
-    for g in cal.hatG:
-        for gp in cal.hatG:
-            t = tensor_of_one_forms(
-                theta_form(cal, g), theta_form(cal, gp)
-            )
-            if not report.psi_apply(t).is_constant():
-                ok_psi = False
-            if not extend_to_tensor(conn, t).is_constant():
-                ok_tensor = False
+    ok_psi = all(
+        report.psi_apply(
+            tensor_of_one_forms(theta_form(cal, g), theta_form(cal, gp))
+        ).is_constant()
+        for g in cal.hatG
+        for gp in cal.hatG
+    )
+    ok_tensor = all(r3.is_constant() for _, r3 in extend_on_basis_pairs(report))
     from .dual import dual_connection, vector_field_basis
 
     ok_dual = True

@@ -11,9 +11,8 @@ derivatives reproduce torsion and curvature.
 """
 
 from .braid import (
-    DegreeThreeIdeal,
-    Rank3Field,
     _permutation_order,
+    apply_a3,
     d_two_rep,
     one_form_times_two_rep,
     project_two_form,
@@ -21,7 +20,7 @@ from .braid import (
     two_rep_times_one_form,
 )
 from .calculus import OneForm, Tensor, differential, theta_form
-from .connection import extensibility_analysis, extend_on_pair
+from .connection import extend_on_basis_pairs, extensibility_analysis
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
 from .funcs import ell, right_translate, zero
 
@@ -315,16 +314,10 @@ def metric_compatibility(m, route="both", connection=None):
         }
     if route in ("tensor-dual", "both"):
         out = {}
-        for w in cal.hatG:
-            for v in cal.hatG:
-                r3 = extend_on_pair(
-                    connection, theta_form(cal, v), theta_form(cal, w)
-                )
-                form = differential(cal, m.coeff(w, v)) - pair_rank3_metric(
-                    r3, m
-                )
-                if not form.is_zero():
-                    out[(w, v)] = form
+        for (v, w), r3 in extend_on_basis_pairs(report):
+            form = differential(cal, m.coeff(w, v)) - pair_rank3_metric(r3, m)
+            if not form.is_zero():
+                out[(w, v)] = form
         results["tensor-dual"] = out
     report_out = {"routes": results}
     chosen = results.get("dual-extension", results.get("tensor-dual"))
@@ -352,13 +345,14 @@ def canonical_form_and_torsion(conn):
     + omega^g_h theta^h, the torsion 2-form of theta^g; the second is
     ell_g (x) D Theta^g, and D Theta^g must reproduce the contraction
     of the curvature 2-forms with the basis modulo the degree 3 part of
-    the differential ideal.  Returns the 2-forms and the identity
-    verdicts.
+    the differential ideal.  The Bianchi identity holds for theta^g when
+    Woronowicz's antisymmetrizer A_3 annihilates the difference of the
+    two sides (braid.apply_a3).  Returns the 2-forms and, per basis
+    label, the verdict and the difference.
     """
     cal = conn.calculus
     cal.require_bicovariant()
     sig = sigma_for(cal)
-    ideal = DegreeThreeIdeal(cal, sig)
     omega = conn.connection_one_forms()
     theta_caps = {}
     theta_reps = {}
@@ -378,7 +372,7 @@ def canonical_form_and_torsion(conn):
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
                 difference += two_rep_times_one_form(crep, theta_form(cal, gp, -1))
-        bianchi[g] = {"holds": ideal.contains(difference), "difference": difference}
+        bianchi[g] = {"holds": apply_a3(difference, sig).is_zero(), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
 
 

@@ -12,7 +12,7 @@ basis tensors.
 from fractions import Fraction
 from functools import cached_property
 
-from .braid import sigma_for, symmetrize, antisymmetrize, tensor_from_vector
+from .braid import sigma_for, tensor_from_vector
 from .groups import orbits as group_orbits
 
 
@@ -40,47 +40,21 @@ class SolutionSpace:
         return len(self.vectors)
 
     def verify(self):
-        """Re-test the defining condition on every basis element."""
-        sig = sigma_for(self.calculus)
-        for t in self.basis:
-            if self.kind == "s_sym":
-                if not antisymmetrize(t, sig).is_zero():
-                    return False
-            elif self.kind == "s_antisym":
-                if not symmetrize(t, sig).is_zero():
-                    return False
-            elif self.kind == "w_sym":
-                red = sig.w_symmetric_reducer()
-                if not red.contains(t.constant_vector()):
-                    return False
-            elif self.kind == "w_antisym":
-                red = sig.w_antisymmetric_reducer()
-                if not red.contains(t.constant_vector()):
-                    return False
-            elif self.kind == "bi_invariant":
-                group = self.calculus.group
-                for (g, gp), f in t.terms.items():
-                    if not f.is_constant():
-                        return False
-                    val = f.values[0]
-                    for a in range(group.order):
-                        img = (group.adjoint(a, g), group.adjoint(a, gp))
-                        got = t.terms.get(img)
-                        gval = got.values[0] if got is not None else 0
-                        if gval != val:
-                            return False
-            else:
-                raise ValueError(f"unknown kind {self.kind!r}")
-        return True
+        """Re-test the defining condition on every basis vector."""
+        return all(self.contains_vector(v) for v in self.vectors)
 
     def contains_vector(self, vec):
-        """Solve for the vector inside the span of the basis."""
-        from .linalg import SubspaceReducer
-
-        red = SubspaceReducer(len(vec))
-        for v in self.vectors:
-            red.add(v)
-        return red.contains(vec)
+        """Whether a constant fiber vector (lexicographic pairs) meets the
+        kind's defining condition: constant on each orbit class for
+        bi_invariant, the sigma-cycle condition of its part otherwise."""
+        if self.kind == "bi_invariant":
+            index = {p: i for i, p in enumerate(self.calculus.pairs())}
+            return all(
+                len({vec[index[p]] for p in orb}) == 1 for orb in self.orbit_classes
+            )
+        if self.kind not in _KIND_TO_PART:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        return sigma_for(self.calculus).in_part(_KIND_TO_PART[self.kind], vec)
 
     def __repr__(self):
         return (

@@ -23,7 +23,8 @@ from finitegeo.braid import (
     zero_two_form,
 )
 from finitegeo.calculus import StructureConstants, rho, theta_form
-from finitegeo.linalg import SubspaceReducer
+
+from elimination import SubspaceReducer
 
 
 def _pair(group, x, y):
@@ -171,10 +172,9 @@ def test_transposition_image_generators(s3_transposition_calculus):
         basis_tensor(cal, a, c) - basis_tensor(cal, b, a),
         basis_tensor(cal, a, c) - basis_tensor(cal, c, b),
     ]
-    im_red = sig.w_antisymmetric_reducer()
     red = SubspaceReducer(len(cal.pairs()))
     for t in gens:
-        assert im_red.contains(t.constant_vector())
+        assert classify(t, sig)["w_antisymmetric"]
         red.add(t.constant_vector())
     assert red.rank == 4
     assert len(sig.decompose().im_a) == 4

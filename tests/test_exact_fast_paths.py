@@ -23,7 +23,9 @@ from finitegeo.braid import (
 )
 from finitegeo.calculus import OneForm, theta_form
 from finitegeo.catalog import small_group_catalog
-from finitegeo.linalg import SubspaceReducer, rref
+from finitegeo.linalg import rref
+
+from elimination import SubspaceReducer
 
 CATALOG = small_group_catalog()
 
@@ -267,6 +269,22 @@ def test_extend_to_tensor_matches_dense_accumulation(name, reps):
         pair = connection.extend_on_pair(conn, phi, psi)
         report = connection.extensibility_analysis(conn)
         assert pair == _dense_extend_pair(report, phi, psi)
+
+
+@pytest.mark.parametrize("name,reps", SAMPLE)
+def test_basis_pair_extension_matches_dense_pairs(name, reps):
+    """Computing each nabla theta^g once gives every pair's dense extension,
+    for constant connections and one with function coefficients."""
+    cal = _calculus(name, reps)
+    scale = _seeded(cal.group, random.Random(7))
+    conns = _connections(cal)
+    conns.append(connection.Connection(cal, {k: f * scale for k, f in conns[0].gamma.items()}))
+    for conn in conns:
+        report = connection.extensibility_analysis(conn)
+        got = dict(connection.extend_on_basis_pairs(report))
+        assert list(got) == cal.pairs()
+        for (v, w), r3 in got.items():
+            assert r3 == _dense_extend_pair(report, theta_form(cal, v), theta_form(cal, w))
 
 
 @pytest.mark.parametrize("name,reps", SAMPLE[:3] + SAMPLE[4:])

@@ -10,7 +10,8 @@ from finitegeo.invariants import (
     solve_bi_invariant,
     solve_symmetry,
 )
-from finitegeo.linalg import SubspaceReducer
+
+from elimination import SubspaceReducer
 
 
 def _paper_order(s3):

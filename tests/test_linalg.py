@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 
-from finitegeo.linalg import (
+from finitegeo.linalg import identity_matrix, matmul, rref
+
+from elimination import (
     SubspaceReducer,
-    identity_matrix,
     image_basis,
     kernel_basis,
-    matmul,
     matvec,
-    rref,
     solve_affine,
     span_basis,
     transpose,

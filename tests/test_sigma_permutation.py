@@ -16,7 +16,9 @@ from finitegeo.braid import SigmaOperator
 from finitegeo.catalog import small_group_catalog
 from finitegeo.connection import invariance_constraints, solve_torsion_free
 from finitegeo.errors import Infeasible
-from finitegeo.linalg import image_basis, kernel_basis, solve_affine, solve_differences
+from finitegeo.linalg import solve_differences
+
+from elimination import image_basis, kernel_basis, solve_affine
 
 
 def _dense_decomposition(sig):
