@@ -26,6 +26,11 @@ has the same cycles: a vector lies in im A when its sum over every cycle
 is zero, and in im S when its alternating sum over every even cycle is
 zero.
 
+The exterior derivative starts from d theta^h = -C^h_{g,g'} theta^{g'}
+theta^g.  C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so d of
+1-forms and 2-forms reads the structure constants through
+StructureConstants.nonzero(h), at most 3|hatG| pairs per label.
+
 In degree 3, sigma_12 and sigma_23 permute the triples,
 (u, v, w) -> (sigma(u, v), w) and (u, sigma(v, w)).  Following
 Woronowicz (Commun. Math. Phys. 122 (1989) 125, section 3), a rank-3
@@ -45,7 +50,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import funcs
-from .calculus import StructureConstants, Tensor
+from .calculus import StructureConstants, Tensor, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
 
 
@@ -364,11 +369,7 @@ def zero_two_form(calculus):
 
 def d_theta(calculus, sigma, h):
     """Maurer-Cartan: d theta^h = -C^h_{g,g'} theta^{g'} theta^g."""
-    sc = StructureConstants(calculus)
-    coeffs = {}
-    for u, v in calculus.pairs():
-        coeffs[(u, v)] = -sc.C(h, v, u)
-    return project_two_form(TensorField(calculus, coeffs), sigma)
+    return d_one_form(theta_form(calculus, h), sigma)
 
 
 def d_one_form_rep(phi):
@@ -381,10 +382,8 @@ def d_one_form_rep(phi):
     for g, f in phi.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g), funcs.ell(h, f))
-        for u, v in calculus.pairs():
-            cval = sc.C(g, v, u)
-            if cval:
-                out.accumulate((u, v), -cval * f)
+        for v, u, c in sc.nonzero(g):
+            out.accumulate((u, v), -c * f)
     return out
 
 
@@ -438,14 +437,10 @@ def d_two_rep(t):
     for (g, gp), c in t.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g, gp), funcs.ell(h, c))
-        for u in calculus.hatG:
-            for v in calculus.hatG:
-                c1 = sc.C(g, u, v)
-                if c1:
-                    out.accumulate((v, u, gp), c * (-c1))
-                c2 = sc.C(gp, u, v)
-                if c2:
-                    out.accumulate((g, v, u), c * c2)
+        for u, v, c1 in sc.nonzero(g):
+            out.accumulate((v, u, gp), c * (-c1))
+        for u, v, c2 in sc.nonzero(gp):
+            out.accumulate((g, v, u), c * c2)
     return out
 
 

@@ -153,12 +153,36 @@ def enumerate_bicovariant(group, limit=DEFAULT_ENUM_LIMIT):
 
 
 class StructureConstants:
-    """C^h_{g,g'} = -delta^h_g - delta^h_{g'} + delta^h_{g g'}."""
+    """C^h_{g,g'} = -delta^h_g - delta^h_{g'} + delta^h_{g g'}.
+
+    C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so for a target h
+    at most 3|hatG| of the |hatG|^2 pairs (g, g') carry a constant;
+    nonzero(h) lists them.
+    """
 
     def __init__(self, calculus):
         calculus.require_left_covariant()
         self.calculus = calculus
         self.group = calculus.group
+        self._hset = set(calculus.hatG)
+
+    def nonzero(self, h):
+        """The triples (g, g', C^h_{g,g'}) with g, g' in hatG and a nonzero
+        constant, lexicographic in (g, g').
+
+        With g = h every g' counts (-2 at g' = h, -1 otherwise); with
+        g != h only g' = h (-1) and g' = g^-1 h (+1), which differ.
+        """
+        grp = self.group
+        out = []
+        for g in self.calculus.hatG:
+            if g == h:
+                out.extend((g, gp, -2 if gp == h else -1) for gp in self.calculus.hatG)
+                continue
+            rest = grp.mul(grp.inverse(g), h)
+            ends = [(gp, c) for gp, c in ((h, -1), (rest, 1)) if gp in self._hset]
+            out.extend((g, gp, c) for gp, c in sorted(ends))
+        return out
 
     def C(self, h, g, gp):
         val = 0

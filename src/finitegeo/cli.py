@@ -55,10 +55,17 @@ def parse_group(spec, generators=None, set_size=None):
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise UsageError("a group file must hold a JSON object")
         table = doc["table"]
-        names = doc.get("names")
-        label = doc.get("label")
-        return groups_mod.from_cayley_table(table, names=names, label=label)
+        if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
+            raise UsageError("a group table must be a list of lists of integers")
+        try:
+            return groups_mod.from_cayley_table(
+                table, names=doc.get("names"), label=doc.get("label")
+            )
+        except ValueError as exc:
+            raise UsageError(f"bad group table: {exc}")
     parts = spec.split("x")
     built = [_parse_atom(p, bound) for p in parts]
     group = built[0]
@@ -87,6 +94,8 @@ def _parse_atom(token, bound):
         raise UsageError(f"cannot parse group token {token!r}")
     if not digits.isdigit():
         raise UsageError(f"cannot parse group token {token!r}")
+    if int(digits) < 1:
+        raise UsageError(f"group token {token!r} needs a positive index")
     return maker(int(digits), max_order=bound)
 
 
@@ -223,11 +232,13 @@ def connection_to_json(conn):
     }
 
 
-def _check_document(calculus, doc):
-    """Refuse a connection or metric document written for another calculus.
+def _document_entries(calculus, doc, field):
+    """The (key, value) pairs of a connection or metric document's
+    coefficient object, field "gamma" or "coeffs".
 
-    The schema, group and hatG fields are optional; when present they
-    must match the calculus the document is applied to.
+    A document written for another calculus is refused: the schema,
+    group and hatG fields are optional, and when present they must match
+    the calculus the document is applied to.
     """
     if not isinstance(doc, dict):
         raise UsageError("a connection or metric document must be a JSON object")
@@ -245,13 +256,16 @@ def _check_document(calculus, doc):
             raise UsageError(
                 f"document hatG {names!r} differs from the reduced set {want}"
             )
+    entries = doc.get(field, {})
+    if not isinstance(entries, dict):
+        raise UsageError(f"the document's {field!r} must be a JSON object")
+    return entries.items()
 
 
 def connection_from_json(calculus, doc):
-    _check_document(calculus, doc)
     group = calculus.group
     gamma = {}
-    for key, value in doc.get("gamma", {}).items():
+    for key, value in _document_entries(calculus, doc, "gamma"):
         parts = key.split("|")
         if len(parts) != 3:
             raise UsageError(f"bad coefficient key {key!r}")
@@ -261,10 +275,9 @@ def connection_from_json(calculus, doc):
 
 
 def metric_from_json(calculus, doc):
-    _check_document(calculus, doc)
     group = calculus.group
     coeffs = {}
-    for key, value in doc.get("coeffs", {}).items():
+    for key, value in _document_entries(calculus, doc, "coeffs"):
         parts = key.split("|")
         if len(parts) != 2:
             raise UsageError(f"bad metric key {key!r}")
@@ -563,6 +576,8 @@ _KIND_ALIASES = {
 def _cmd_tensors_invariant(args):
     cal = _make_calculus(args)
     kind = _KIND_ALIASES.get(args.kind, args.kind)
+    if kind not in _KIND_ALIASES.values():
+        raise UsageError(f"unknown kind {args.kind!r}")
     if kind == "bi_invariant":
         space = invariants_mod.solve_bi_invariant(cal)
     else:

@@ -39,7 +39,7 @@ from .errors import (
     NotUniversal,
     UsageError,
 )
-from .funcs import as_function, constant, right_translate, zero
+from .funcs import as_function, constant, ell, right_translate, zero
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -72,6 +72,7 @@ class Connection:
         self.gamma = coeffs
         self._torsion_free = None
         self._curvature_zero = None
+        self._omega = None
 
     def gamma_value(self, h, g, gp):
         """Coefficient Gamma^h_{g,g'} as a group function."""
@@ -86,12 +87,7 @@ class Connection:
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        if self.calculus != other.calculus:
-            return False
-        keys = set(self.gamma) | set(other.gamma)
-        return all(
-            self.gamma_value(*k) == other.gamma_value(*k) for k in keys
-        )
+        return self.calculus == other.calculus and self.gamma == other.gamma
 
     def __repr__(self):
         n = len(self.gamma)
@@ -102,30 +98,15 @@ class Connection:
 
     def nabla_theta(self, h):
         """nabla theta^h as a tensor field."""
-        cal = self.calculus
-        if h not in set(cal.hatG):
-            raise NotInHatG(f"{h} not in the reduced set")
-        out = TensorField(cal)
-        for g in cal.hatG:
-            for gp in cal.hatG:
-                f = self.gamma.get((h, g, gp))
-                if f is not None:
-                    out.accumulate((gp, g), -f)
-        return out
+        return self.apply(theta_form(self.calculus, h))
 
     def connection_one_forms(self):
         """Matrix of 1-forms omega^i_j = Gamma^i_{j,k} theta^k with
         nabla theta^i = -omega^i_j (x) theta^j."""
         cal = self.calculus
-        out = {}
-        for i in cal.hatG:
-            for j in cal.hatG:
-                coeffs = {}
-                for k in cal.hatG:
-                    f = self.gamma.get((i, j, k))
-                    if f is not None:
-                        coeffs[k] = f
-                out[(i, j)] = OneForm(cal, coeffs)
+        out = {(i, j): OneForm(cal, {}) for i in cal.hatG for j in cal.hatG}
+        for (i, j, k), f in self.gamma.items():
+            out[(i, j)].terms[k] = f
         return out
 
     def apply(self, phi):
@@ -139,31 +120,26 @@ class Connection:
             raise CalculusMismatch("form lives on a different calculus")
         if phi.basis != "theta":
             raise CalculusMismatch("covariant derivative expects theta basis")
-        group = cal.group
         out = TensorField(cal)
-        for g in cal.hatG:
-            ginv = group.inverse(g)
-            for gp in cal.hatG:
-                acc = right_translate(ginv, phi.coeff(gp)) - phi.coeff(gp)
-                for h in cal.hatG:
-                    f = self.gamma.get((h, gp, g))
-                    if f is not None:
-                        acc = acc - phi.coeff(h) * f
-                out.accumulate((g, gp), acc)
+        for gp, f in phi.terms.items():
+            for g in cal.hatG:
+                out.accumulate((g, gp), ell(g, f))
+        for (h, gp, g), gam in self.gamma.items():
+            f = phi.terms.get(h)
+            if f is not None:
+                out.accumulate((g, gp), -(f * gam))
         return out
 
     def _torsion_raw_theta(self, h):
+        """Representative of the torsion of theta^h: Gamma^h_{v,u} - C^h_{v,u}
+        at (u, v)."""
         cal = self.calculus
-        group = cal.group
-        sc = StructureConstants(cal)
         out = TensorField(cal)
-        for u in cal.hatG:
-            for v in cal.hatG:
-                acc = self.gamma_value(h, v, u)
-                c = sc.C(h, v, u)
-                if c:
-                    acc = acc - constant(group, Fraction(c))
-                out.accumulate((u, v), acc)
+        for (k, v, u), f in self.gamma.items():
+            if k == h:
+                out.accumulate((u, v), f)
+        for v, u, c in StructureConstants(cal).nonzero(h):
+            out.accumulate((u, v), constant(cal.group, -c))
         return out
 
     def torsion(self, phi=None, raw=False):
@@ -187,43 +163,27 @@ class Connection:
         }
 
     def is_torsion_free(self):
+        """True when every torsion 2-form vanishes: each representative is
+        fixed by sigma, so A kills it."""
         if self._torsion_free is None:
             sig = self.sigma()
-            ok = True
-            for h in self.calculus.hatG:
-                t = self._torsion_raw_theta(h)
-                if not (t - sig.apply(t)).is_zero():
-                    ok = False
-                    break
-            self._torsion_free = ok
+            self._torsion_free = all(
+                t == sig.apply(t) for t in map(self._torsion_raw_theta, self.calculus.hatG)
+            )
         return self._torsion_free
 
     def _curvature_raw(self, h, gp):
         """Representative tensor of the curvature 2-form Omega^h_{gp},
         computed as d omega^h_{gp} + omega^h_k (x) omega^k_{gp} before
         projection."""
-        cal = self.calculus
-        group = cal.group
-        sc = StructureConstants(cal)
-        rep = TensorField(cal)
-        for u in cal.hatG:
-            uinv = group.inverse(u)
-            for v in cal.hatG:
-                acc = zero(group)
-                gam = self.gamma.get((h, gp, v))
-                if gam is not None:
-                    acc = acc + right_translate(uinv, gam) - gam
-                for k in cal.hatG:
-                    a = self.gamma.get((h, k, u))
-                    b = self.gamma.get((k, gp, v))
-                    if a is not None and b is not None:
-                        acc = acc + a * right_translate(uinv, b)
-                    c = sc.C(k, v, u)
-                    if c:
-                        gk = self.gamma.get((h, gp, k))
-                        if gk is not None:
-                            acc = acc - c * gk
-                rep.accumulate((u, v), acc)
+        if self._omega is None:
+            self._omega = self.connection_one_forms()
+        omega = self._omega
+        rep = d_one_form_rep(omega[(h, gp)])
+        for k in self.calculus.hatG:
+            a, b = omega[(h, k)], omega[(k, gp)]
+            if a.terms and b.terms:
+                rep += tensor_of_one_forms(a, b)
         return rep
 
     def curvature(self, h=None):
@@ -244,16 +204,10 @@ class Connection:
         """True when every curvature 2-form vanishes."""
         if self._curvature_zero is None:
             sig = self.sigma()
-            ok = True
-            for h in self.calculus.hatG:
-                for gp in self.calculus.hatG:
-                    t = self._curvature_raw(h, gp)
-                    if not (t - sig.apply(t)).is_zero():
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._curvature_zero = ok
+            self._curvature_zero = all(
+                t == sig.apply(t)
+                for t in (self._curvature_raw(h, gp) for h, gp in self.calculus.pairs())
+            )
         return self._curvature_zero
 
 
@@ -261,13 +215,7 @@ def c_connection(calculus):
     """The connection whose coefficients are the structure constants."""
     calculus.require_left_covariant()
     sc = StructureConstants(calculus)
-    gamma = {}
-    for h in calculus.hatG:
-        for g in calculus.hatG:
-            for gp in calculus.hatG:
-                c = sc.C(h, g, gp)
-                if c:
-                    gamma[(h, g, gp)] = c
+    gamma = {(h, g, gp): c for h in calculus.hatG for g, gp, c in sc.nonzero(h)}
     return Connection(calculus, gamma)
 
 
@@ -278,11 +226,7 @@ def canonical_connection(calculus):
     so the tensor extension is nabla (x) id.
     """
     calculus.require_left_covariant()
-    gamma = {}
-    for g in calculus.hatG:
-        for gp in calculus.hatG:
-            gamma[(g, g, gp)] = -1
-    return Connection(calculus, gamma)
+    return Connection(calculus, {(g, g, gp): -1 for g, gp in calculus.pairs()})
 
 
 def sigma_family(calculus, lambdas):
@@ -300,24 +244,12 @@ def sigma_family(calculus, lambdas):
             f"expected {order} parameters (the braid operator order), "
             f"got {len(lams)}"
         )
-    counts = {}
+    gamma = {(g, g, u): Fraction(-1) for g, u in calculus.pairs()}
     for n, lam in enumerate(lams):
-        if lam == 0:
-            continue
-        for g in calculus.hatG:
-            for h in calculus.hatG:
+        if lam:
+            for g, h in calculus.pairs():
                 u, v = sig.map_pair((g, h), n)
-                key = (g, v, u)
-                counts[key] = counts.get(key, Fraction(0)) + lam
-    gamma = {}
-    for g in calculus.hatG:
-        for v in calculus.hatG:
-            for u in calculus.hatG:
-                val = counts.get((g, v, u), Fraction(0))
-                if v == g:
-                    val = val - 1
-                if val:
-                    gamma[(g, v, u)] = val
+                gamma[(g, v, u)] = gamma.get((g, v, u), 0) + lam
     return Connection(calculus, gamma)
 
 
@@ -360,15 +292,9 @@ def flatness_representation_check(conn):
     if not conn.is_left_invariant():
         raise UsageError("transport matrices need constant coefficients")
     idx = {g: i for i, g in enumerate(cal.hatG)}
-    mats = {0: identity_matrix(len(cal.hatG))}
-    for g in cal.hatG:
-        m = identity_matrix(len(cal.hatG))
-        for hp in cal.hatG:
-            for h in cal.hatG:
-                f = conn.gamma.get((h, hp, g))
-                if f is not None:
-                    m[idx[hp]][idx[h]] += f.values[0]
-        mats[g] = m
+    mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
+    for (h, hp, g), f in conn.gamma.items():
+        mats[g][idx[hp]][idx[h]] += f.values[0]
     is_rep = all(
         matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
         for g in mats
@@ -408,45 +334,60 @@ def invariance_constraints(calculus, mode="bi"):
     def satisfies(conn):
         if conn.calculus != calculus:
             raise CalculusMismatch("connection lives on a different calculus")
-        if not conn.is_left_invariant():
-            return False
-        for orb in orbits:
-            vals = {conn.gamma_value(*t).values[0] for t in orb}
-            if len(vals) > 1:
-                return False
-        return True
+        return _orbit_values(conn, orbits) is not None
 
     return {"mode": mode, "orbits": orbits, "satisfies": satisfies}
+
+
+def _orbit_values(conn, orbits):
+    """The connection's constant value on each orbit of coefficient
+    triples, or None when a coefficient is not constant or an orbit
+    carries more than one value."""
+    if not conn.is_left_invariant():
+        return None
+    out = []
+    for orb in orbits:
+        vals = {conn.gamma_value(*t).values[0] for t in orb}
+        if len(vals) > 1:
+            return None
+        out.append(vals.pop())
+    return out
 
 
 class TorsionFreeFamily:
     """Affine family of invariant torsion-free connections.
 
     Members are parametrized by the free orbit variables; the family
-    records a particular solution and a basis of the homogeneous
-    solution space, both expressed over the coefficient orbits.  Each
-    basis vector is the indicator of one union-find set of orbits, and
-    the particular solution reads 0 at each set's root.
+    records a particular solution and, per free parameter, the support
+    of one union-find set of orbits (its orbit indices, ascending, so the
+    set's root comes last).  The particular solution reads 0 at each
+    root.  basis gives the same sets as dense indicator vectors.
     """
 
-    def __init__(self, calculus, mode, orbits, particular, basis):
+    def __init__(self, calculus, mode, orbits, particular, supports):
         self.calculus = calculus
         self.mode = mode
         self.orbits = orbits
         self.particular = particular
-        self.basis = basis
+        self.supports = supports
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.supports)
+
+    @property
+    def basis(self):
+        """The homogeneous solutions: one indicator vector per set."""
+        n = len(self.orbits)
+        return [[Fraction(int(i in s)) for i in range(n)] for s in map(set, self.supports)]
 
     def _vector(self, params):
-        """particular + sum_j params[j] * basis[j], one value per orbit."""
+        """particular + sum_j params[j] * (indicator of set j), one value
+        per orbit."""
         vec = list(self.particular)
-        for p, b in zip(params, self.basis):
-            for i, x in enumerate(b):
-                if x:
-                    vec[i] += p * x
+        for p, support in zip(params, self.supports):
+            for i in support:
+                vec[i] += p
         return vec
 
     def member(self, params=None):
@@ -468,21 +409,15 @@ class TorsionFreeFamily:
         """Parameters reproducing the connection, or None.
 
         The parameter of each union-find set is the connection's value
-        at the set's root, the largest orbit index of its indicator; the
-        member with these parameters must then match every orbit value.
+        at the set's root; the member with these parameters must then
+        match every orbit value.
         """
         if conn.calculus != self.calculus:
             return None
-        if not conn.is_left_invariant():
+        target = _orbit_values(conn, self.orbits)
+        if target is None:
             return None
-        target = []
-        for orb in self.orbits:
-            vals = {conn.gamma_value(*t).values[0] for t in orb}
-            if len(vals) > 1:
-                return None
-            target.append(vals.pop())
-        roots = [max(i for i, x in enumerate(b) if x) for b in self.basis]
-        params = [Fraction(target[r]) for r in roots]
+        params = [Fraction(target[support[-1]]) for support in self.supports]
         return params if self._vector(params) == target else None
 
 
@@ -511,8 +446,8 @@ def solve_torsion_free(calculus, mode="bi"):
                 adg = group.adjoint(g, gp)
                 b = (h == adg) - (h == gp)
                 equations.append((var_of[(h, g, gp)], var_of[(h, adg, g)], b))
-    particular, basis = solve_differences(len(orbits), equations)
-    return TorsionFreeFamily(calculus, mode, orbits, particular, basis)
+    particular, supports = solve_differences(len(orbits), equations)
+    return TorsionFreeFamily(calculus, mode, orbits, particular, supports)
 
 
 class ExtensibilityReport:

@@ -71,14 +71,16 @@ def identity_matrix(n: int) -> Matrix:
     ]
 
 
-def solve_differences(nvars, equations) -> tuple[Vector, list[Vector]]:
+def solve_differences(nvars, equations) -> tuple[Vector, list[list[int]]]:
     """Solve the equations x_u - x_v = c, given as triples (u, v, c).
 
     Union-find with potentials, pot[i] = x_i - x_parent(i), rooting each
     connected set of variables at its largest index.  Returns a particular
     solution, the potentials relative to the roots (roots read 0), and
-    the indicators of the sets ordered by root, which span the solutions
-    of the homogeneous system.  Raises Infeasible on an inconsistent cycle or self-loop.
+    the sets ordered by root, each as its ascending variable indices (so
+    the root comes last).  The sets' indicator vectors span the solutions
+    of the homogeneous system.  Raises Infeasible on an inconsistent
+    cycle or self-loop.
     """
     parent = list(range(nvars))
     pot = [0] * nvars
@@ -105,7 +107,7 @@ def solve_differences(nvars, equations) -> tuple[Vector, list[Vector]]:
             parent[ru], pot[ru] = rv, c - pot[u] + pot[v]
     for i in range(nvars):
         find(i)
-    basis = {r: [Fraction(0)] * nvars for r in range(nvars) if parent[r] == r}
+    sets = {r: [] for r in range(nvars) if parent[r] == r}
     for i in range(nvars):
-        basis[parent[i]][i] = Fraction(1)
-    return [Fraction(p) for p in pot], list(basis.values())
+        sets[parent[i]].append(i)
+    return [Fraction(p) for p in pot], list(sets.values())

@@ -280,12 +280,33 @@ def test_action_irreducible_calculi_with_dot():
     assert result.dots["-"].count("digraph") == 3
 
 
-def test_usage_errors_exit_with_two():
+def test_usage_errors_exit_with_two(tmp_path):
     assert cli.run(["group", "info", "Q17"]).status == 2
     assert cli.run(["braid", "order", "--group", "Z3", "--hatg", "e"]).status == 2
     result = cli.run(["connection", "analyze", "--group", "Z3", "--hatg", "a"])
     assert result.status == 2
     assert "error" in result.payload
+    runs = [["group", "info", spec] for spec in ("Z0", "S0", "A0", "D0", "Dic0")]
+    runs.append(["tensors", "invariant", "--group", "S3", "--hatg", "all", "--kind", "foo"])
+    groups = [[[0, 1], [1, 0]], {"table": 5}, {"table": [1, 2]},
+              {"table": [[0, 1], [1]]}, {"table": [[0, "1"], [1, 0]]}]
+    for k, doc in enumerate(groups):
+        path = tmp_path / f"group{k}.json"
+        path.write_text(json.dumps(doc))
+        runs.append(["group", "info", f"@{path}"])
+    for k, value in enumerate([[], "1", 3]):
+        conn = tmp_path / f"conn{k}.json"
+        conn.write_text(json.dumps({"schema": 1, "gamma": value}))
+        runs.append(["connection", "analyze", "--group", "S3", "--hatg", "a,b,c",
+                     "--connection", str(conn)])
+        metric = tmp_path / f"metric{k}.json"
+        metric.write_text(json.dumps({"schema": 1, "coeffs": value}))
+        runs.append(["metric", "check", "--group", "S3", "--hatg", "a,b,c",
+                     "--metric", str(metric)])
+    for argv in runs:
+        result = cli.run(argv)
+        assert result.status == 2, argv
+        assert "error" in result.payload, argv
 
 
 def test_domain_errors_exit_with_one(monkeypatch):

@@ -30,6 +30,11 @@ def _dense_decomposition(sig):
     return kernel_basis(A), image_basis(A), kernel_basis(S), image_basis(S)
 
 
+def _indicators(nvars, sets):
+    """The dense indicator vector of each set of variable indices."""
+    return [[Fraction(int(i in s)) for i in range(nvars)] for s in sets]
+
+
 def _difference_rows(nvars, equations):
     rows, rhs = [], []
     for u, v, c in equations:
@@ -115,7 +120,9 @@ def test_difference_solver_matches_solve_affine(seed):
         with pytest.raises(Infeasible):
             solve_differences(nvars, equations)
     else:
-        assert solve_differences(nvars, equations) == expected
+        particular, sets = solve_differences(nvars, equations)
+        assert all(s == sorted(s) for s in sets)
+        assert (particular, _indicators(nvars, sets)) == expected
 
 
 @pytest.mark.parametrize(
