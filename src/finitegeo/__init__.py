@@ -22,7 +22,7 @@ from .braid import (
     sigma_for,
     symmetric_universal_sigma_order,
     symmetrize,
-    tensor_of_one_forms,
+    tensor_product,
     wedge,
 )
 from .calculus import (
@@ -75,7 +75,6 @@ from .dual import (
     metric_compatibility,
     metric_symmetry,
     pair,
-    pair_tensor_field,
     sigma_prime,
     sigma_prime_connection,
     sigma_x,

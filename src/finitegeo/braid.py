@@ -27,9 +27,18 @@ is zero, and in im S when its alternating sum over every even cycle is
 zero.
 
 The exterior derivative starts from d theta^h = -C^h_{g,g'} theta^{g'}
-theta^g.  C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so d of
-1-forms and 2-forms reads the structure constants through
-StructureConstants.nonzero(h), at most 3|hatG| pairs per label.
+theta^g.  C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so d reads
+the structure constants through StructureConstants.nonzero(h), at most
+3|hatG| pairs per label.  d_rep represents d of a 1-form or of a
+represented 2-form by the graded Leibniz rule, i counted from 0:
+
+  d(c theta^K) = dc (x) theta^K
+                 + sum_i (-1)^i c theta^{k_0} ... d theta^{k_i} ...,
+
+so C^{k_i}_{u,v} enters at the slots (v, u) of leg i with the sign
+-1 at the first leg and +1 at the second.  dc is
+calculus.differential, which is zero for a constant c and then does not
+evaluate ell_g.
 
 In degree 3, sigma_12 and sigma_23 permute the triples,
 (u, v, w) -> (sigma(u, v), w) and (u, sigma(v, w)).  Following
@@ -49,8 +58,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from . import funcs
-from .calculus import StructureConstants, Tensor, theta_form
+from .calculus import OneForm, StructureConstants, Tensor, differential, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
 
 
@@ -58,6 +66,12 @@ class TensorField(Tensor):
     """alpha = alpha_{g,g'} theta^g (x) theta^{g'} with left coefficients."""
 
     rank = 2
+
+
+class Rank3Field(Tensor):
+    """Coefficients over hatG^3, theta^u (x) theta^v (x) theta^w, left placed."""
+
+    rank = 3
 
 
 def tensor_from_vector(calculus, vector):
@@ -69,16 +83,21 @@ def basis_tensor(calculus, g, gp):
     return TensorField(calculus, {(g, gp): 1})
 
 
-def tensor_of_one_forms(phi, psi):
-    """phi (x)_A psi; psi's coefficient moves left across theta^g."""
-    if phi.calculus != psi.calculus:
-        raise CalculusMismatch("forms live on different calculi")
-    grp = phi.calculus.group
-    out = TensorField(phi.calculus)
-    for g, c in phi.terms.items():
-        ginv = grp.inverse(g)
-        for gp, d in psi.terms.items():
-            out.accumulate((g, gp), c * funcs.right_translate(ginv, d))
+def tensor_product(a, b):
+    """a (x)_A b of left tensors of total rank 2 or 3: each coefficient
+    of b crosses the legs of a (Tensor._crossing), so the coefficient at
+    K + L is a_K R_{(k_n ... k_1)^-1} b_L."""
+    if a.calculus != b.calculus:
+        raise CalculusMismatch("tensors live on different calculi")
+    kind = {2: TensorField, 3: Rank3Field}.get(a.rank + b.rank)
+    if kind is None or a.side != "left" or b.side != "left":
+        raise ValueError("tensor_product takes left tensors of total rank 2 or 3")
+    out = kind(a.calculus)
+    across = {key: a._crossing(d) for key, d in b.terms.items()}
+    for key_a, c in a.terms.items():
+        legs = a._legs(key_a)
+        for key_b, d in b.terms.items():
+            out.accumulate(legs + b._legs(key_b), c * across[key_b](key_a))
     return out
 
 
@@ -102,10 +121,11 @@ class SigmaOperator:
         return pair
 
     def apply(self, t, power=1):
-        """sigma^power on a tensor; coefficients ride with their basis pair."""
-        out = TensorField(self.calculus)
-        for pair, c in t.terms.items():
-            out.accumulate(self.map_pair(pair, power), c)
+        """sigma^power on the first two legs of a rank-2 or rank-3 tensor;
+        coefficients and a third leg ride along."""
+        out = t._like()
+        for key, c in t.terms.items():
+            out.accumulate(self.map_pair(key[:2], power) + key[2:], c)
         return out
 
     def order(self):
@@ -360,7 +380,7 @@ def project_two_form(t, sigma):
 
 
 def wedge(phi, psi, sigma):
-    return project_two_form(tensor_of_one_forms(phi, psi), sigma)
+    return project_two_form(tensor_product(phi, psi), sigma)
 
 
 def zero_two_form(calculus):
@@ -372,76 +392,35 @@ def d_theta(calculus, sigma, h):
     return d_one_form(theta_form(calculus, h), sigma)
 
 
-def d_one_form_rep(phi):
-    """Representative tensor of d(f theta^g) = df (x) theta^g + f d theta^g."""
-    calculus = phi.calculus
-    if phi.basis != "theta":
+def d_rep(t):
+    """Representative of d of a 1-form (rank 2) or of a represented 2-form
+    (rank 3), by the graded Leibniz rule of the module docstring."""
+    if isinstance(t, OneForm) and t.basis != "theta":
         raise ValueError("differential implemented in the theta basis")
-    sc = StructureConstants(calculus)
-    out = TensorField(calculus)
-    for g, f in phi.terms.items():
-        for h in calculus.hatG:
-            out.accumulate((h, g), funcs.ell(h, f))
-        for v, u, c in sc.nonzero(g):
-            out.accumulate((u, v), -c * f)
+    kind = {1: TensorField, 2: Rank3Field}.get(t.rank)
+    if kind is None or t.side != "left":
+        raise ValueError("d_rep takes a left tensor of rank 1 or 2")
+    cal = t.calculus
+    sc = StructureConstants(cal)
+    out = kind(cal)
+    for key, c in t.terms.items():
+        legs = t._legs(key)
+        for h, e in differential(cal, c).terms.items():
+            out.accumulate((h,) + legs, e)
+        for i, k in enumerate(legs):
+            for u, v, x in sc.nonzero(k):
+                out.accumulate(legs[:i] + (v, u) + legs[i + 1:], c * ((-1) ** (i + 1) * x))
     return out
 
 
 def d_one_form(phi, sigma):
     """d(f theta^g) = df ^ theta^g + f d theta^g, summed over the basis."""
-    return project_two_form(d_one_form_rep(phi), sigma)
+    return project_two_form(d_rep(phi), sigma)
 
 
 # ---------------------------------------------------------------------------
-# Degree-3 support.  Rank-3 coefficient arrays are only needed to state the
-# Bianchi identity; they are compared modulo the degree-3 slice of the
+# Degree 3: rank-3 fields are compared modulo the degree-3 slice of the
 # differential ideal generated by the s-symmetric tensors.
-
-
-class Rank3Field(Tensor):
-    """Coefficients over hatG^3, theta^u (x) theta^v (x) theta^w, left placed."""
-
-    rank = 3
-
-    def triples(self):
-        return self._keys()
-
-
-def one_form_times_two_rep(phi, t):
-    """(f theta^k) * (T_{u,v} theta^u theta^v) at rank 3."""
-    grp = phi.calculus.group
-    out = Rank3Field(phi.calculus)
-    for k, f in phi.terms.items():
-        kinv = grp.inverse(k)
-        for (u, v), c in t.terms.items():
-            out.accumulate((k, u, v), f * funcs.right_translate(kinv, c))
-    return out
-
-
-def two_rep_times_one_form(t, psi):
-    """(T_{u,v} theta^u theta^v) * (c_w theta^w) at rank 3."""
-    grp = t.calculus.group
-    out = Rank3Field(t.calculus)
-    for (u, v), c in t.terms.items():
-        vu_inv = grp.inverse(grp.mul(v, u))
-        for w, cw in psi.terms.items():
-            out.accumulate((u, v, w), c * funcs.right_translate(vu_inv, cw))
-    return out
-
-
-def d_two_rep(t):
-    """d of a represented 2-form, as a rank-3 coefficient array."""
-    calculus = t.calculus
-    sc = StructureConstants(calculus)
-    out = Rank3Field(calculus)
-    for (g, gp), c in t.terms.items():
-        for h in calculus.hatG:
-            out.accumulate((h, g, gp), funcs.ell(h, c))
-        for u, v, c1 in sc.nonzero(g):
-            out.accumulate((v, u, gp), c * (-c1))
-        for u, v, c2 in sc.nonzero(gp):
-            out.accumulate((g, v, u), c * c2)
-    return out
 
 
 def apply_a3(r3, sigma):

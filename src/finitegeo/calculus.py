@@ -17,8 +17,11 @@ nearest first, and each crossing translates it: theta^k f =
 (R_{k^-1} f) theta^k and f ell_k = ell_k (R_{k^-1} f).  After crossing
 c_1, ..., c_n it is R_{(c_1 ... c_n)^-1} f, so a left tensor times f
 has the coefficient t_k R_{(k_rank ... k_1)^-1} f at the key
-k = (k_1, ..., k_rank).  OneForm here, TensorField and Rank3Field in
-braid, VectorField and Metric in dual only fix rank and side.
+k = (k_1, ..., k_rank).  The tensor product of left tensors follows the
+same rule: in a (x) b each coefficient of b crosses the legs of a, so
+(a (x) b)_{K,L} = a_K R_{(k_rank ... k_1)^-1} b_L (braid.tensor_product).
+OneForm here, TensorField and Rank3Field in braid, VectorField and
+Metric in dual only fix rank and side.
 """
 
 from fractions import Fraction
@@ -271,6 +274,10 @@ class Tensor:
             return list(hatG)
         return list(product(hatG, repeat=self.rank))
 
+    def _legs(self, key):
+        """The labels of a key as a tuple, at every rank."""
+        return (key,) if self.rank == 1 else key
+
     def _map(self, fn):
         out = self._like()
         for key, c in self.terms.items():
@@ -319,7 +326,7 @@ class Tensor:
         moved = {}
 
         def across(key):
-            legs = (key,) if self.rank == 1 else key
+            legs = self._legs(key)
             if self.side == "left":
                 legs = reversed(legs)
             p = 0
@@ -422,9 +429,17 @@ def rho(calculus):
 
 
 def differential(calculus, f):
-    """d f = (ell_g f) theta^g."""
+    """d f = (ell_g f) theta^g; zero for a constant f.
+
+    The only place that evaluates ell_g: d of tensors, covariant
+    derivatives and vector fields on functions all read it.
+    """
     calculus.require_left_covariant()
-    return OneForm(calculus, {g: funcs.ell(g, f) for g in calculus.hatG})
+    out = OneForm(calculus, {})
+    if not f.is_constant():
+        for g in calculus.hatG:
+            out.accumulate(g, funcs.ell(g, f))
+    return out
 
 
 def theta_commute(calculus, f, g, inverse=False):

@@ -60,10 +60,15 @@ def parse_group(spec, generators=None, set_size=None):
         table = doc["table"]
         if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
             raise UsageError("a group table must be a list of lists of integers")
+        names, label = doc.get("names"), doc.get("label")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+        ):
+            raise UsageError("group names must be a list of distinct strings")
+        if label is not None and not isinstance(label, str):
+            raise UsageError("a group label must be a string")
         try:
-            return groups_mod.from_cayley_table(
-                table, names=doc.get("names"), label=doc.get("label")
-            )
+            return groups_mod.from_cayley_table(table, names=names, label=label)
         except ValueError as exc:
             raise UsageError(f"bad group table: {exc}")
     parts = spec.split("x")

@@ -15,12 +15,13 @@ from fractions import Fraction
 from .braid import (
     Rank3Field,
     TensorField,
+    basis_tensor,
     d_one_form,
-    d_one_form_rep,
+    d_rep,
     d_theta,
     project_two_form,
     sigma_for,
-    tensor_of_one_forms,
+    tensor_product,
     wedge,
 )
 from .calculus import (
@@ -39,7 +40,7 @@ from .errors import (
     NotUniversal,
     UsageError,
 )
-from .funcs import as_function, constant, ell, right_translate, zero
+from .funcs import as_function, constant, right_translate, zero
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -122,8 +123,8 @@ class Connection:
             raise CalculusMismatch("covariant derivative expects theta basis")
         out = TensorField(cal)
         for gp, f in phi.terms.items():
-            for g in cal.hatG:
-                out.accumulate((g, gp), ell(g, f))
+            for g, e in differential(cal, f).terms.items():
+                out.accumulate((g, gp), e)
         for (h, gp, g), gam in self.gamma.items():
             f = phi.terms.get(h)
             if f is not None:
@@ -151,7 +152,7 @@ class Connection:
         are returned instead of 2-forms.
         """
         if phi is not None:
-            diff = d_one_form_rep(phi) - self.apply(phi)
+            diff = d_rep(phi) - self.apply(phi)
             if raw:
                 return diff
             return project_two_form(diff, self.sigma())
@@ -179,11 +180,11 @@ class Connection:
         if self._omega is None:
             self._omega = self.connection_one_forms()
         omega = self._omega
-        rep = d_one_form_rep(omega[(h, gp)])
+        rep = d_rep(omega[(h, gp)])
         for k in self.calculus.hatG:
             a, b = omega[(h, k)], omega[(k, gp)]
             if a.terms and b.terms:
-                rep += tensor_of_one_forms(a, b)
+                rep += tensor_product(a, b)
         return rep
 
     def curvature(self, h=None):
@@ -470,21 +471,23 @@ class ExtensibilityReport:
         self.w_map = w_map
 
     def v_apply(self, t):
-        """Apply the bimodule map V to a tensor field."""
+        """Apply the bimodule map V to the first two legs of a rank-2 or
+        rank-3 tensor; a third leg rides along."""
         cal = self.connection.calculus
         group = cal.group
-        out = TensorField(cal)
-        for (g, gp), f in t.terms.items():
+        out = t._like()
+        for (g, gp, *rest), f in t.terms.items():
             prod = group.mul(gp, g)
             for h in cal.hatG:
                 hp = group.mul(group.inverse(h), prod)
                 val = self.v_map.get((g, gp, h, hp))
                 if val is not None:
-                    out.accumulate((hp, h), f * val)
+                    out.accumulate((hp, h, *rest), f * val)
         return out
 
     def psi_apply(self, t):
-        """Apply the twist Psi = sigma - V to a tensor field."""
+        """Apply the twist Psi = sigma - V to the first two legs of a
+        rank-2 or rank-3 tensor."""
         if not self.extensible:
             raise NotExtensible(
                 "connection does not satisfy the two-argument Leibniz rule"
@@ -566,25 +569,10 @@ def bimodule_hom_space(calculus, kind="V"):
 
 
 def _extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
-    """Add nabla(phi (x) psi) into out, a Rank3Field, given nabla phi and
-    nabla psi.
-
-    (nabla phi) (x) psi transports psi's coefficients across both legs;
-    (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
-    """
-    cal = report.connection.calculus
-    group = cal.group
-    for (u, v), f in nabla_phi.terms.items():
-        trans = group.inverse(group.mul(v, u))
-        for w, c in psi.terms.items():
-            out.accumulate((u, v, w), f * right_translate(trans, c))
-    for g, c in phi.terms.items():
-        ginv = group.inverse(g)
-        for (u, v), f in nabla_psi.terms.items():
-            piece = TensorField(cal)
-            piece.accumulate((g, u), c * right_translate(ginv, f))
-            for (p, q), val in report.psi_apply(piece).terms.items():
-                out.accumulate((p, q, v), val)
+    """Add nabla(phi (x) psi) = (nabla phi) (x) psi + (Psi (x) id)(phi (x)
+    nabla psi) into out, a Rank3Field, given nabla phi and nabla psi."""
+    out += tensor_product(nabla_phi, psi)
+    out += report.psi_apply(tensor_product(phi, nabla_psi))
     return out
 
 
@@ -671,10 +659,10 @@ class TwoSidedConnection:
         nl, nr = self.apply(phi)
         df = differential(cal, f)
         dfp = differential(cal, fp)
-        left_expected = nl.left_mul(f).right_mul(fp) + tensor_of_one_forms(
+        left_expected = nl.left_mul(f).right_mul(fp) + tensor_product(
             df, phi.right_mul(fp)
         )
-        right_expected = nr.left_mul(f).right_mul(fp) + tensor_of_one_forms(
+        right_expected = nr.left_mul(f).right_mul(fp) + tensor_product(
             phi.left_mul(f), dfp
         )
         return (lhs_l - left_expected).is_zero() and (
@@ -688,10 +676,10 @@ def two_sided_connection(calculus):
     r = rho(calculus)
 
     def left_map(phi):
-        return tensor_of_one_forms(r, phi)
+        return tensor_product(r, phi)
 
     def right_map(phi):
-        return tensor_of_one_forms(phi, r).scale(Fraction(-1))
+        return tensor_product(phi, r).scale(Fraction(-1))
 
     return TwoSidedConnection(calculus, left_map, right_map)
 
@@ -726,7 +714,6 @@ def two_sided_square(ts, phi):
     the dicts.
     """
     cal = ts.calculus
-    group = cal.group
     sig = sigma_for(cal)
     r = rho(cal)
     left_part, right_part = ts.apply(phi)
@@ -745,13 +732,7 @@ def two_sided_square(ts, phi):
         tf = d_one_form(col, sig) - wedge(col, r, sig)
         if not tf.is_zero():
             two_left[v] = tf
-    mixed_field = Rank3Field(cal)
-    for (u, v), c in left_part.terms.items():
-        for w in cal.hatG:
-            mixed_field.accumulate((u, v, w), c)
-    for (u, v), c in right_part.terms.items():
-        for w in cal.hatG:
-            mixed_field.accumulate((w, u, v), right_translate(group.inverse(w), c))
+    mixed_field = tensor_product(left_part, r) + tensor_product(r, right_part)
     two_right = {}
     for u in cal.hatG:
         acc = None
@@ -779,9 +760,7 @@ def verify_invariance_transport(conn):
         raise NotExtensible("connection does not extend to tensor products")
     cal = conn.calculus
     ok_psi = all(
-        report.psi_apply(
-            tensor_of_one_forms(theta_form(cal, g), theta_form(cal, gp))
-        ).is_constant()
+        report.psi_apply(basis_tensor(cal, g, gp)).is_constant()
         for g in cal.hatG
         for gp in cal.hatG
     )

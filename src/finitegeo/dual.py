@@ -4,6 +4,13 @@ Vector fields on a finite group carry right coefficients with respect to
 the basis dual to the left-invariant 1-forms: X = ell_g X^g, where ell_g
 is the difference operator f -> R_{g^-1} f - f.  The duality contraction
 is left A-linear in the form slot and right A-linear in the field slot.
+pair(t, X) contracts the last legs of a left tensor t with the legs of
+a right tensor X, innermost first: <theta^u theta^v theta^w, ell_a ell_b>
+pairs w with a and v with b.  A remaining lead leg u stays, and X's
+coefficient crosses it to the left as R_{u^-1}:
+
+  <t_{u,v} theta^u theta^v, ell_a X^a> = t_{u,v} (R_{u^-1} X^v) theta^u.
+
 This module implements the contraction, the dual of a left connection,
 the braid transposes on mixed and doubled field tensors, metrics and
 their compatibility, and the canonical field-valued form whose covariant
@@ -14,16 +21,15 @@ from .braid import (
     TensorField,
     _permutation_order,
     apply_a3,
-    d_two_rep,
-    one_form_times_two_rep,
+    d_rep,
     project_two_form,
     sigma_for,
-    two_rep_times_one_form,
+    tensor_product,
 )
 from .calculus import OneForm, Tensor, differential, theta_form
 from .connection import extend_on_basis_pairs, extensibility_analysis
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
-from .funcs import ell, right_translate, zero
+from .funcs import right_translate, zero
 
 
 class VectorField(Tensor):
@@ -40,11 +46,7 @@ class VectorField(Tensor):
 
     def apply_to_function(self, f):
         """X f = <df, X> = (ell_g f) X^g."""
-        group = self.calculus.group
-        acc = zero(group)
-        for g, c in self.terms.items():
-            acc = acc + ell(g, f) * c
-        return acc
+        return pair(differential(self.calculus, f), self)
 
 
 def vector_field_basis(calculus, g):
@@ -52,54 +54,31 @@ def vector_field_basis(calculus, g):
     return VectorField(calculus, {g: 1})
 
 
-def pair(phi, x):
-    """Duality contraction <phi, X> = phi_g X^g."""
-    if phi.calculus != x.calculus:
-        raise CalculusMismatch("form and field on different calculi")
-    if phi.basis != "theta":
-        raise CalculusMismatch("pairing expects the theta basis")
-    acc = zero(phi.calculus.group)
-    for g, c in phi.terms.items():
-        xg = x.terms.get(g)
-        if xg is not None:
-            acc = acc + c * xg
-    return acc
-
-
-def pair_tensor_field(t, x):
-    """Contract the inner slot of a tensor field with a vector field.
-
-    <t_{u,v} theta^u (x) theta^v, X> = t_{u,v} theta^u X^v is the 1-form
-    with coefficient sum_v t_{u,v} R_{u^-1} X^v at u.
-    """
+def pair(t, x):
+    """Contract the last x.rank legs of a left tensor t with the right
+    tensor x, innermost first: a function when no leg is left, else the
+    1-form on the lead leg (module docstring)."""
     cal = t.calculus
     if cal != x.calculus:
         raise CalculusMismatch("tensor and field on different calculi")
+    if isinstance(t, OneForm) and t.basis != "theta":
+        raise CalculusMismatch("pairing expects the theta basis")
+    lead = t.rank - x.rank
+    if t.side != "left" or x.side != "right" or lead not in (0, 1):
+        raise ValueError("pair takes a left tensor with at most one leg more than the right one")
     group = cal.group
-    out = OneForm(cal, {})
-    for (u, v), f in t.terms.items():
-        xv = x.terms.get(v)
-        if xv is not None:
-            out.accumulate(u, f * right_translate(group.inverse(u), xv))
-    return out
-
-
-def pair_rank3_metric(r, m):
-    """Contract the last two slots of a rank 3 field with a metric.
-
-    The result is the 1-form with coefficient
-    sum_{v,w} c_{u,v,w} R_{u^-1} g^{w,v} at u.
-    """
-    cal = r.calculus
-    if cal != m.calculus:
-        raise CalculusMismatch("tensor and metric on different calculi")
-    group = cal.group
-    out = OneForm(cal, {})
-    for (u, v, w), f in r.terms.items():
-        mwv = m.terms.get((w, v))
-        if mwv is not None:
-            out.accumulate(u, f * right_translate(group.inverse(u), mwv))
-    return out
+    acc = OneForm(cal, {}) if lead else zero(group)
+    for key, c in t.terms.items():
+        legs = t._legs(key)
+        inner = legs[lead:][::-1]
+        xc = x.terms.get(inner if x.rank > 1 else inner[0])
+        if xc is None:
+            continue
+        if lead:
+            acc.accumulate(legs[0], c * right_translate(group.inverse(legs[0]), xc))
+        else:
+            acc = acc + c * xc
+    return acc
 
 
 class DualConnection:
@@ -126,8 +105,8 @@ class DualConnection:
         group = cal.group
         out = TensorField(cal)
         for h, c in x.terms.items():
-            for k in cal.hatG:
-                out.accumulate((h, k), ell(k, c))
+            for k, e in differential(cal, c).terms.items():
+                out.accumulate((h, k), e)
         for (h, g, k), gam in self.source.gamma.items():
             xg = x.terms.get(g)
             if xg is not None:
@@ -140,9 +119,7 @@ class DualConnection:
         lhs_form = OneForm(cal, {})
         for (h, k), c in self.apply(x).items():
             lhs_form.accumulate(k, gamma.coeff(h) * c)
-        rhs = differential(cal, pair(gamma, x)) - pair_tensor_field(
-            self.source.apply(gamma), x
-        )
+        rhs = differential(cal, pair(gamma, x)) - pair(self.source.apply(gamma), x)
         return lhs_form == rhs
 
     def is_left_invariant(self):
@@ -181,13 +158,11 @@ def sigma_prime_connection(calculus):
 
         def apply(self, x):
             cal = self.calculus
-            out = {}
-            for g, c in x.terms.items():
-                for k in cal.hatG:
-                    val = ell(k, c)
-                    if not val.is_zero():
-                        out[(g, k)] = val
-            return out
+            return {
+                (g, k): val
+                for g, c in x.terms.items()
+                for k, val in differential(cal, c).terms.items()
+            }
 
     return _SigmaPrimeConnection(calculus)
 
@@ -311,7 +286,7 @@ def metric_compatibility(m, route="both", connection=None):
     if route in ("tensor-dual", "both"):
         out = {}
         for (v, w), r3 in extend_on_basis_pairs(report):
-            form = differential(cal, m.coeff(w, v)) - pair_rank3_metric(r3, m)
+            form = differential(cal, m.coeff(w, v)) - pair(r3, m)
             if not form.is_zero():
                 out[(w, v)] = form
         results["tensor-dual"] = out
@@ -352,14 +327,14 @@ def canonical_form_and_torsion(conn):
     for g in cal.hatG:
         # lhs - rhs = d Theta^g + omega^g_{g'} Theta^{g'} - Omega^g_{g'} theta^{g'},
         # summed term by term in place.
-        difference = d_two_rep(theta_reps[g])
+        difference = d_rep(theta_reps[g])
         for gp in cal.hatG:
             form = omega[(g, gp)]
             if not form.is_zero():
-                difference += one_form_times_two_rep(form, theta_reps[gp])
+                difference += tensor_product(form, theta_reps[gp])
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
-                difference += two_rep_times_one_form(crep, theta_form(cal, gp, -1))
+                difference += tensor_product(crep, theta_form(cal, gp, -1))
         bianchi[g] = {"holds": apply_a3(difference, sig).is_zero(), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
 

@@ -1,4 +1,4 @@
-"""Dense structure-constant and connection loops, kept as test oracles.
+"""Dense and rank-specific loops, kept as test oracles.
 
 The package reads C^h_{g,g'} through StructureConstants.nonzero and the
 connection coefficients Gamma through their stored entries.  The loops
@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from finitegeo import funcs
 from finitegeo.braid import Rank3Field, TensorField, project_two_form
-from finitegeo.calculus import StructureConstants
-from finitegeo.connection import Connection
-from finitegeo.errors import CalculusMismatch, NotInHatG
+from finitegeo.calculus import OneForm, StructureConstants, theta_form
+from finitegeo.connection import Connection, extensibility_analysis
+from finitegeo.errors import CalculusMismatch, NotExtensible, NotInHatG
 from finitegeo.funcs import constant, ell, right_translate, zero
 
 
@@ -182,3 +182,230 @@ def dual_apply(dual, x):
             if not acc.is_zero():
                 out[(h, k)] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rank-specific products, differentials, twists and contractions.  The
+# package now says each once on the sparse Tensor (braid.tensor_product,
+# braid.d_rep, the two-leg SigmaOperator.apply and
+# ExtensibilityReport.psi_apply, dual.pair); the per-rank routines they
+# replaced follow unchanged, methods written as functions of their
+# object, the sparse d_one_form_rep and d_two_rep renamed with a sparse_
+# prefix beside the dense loops above.  psi_apply spells out the rank-2
+# sigma action it used, so no oracle here calls a replaced routine.
+
+
+def tensor_of_one_forms(phi, psi):
+    """phi (x)_A psi; psi's coefficient moves left across theta^g."""
+    if phi.calculus != psi.calculus:
+        raise CalculusMismatch("forms live on different calculi")
+    grp = phi.calculus.group
+    out = TensorField(phi.calculus)
+    for g, c in phi.terms.items():
+        ginv = grp.inverse(g)
+        for gp, d in psi.terms.items():
+            out.accumulate((g, gp), c * funcs.right_translate(ginv, d))
+    return out
+
+
+def one_form_times_two_rep(phi, t):
+    """(f theta^k) * (T_{u,v} theta^u theta^v) at rank 3."""
+    grp = phi.calculus.group
+    out = Rank3Field(phi.calculus)
+    for k, f in phi.terms.items():
+        kinv = grp.inverse(k)
+        for (u, v), c in t.terms.items():
+            out.accumulate((k, u, v), f * funcs.right_translate(kinv, c))
+    return out
+
+
+def two_rep_times_one_form(t, psi):
+    """(T_{u,v} theta^u theta^v) * (c_w theta^w) at rank 3."""
+    grp = t.calculus.group
+    out = Rank3Field(t.calculus)
+    for (u, v), c in t.terms.items():
+        vu_inv = grp.inverse(grp.mul(v, u))
+        for w, cw in psi.terms.items():
+            out.accumulate((u, v, w), c * funcs.right_translate(vu_inv, cw))
+    return out
+
+
+def sparse_d_one_form_rep(phi):
+    """Representative tensor of d(f theta^g) = df (x) theta^g + f d theta^g."""
+    calculus = phi.calculus
+    if phi.basis != "theta":
+        raise ValueError("differential implemented in the theta basis")
+    sc = StructureConstants(calculus)
+    out = TensorField(calculus)
+    for g, f in phi.terms.items():
+        for h in calculus.hatG:
+            out.accumulate((h, g), funcs.ell(h, f))
+        for v, u, c in sc.nonzero(g):
+            out.accumulate((u, v), -c * f)
+    return out
+
+
+def sparse_d_two_rep(t):
+    """d of a represented 2-form, as a rank-3 coefficient array."""
+    calculus = t.calculus
+    sc = StructureConstants(calculus)
+    out = Rank3Field(calculus)
+    for (g, gp), c in t.terms.items():
+        for h in calculus.hatG:
+            out.accumulate((h, g, gp), funcs.ell(h, c))
+        for u, v, c1 in sc.nonzero(g):
+            out.accumulate((v, u, gp), c * (-c1))
+        for u, v, c2 in sc.nonzero(gp):
+            out.accumulate((g, v, u), c * c2)
+    return out
+
+
+def v_apply(report, t):
+    """Apply the bimodule map V to a tensor field."""
+    cal = report.connection.calculus
+    group = cal.group
+    out = TensorField(cal)
+    for (g, gp), f in t.terms.items():
+        prod = group.mul(gp, g)
+        for h in cal.hatG:
+            hp = group.mul(group.inverse(h), prod)
+            val = report.v_map.get((g, gp, h, hp))
+            if val is not None:
+                out.accumulate((hp, h), f * val)
+    return out
+
+
+def psi_apply(report, t):
+    """Apply the twist Psi = sigma - V to a tensor field."""
+    if not report.extensible:
+        raise NotExtensible(
+            "connection does not satisfy the two-argument Leibniz rule"
+        )
+    sig = report.connection.sigma()
+    out = TensorField(sig.calculus)
+    for pair, c in t.terms.items():
+        out.accumulate(sig.map_pair(pair), c)
+    return out - v_apply(report, t)
+
+
+def extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
+    """Add nabla(phi (x) psi) into out, a Rank3Field, given nabla phi and
+    nabla psi.
+
+    (nabla phi) (x) psi transports psi's coefficients across both legs;
+    (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
+    """
+    cal = report.connection.calculus
+    group = cal.group
+    for (u, v), f in nabla_phi.terms.items():
+        trans = group.inverse(group.mul(v, u))
+        for w, c in psi.terms.items():
+            out.accumulate((u, v, w), f * right_translate(trans, c))
+    for g, c in phi.terms.items():
+        ginv = group.inverse(g)
+        for (u, v), f in nabla_psi.terms.items():
+            piece = TensorField(cal)
+            piece.accumulate((g, u), c * right_translate(ginv, f))
+            for (p, q), val in psi_apply(report, piece).terms.items():
+                out.accumulate((p, q, v), val)
+    return out
+
+
+def extend_to_tensor(conn, t):
+    """nabla on the tensor square, applied to a tensor field, through
+    extend_pair."""
+    report = extensibility_analysis(conn)
+    if not report.extensible:
+        raise NotExtensible("connection does not extend to tensor products")
+    cal = conn.calculus
+    out = Rank3Field(cal)
+    for g in cal.hatG:
+        psi = OneForm(cal, {})
+        for gp in cal.hatG:
+            c = t.terms.get((g, gp))
+            if c is not None:
+                psi.accumulate(gp, right_translate(g, c))
+        if not psi.is_zero():
+            theta = theta_form(cal, g)
+            extend_pair(report, theta, conn.apply(theta), psi, conn.apply(psi), out)
+    return out
+
+
+def pair(phi, x):
+    """Duality contraction <phi, X> = phi_g X^g."""
+    if phi.calculus != x.calculus:
+        raise CalculusMismatch("form and field on different calculi")
+    if phi.basis != "theta":
+        raise CalculusMismatch("pairing expects the theta basis")
+    acc = zero(phi.calculus.group)
+    for g, c in phi.terms.items():
+        xg = x.terms.get(g)
+        if xg is not None:
+            acc = acc + c * xg
+    return acc
+
+
+def pair_tensor_field(t, x):
+    """Contract the inner slot of a tensor field with a vector field.
+
+    <t_{u,v} theta^u (x) theta^v, X> = t_{u,v} theta^u X^v is the 1-form
+    with coefficient sum_v t_{u,v} R_{u^-1} X^v at u.
+    """
+    cal = t.calculus
+    if cal != x.calculus:
+        raise CalculusMismatch("tensor and field on different calculi")
+    group = cal.group
+    out = OneForm(cal, {})
+    for (u, v), f in t.terms.items():
+        xv = x.terms.get(v)
+        if xv is not None:
+            out.accumulate(u, f * right_translate(group.inverse(u), xv))
+    return out
+
+
+def pair_rank3_metric(r, m):
+    """Contract the last two slots of a rank 3 field with a metric.
+
+    The result is the 1-form with coefficient
+    sum_{v,w} c_{u,v,w} R_{u^-1} g^{w,v} at u.
+    """
+    cal = r.calculus
+    if cal != m.calculus:
+        raise CalculusMismatch("tensor and metric on different calculi")
+    group = cal.group
+    out = OneForm(cal, {})
+    for (u, v, w), f in r.terms.items():
+        mwv = m.terms.get((w, v))
+        if mwv is not None:
+            out.accumulate(u, f * right_translate(group.inverse(u), mwv))
+    return out
+
+
+def apply_to_function(x, f):
+    """X f = <df, X> = (ell_g f) X^g."""
+    group = x.calculus.group
+    acc = zero(group)
+    for g, c in x.terms.items():
+        acc = acc + ell(g, f) * c
+    return acc
+
+
+def sparse_dual_apply(dual, x):
+    """nabla* X as a dict (h, k) -> coefficient of ell_h (x) theta^k,
+    in sorted key order.
+
+    The coefficient is ell_k X^h + sum_g Gamma^h_{g,k} R_{k^-1} X^g.
+    """
+    cal = dual.calculus
+    if x.calculus != cal:
+        raise CalculusMismatch("field lives on a different calculus")
+    group = cal.group
+    out = TensorField(cal)
+    for h, c in x.terms.items():
+        for k in cal.hatG:
+            out.accumulate((h, k), ell(k, c))
+    for (h, g, k), gam in dual.source.gamma.items():
+        xg = x.terms.get(g)
+        if xg is not None:
+            out.accumulate((h, k), gam * right_translate(group.inverse(k), xg))
+    return dict(sorted(out.terms.items()))

@@ -10,7 +10,7 @@ module; test modules import it by name from the tests directory.
 
 from fractions import Fraction
 
-from finitegeo.braid import d_two_rep, tensor_from_vector
+from finitegeo.braid import d_rep, tensor_from_vector
 from finitegeo.errors import Infeasible
 from finitegeo.funcs import _exact
 from finitegeo.linalg import Matrix, Vector, _as_fraction_rows, rref
@@ -159,7 +159,7 @@ class DegreeThreeIdeal:
                     vec[index[(u, v, w)]] = val
                 generators.append(vec)
             kt = tensor_from_vector(self.calculus, kvec)
-            dk = d_two_rep(kt)
+            dk = d_rep(kt)
             generators.append([c.values[0] for c in dk.coeffs.values()])
         self.reducer = SubspaceReducer(dim)
         self.triples = triples

@@ -18,7 +18,7 @@ from finitegeo.braid import (
     sigma_build,
     symmetric_universal_sigma_order,
     symmetrize,
-    tensor_of_one_forms,
+    tensor_product,
     wedge,
     zero_two_form,
 )
@@ -268,8 +268,8 @@ def test_tensor_of_one_forms_moves_middle_function(s3_universal):
     gp = s3.element_index("ab")
     phi = theta_form(s3_universal, g)
     psi = theta_form(s3_universal, gp)
-    lhs = tensor_of_one_forms(phi.right_mul(f), psi)
-    rhs = tensor_of_one_forms(phi, psi.left_mul(f))
+    lhs = tensor_product(phi.right_mul(f), psi)
+    rhs = tensor_product(phi, psi.left_mul(f))
     assert lhs == rhs
 
 

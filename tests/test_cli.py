@@ -290,6 +290,8 @@ def test_usage_errors_exit_with_two(tmp_path):
     runs.append(["tensors", "invariant", "--group", "S3", "--hatg", "all", "--kind", "foo"])
     groups = [[[0, 1], [1, 0]], {"table": 5}, {"table": [1, 2]},
               {"table": [[0, 1], [1]]}, {"table": [[0, "1"], [1, 0]]}]
+    groups += [{"table": [[0, 1], [1, 0]], **extra}
+               for extra in ({"names": 5}, {"names": "ab"}, {"names": [1, 2]}, {"label": 7})]
     for k, doc in enumerate(groups):
         path = tmp_path / f"group{k}.json"
         path.write_text(json.dumps(doc))

@@ -99,7 +99,7 @@ def test_family_length_is_braid_order(s3_transposition_calculus):
 
 
 def test_leibniz_rule_for_family_members(s3_transposition_calculus):
-    from finitegeo.braid import tensor_of_one_forms
+    from finitegeo.braid import tensor_product
     from finitegeo.calculus import differential
 
     cal = s3_transposition_calculus
@@ -109,7 +109,7 @@ def test_leibniz_rule_for_family_members(s3_transposition_calculus):
     for lams in ([1, 0, 0], [0, 0, 1], [2, -1, Fraction(1, 2)]):
         member = sigma_family(cal, lams)
         lhs = member.apply(phi.left_mul(f))
-        rhs = tensor_of_one_forms(differential(cal, f), phi) + member.apply(
+        rhs = tensor_product(differential(cal, f), phi) + member.apply(
             phi
         ).left_mul(f)
         assert lhs == rhs

@@ -21,7 +21,6 @@ from finitegeo.dual import (
     metric_compatibility,
     metric_symmetry,
     pair,
-    pair_tensor_field,
     sigma_prime,
     sigma_prime_connection,
     sigma_x,
@@ -244,7 +243,7 @@ def test_pair_tensor_field_contracts_inner_slot(s3_transposition_calculus):
     conn = c_connection(cal)
     gamma = theta_form(cal, cal.hatG[0])
     x = vector_field_basis(cal, cal.hatG[1])
-    contracted = pair_tensor_field(conn.apply(gamma), x)
+    contracted = pair(conn.apply(gamma), x)
     lhs = differential(cal, pair(gamma, x)) - contracted
     dual = dual_connection(conn)
     out = dual.apply(x)

@@ -17,9 +17,8 @@ from finitegeo.braid import (
     Rank3Field,
     TensorField,
     TwoForm,
-    d_two_rep,
-    one_form_times_two_rep,
-    two_rep_times_one_form,
+    d_rep,
+    tensor_product,
 )
 from finitegeo.calculus import OneForm, theta_form
 from finitegeo.catalog import small_group_catalog
@@ -128,16 +127,16 @@ def _dense_extend_to_tensor(conn, t):
 def _dense_bianchi_difference(conn, g):
     cal = conn.calculus
     omega = conn.connection_one_forms()
-    lhs = d_two_rep(conn._torsion_raw_theta(g))
+    lhs = d_rep(conn._torsion_raw_theta(g))
     for gp in cal.hatG:
         form = omega[(g, gp)]
         if not form.is_zero():
-            lhs = lhs + one_form_times_two_rep(form, conn._torsion_raw_theta(gp))
+            lhs = lhs + tensor_product(form, conn._torsion_raw_theta(gp))
     rhs = Rank3Field(cal, {})
     for gp in cal.hatG:
         crep = conn._curvature_raw(g, gp)
         if not crep.is_zero():
-            rhs = rhs + two_rep_times_one_form(crep, theta_form(cal, gp))
+            rhs = rhs + tensor_product(crep, theta_form(cal, gp))
     return lhs - rhs
 
 
