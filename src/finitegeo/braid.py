@@ -120,12 +120,12 @@ class SigmaOperator:
             pair = table[pair]
         return pair
 
-    def apply(self, t, power=1):
-        """sigma^power on the first two legs of a rank-2 or rank-3 tensor;
+    def apply(self, t):
+        """sigma on the first two legs of a rank-2 or rank-3 tensor;
         coefficients and a third leg ride along."""
         out = t._like()
         for key, c in t.terms.items():
-            out.accumulate(self.map_pair(key[:2], power) + key[2:], c)
+            out.accumulate(self.perm[key[:2]] + key[2:], c)
         return out
 
     def order(self):
@@ -361,17 +361,6 @@ class TwoForm:
             and self.calculus == other.calculus
             and self.rep == other.rep
         )
-
-    def coordinates(self, sigma):
-        """Coefficients in the canonical (echelonized) im A basis.
-
-        The basis is in reduced echelon form, so the coordinate along
-        basis vector j can be read off at its pivot position.
-        """
-        basis = sigma.decompose().im_a
-        pairs = self.calculus.pairs()
-        pivots = [next(i for i, x in enumerate(row) if x != 0) for row in basis]
-        return [self.rep.coeff(*pairs[p]) for p in pivots]
 
 
 def project_two_form(t, sigma):

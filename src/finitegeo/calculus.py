@@ -37,7 +37,7 @@ from .errors import (
     TooLarge,
 )
 
-DEFAULT_ENUM_LIMIT = 4096
+ENUM_LIMIT = 4096
 
 
 class DifferentialCalculus:
@@ -124,12 +124,12 @@ def from_edges(group, edges):
     return DifferentialCalculus(group, edges)
 
 
-def enumerate_left_covariant(group, limit=DEFAULT_ENUM_LIMIT):
+def enumerate_left_covariant(group):
     """All 2^(|G|-1) left-covariant calculi, sorted by size then hatG."""
     k = group.order - 1
-    if 2**k > limit:
+    if 2**k > ENUM_LIMIT:
         raise TooLarge(
-            f"2^{k} left-covariant calculi exceed the bound {limit}; "
+            f"2^{k} left-covariant calculi exceed the bound {ENUM_LIMIT}; "
             f"the {k} orbit generators are the nonidentity elements"
         )
     subsets = []
@@ -139,11 +139,11 @@ def enumerate_left_covariant(group, limit=DEFAULT_ENUM_LIMIT):
     return [from_hatG(group, s) for s in subsets]
 
 
-def enumerate_bicovariant(group, limit=DEFAULT_ENUM_LIMIT):
+def enumerate_bicovariant(group):
     """All unions of nontrivial conjugacy classes, sorted by size then hatG."""
     classes = group.nontrivial_classes()
-    if 2 ** len(classes) > limit:
-        raise TooLarge(f"2^{len(classes)} bicovariant calculi exceed the bound {limit}")
+    if 2 ** len(classes) > ENUM_LIMIT:
+        raise TooLarge(f"2^{len(classes)} bicovariant calculi exceed the bound {ENUM_LIMIT}")
     subsets = []
     for mask in range(2 ** len(classes)):
         chosen = []
@@ -321,7 +321,10 @@ class Tensor:
         return self._map(lambda key, c: c * a)
 
     def _crossing(self, f):
-        """key -> f translated across the basis legs of key."""
+        """key -> f translated across the basis legs of key.  R_g of a
+        constant is the same constant, so a constant f crosses as itself."""
+        if f.is_constant():
+            return lambda key: f
         group = self.calculus.group
         moved = {}
 
@@ -412,11 +415,8 @@ def omega_form(calculus, g):
     grp = calculus.group
     coeffs = {}
     for k in calculus.hatG:
-        values = [
-            Fraction(1 if grp.adjoint(grp.inverse(h), g) == k else 0)
-            for h in range(grp.order)
-        ]
-        coeffs[k] = funcs.GroupFunction(grp, tuple(values))
+        values = [int(grp.adjoint(grp.inverse(h), g) == k) for h in range(grp.order)]
+        coeffs[k] = funcs.from_values(grp, values)
     return OneForm(calculus, coeffs)
 
 
@@ -442,14 +442,9 @@ def differential(calculus, f):
     return out
 
 
-def theta_commute(calculus, f, g, inverse=False):
-    """Move f across theta^g: f theta^g = theta^g (R_g f).
-
-    Returns R_g f (or R_{g^-1} f with inverse=True, for the opposite move).
-    """
+def theta_commute(calculus, f, g):
+    """Move f across theta^g: f theta^g = theta^g (R_g f); returns R_g f."""
     calculus.hat_index(g)
-    if inverse:
-        g = calculus.group.inverse(g)
     return funcs.right_translate(g, f)
 
 
@@ -502,31 +497,31 @@ def from_edge_coeffs(calculus, edge_coeffs):
     """Per-edge scalars -> theta-basis 1-form."""
     calculus.require_left_covariant()
     grp = calculus.group
-    values = {g: [Fraction(0)] * grp.order for g in calculus.hatG}
+    values = {g: [0] * grp.order for g in calculus.hatG}
     for (x, y), v in edge_coeffs.items():
         if (x, y) not in calculus.edges:
             raise ValueError(f"({x},{y}) is not an edge of the calculus")
         g = grp.mul(grp.inverse(y), x)
         values[g][x] += Fraction(v)
     return OneForm(
-        calculus,
-        {g: funcs.GroupFunction(grp, tuple(vals)) for g, vals in values.items()},
+        calculus, {g: funcs.from_values(grp, vals) for g, vals in values.items()}
     )
 
 
-def export_dot(calculus, collapse_bidirected=True):
+def export_dot(calculus):
     names = [calculus.group.name(x) for x in range(calculus.group.order)]
-    return digraph_dot(names, calculus.edges, collapse_bidirected)
+    return digraph_dot(names, calculus.edges)
 
 
-def digraph_dot(names, edges, collapse_bidirected=True):
-    """Deterministic DOT text for a digraph on named vertices."""
+def digraph_dot(names, edges):
+    """Deterministic DOT text for a digraph on named vertices; a pair of
+    opposite edges is drawn once, with dir=both."""
     lines = ["digraph calculus {"]
     for name in names:
         lines.append(f'  "{name}";')
     edges = set(edges)
     for x, y in sorted(edges):
-        if collapse_bidirected and (y, x) in edges:
+        if (y, x) in edges:
             if x < y:
                 lines.append(f'  "{names[x]}" -> "{names[y]}" [dir=both];')
         else:

@@ -35,20 +35,16 @@ def _max_order():
         raise UsageError(f"FINITEGEO_MAX_ORDER must be an integer, got {raw!r}")
 
 
-def parse_group(spec, generators=None, set_size=None):
+def parse_group(spec):
     """Resolve a group specification.
 
     Accepts Zn, Sn, An, Dn, Dicn, Q8 (= Dic2), products joined with `x`
-    (e.g. Z2xZ2), and @file.json for an explicit Cayley table.  When
-    permutation generators are given instead, the group they generate
-    is returned together with its permutation elements.
+    (e.g. Z2xZ2), and @file.json for an explicit Cayley table: a JSON
+    object with "table" (a list of integer rows) and optional "names"
+    (a list of strings) and "label" (a string).  Families and products
+    are bounded by FINITEGEO_MAX_ORDER.
     """
     bound = _max_order()
-    if generators is not None:
-        perms = [parse_permutation(tok, set_size) for tok in generators]
-        if set_size is not None:
-            perms = [_pad_permutation(p, set_size) for p in perms]
-        return groups_mod.from_permutations(perms, max_order=bound)
     if spec is None:
         raise UsageError("a group specification is required")
     spec = spec.strip()
@@ -714,11 +710,11 @@ def run(argv):
     try:
         result = handler(args)
     except UsageError as exc:
-        return CommandResult(2, {"error": str(exc)})
+        result = CommandResult(2, {"error": str(exc)})
     except FiniteGeoError as exc:
-        return CommandResult(1, {"error": str(exc)})
+        result = CommandResult(1, {"error": str(exc)})
     except (FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
-        return CommandResult(2, {"error": str(exc)})
+        result = CommandResult(2, {"error": str(exc)})
     result.quiet = getattr(args, "quiet", False)
     result.as_json = getattr(args, "json", False)
     return result
@@ -751,13 +747,17 @@ def _render_plain(payload, indent=0):
 
 
 def main(argv=None):
+    """Run one command and print its payload: an error goes to stderr as
+    `error: ...`, or to stdout as JSON with --json; --quiet hides only
+    the payload of a command that succeeded."""
     result = run(sys.argv[1:] if argv is None else argv)
     quiet = getattr(result, "quiet", False)
     as_json = getattr(result, "as_json", False)
-    if result.payload and not quiet:
-        if "error" in result.payload and result.status != 0:
-            print(f"error: {result.payload['error']}", file=sys.stderr)
-        elif as_json:
+    failed = result.status != 0 and "error" in result.payload
+    if failed and not as_json:
+        print(f"error: {result.payload['error']}", file=sys.stderr)
+    elif result.payload and (failed or not quiet):
+        if as_json:
             print(json.dumps(result.payload, sort_keys=True, indent=2))
         else:
             print("\n".join(_render_plain(result.payload)))

@@ -71,8 +71,6 @@ class Connection:
             if not func.is_zero():
                 coeffs[(h, g, gp)] = func
         self.gamma = coeffs
-        self._torsion_free = None
-        self._curvature_zero = None
         self._omega = None
 
     def gamma_value(self, h, g, gp):
@@ -143,21 +141,15 @@ class Connection:
             out.accumulate((u, v), constant(cal.group, -c))
         return out
 
-    def torsion(self, phi=None, raw=False):
+    def torsion(self, phi=None):
         """Torsion T = nabla - d applied to a 1-form.
 
-        With phi given, returns the torsion of that 1-form.  Without phi,
-        returns a dict mapping each basis label h to the torsion of
-        theta^h.  When raw is true the unprojected representative tensors
-        are returned instead of 2-forms.
+        With phi given, returns the torsion 2-form of that 1-form.
+        Without phi, returns a dict mapping each basis label h to the
+        torsion of theta^h.
         """
         if phi is not None:
-            diff = d_rep(phi) - self.apply(phi)
-            if raw:
-                return diff
-            return project_two_form(diff, self.sigma())
-        if raw:
-            return {h: self._torsion_raw_theta(h) for h in self.calculus.hatG}
+            return project_two_form(d_rep(phi) - self.apply(phi), self.sigma())
         return {
             h: project_two_form(self._torsion_raw_theta(h), self.sigma())
             for h in self.calculus.hatG
@@ -166,12 +158,10 @@ class Connection:
     def is_torsion_free(self):
         """True when every torsion 2-form vanishes: each representative is
         fixed by sigma, so A kills it."""
-        if self._torsion_free is None:
-            sig = self.sigma()
-            self._torsion_free = all(
-                t == sig.apply(t) for t in map(self._torsion_raw_theta, self.calculus.hatG)
-            )
-        return self._torsion_free
+        sig = self.sigma()
+        return all(
+            t == sig.apply(t) for t in map(self._torsion_raw_theta, self.calculus.hatG)
+        )
 
     def _curvature_raw(self, h, gp):
         """Representative tensor of the curvature 2-form Omega^h_{gp},
@@ -203,13 +193,11 @@ class Connection:
 
     def curvature_is_zero(self):
         """True when every curvature 2-form vanishes."""
-        if self._curvature_zero is None:
-            sig = self.sigma()
-            self._curvature_zero = all(
-                t == sig.apply(t)
-                for t in (self._curvature_raw(h, gp) for h, gp in self.calculus.pairs())
-            )
-        return self._curvature_zero
+        sig = self.sigma()
+        return all(
+            t == sig.apply(t)
+            for t in (self._curvature_raw(h, gp) for h, gp in self.calculus.pairs())
+        )
 
 
 def c_connection(calculus):

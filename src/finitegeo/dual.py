@@ -122,9 +122,6 @@ class DualConnection:
         rhs = differential(cal, pair(gamma, x)) - pair(self.source.apply(gamma), x)
         return lhs_form == rhs
 
-    def is_left_invariant(self):
-        return all(f.is_constant() for f in self.source.gamma.values())
-
 
 def dual_connection(conn):
     """The dual right connection of a left connection."""

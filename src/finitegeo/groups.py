@@ -12,10 +12,6 @@ from .errors import NoIdentity, NoInverse, NotAnAction, NotAssociative, TooLarge
 
 DEFAULT_MAX_ORDER = 1024
 
-# Exhaustive associativity checking is cubic; above this order switch to
-# Light's test over a generating set, which is quadratic times log order.
-_EXHAUSTIVE_ASSOC_LIMIT = 128
-
 
 class FiniteGroup:
     def __init__(self, table, names=None, aliases=None, label=None, _validated=False):
@@ -129,38 +125,24 @@ class FiniteGroup:
         """Order of the inner automorphism group, |G| / |Z(G)|."""
         return self.order // len(self.center())
 
-    def conjugacy_data(self):
-        return {
-            "classes": self.conjugacy_classes(),
-            "center": self.center(),
-            "ad_order": self.ad_order(),
-        }
-
 
 def _default_names(n):
     return ["e"] + [f"g{i}" for i in range(1, n)]
 
 
 def _validate_table(table):
+    """Check the shape, that index 0 is a two-sided identity, and
+    associativity by Light's test.
+
+    Light's test checks (a*b)*c = a*(b*c) for every a and c but only for
+    b in a generating set.  The b that pass are closed under the product,
+    so they are all of the table: the verdict is the full triple loop's
+    at a cost of |generators|*n^2 <= n^3.
+    """
     n = len(table)
     _check_shape(table)
     if any(table[0][x] != x or table[x][0] != x for x in range(n)):
         raise NoIdentity("index 0 is not a two-sided identity")
-    if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-        for a in range(n):
-            for b in range(n):
-                tab = table[a][b]
-                row_a = table[a]
-                for c in range(n):
-                    if table[tab][c] != row_a[table[b][c]]:
-                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    else:
-        _lights_associativity_test(table)
-
-
-def _lights_associativity_test(table):
-    """Light's test: associativity over a generating set implies it globally."""
-    n = len(table)
     generators = []
     closure = {0}
     for x in range(n):
@@ -395,18 +377,16 @@ def dicyclic(n, max_order=DEFAULT_MAX_ORDER):
     return FiniteGroup(table, names=names, label=f"Dic{n}", _validated=True)
 
 
-def from_permutations(perms, degree=None, label=None, max_order=DEFAULT_MAX_ORDER,
-                      with_elements=False):
+def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
     """Closure of the given permutations (tuples) under composition.
 
     With with_elements, also returns the permutation list in element
     order, so callers can recover the natural action on points.
     """
     perms = [tuple(p) for p in perms]
-    if degree is None:
-        if not perms:
-            raise ValueError("need at least one permutation or an explicit degree")
-        degree = len(perms[0])
+    if not perms:
+        raise ValueError("need at least one permutation")
+    degree = len(perms[0])
     identity = tuple(range(degree))
     for p in perms:
         if sorted(p) != list(range(degree)):
@@ -423,7 +403,7 @@ def from_permutations(perms, degree=None, label=None, max_order=DEFAULT_MAX_ORDE
                     closure.add(y)
                     frontier.append(y)
     ordered = sorted(closure)
-    group = _group_from_perms(ordered, label or f"P{len(ordered)}", None, max_order)
+    group = _group_from_perms(ordered, f"P{len(ordered)}", None, max_order)
     if with_elements:
         return group, ordered
     return group

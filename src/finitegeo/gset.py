@@ -7,7 +7,7 @@ unions of orbits of the action on off-diagonal pairs, and the
 irreducible ones are the single orbits.
 """
 
-from .calculus import digraph_dot
+from .calculus import ENUM_LIMIT, digraph_dot
 from .errors import NotAnAction, TooLarge
 from .groups import from_permutations, orbits as group_orbits
 
@@ -107,21 +107,18 @@ def is_covariant(gs, edges):
     return True
 
 
-ENUM_LIMIT = 4096
-
-
-def covariant_calculi(gs, limit=ENUM_LIMIT):
+def covariant_calculi(gs):
     """All covariant calculi on the set, as sorted edge-set tuples.
 
     They are exactly the unions of pair orbits, including the empty
     union (the trivial calculus) and the full union (the universal
-    one).  Raises TooLarge when there are more than `limit` unions;
+    one).  Raises TooLarge when there are more than ENUM_LIMIT unions;
     the orbit list from pair_orbits is a usable summary in that case.
     """
     orbs = pair_orbits(gs)
-    if 2 ** len(orbs) > limit:
+    if 2 ** len(orbs) > ENUM_LIMIT:
         raise TooLarge(
-            f"{2 ** len(orbs)} orbit unions exceed the limit {limit}; "
+            f"{2 ** len(orbs)} orbit unions exceed the limit {ENUM_LIMIT}; "
             "inspect pair_orbits instead"
         )
     out = []
@@ -147,8 +144,6 @@ def irreducible_calculi(gs):
     return [tuple(sorted(universe - set(orb))) for orb in orbs]
 
 
-def gset_dot(gs, edges, names=None, collapse_bidirected=True):
-    """DOT digraph of an edge set on the points of the set."""
-    if names is None:
-        names = [str(x + 1) for x in range(gs.size)]
-    return digraph_dot(names, edges, collapse_bidirected=collapse_bidirected)
+def gset_dot(gs, edges):
+    """DOT digraph of an edge set on the points of the set, numbered from 1."""
+    return digraph_dot([str(x + 1) for x in range(gs.size)], edges)

@@ -5,8 +5,9 @@ connection coefficients Gamma through their stored entries.  The loops
 they replaced, which visit every pair or triple of hatG and call
 StructureConstants.C or probe gamma per key, live here unchanged (methods
 written as functions of the connection), so the tests can compare the two
-answers.  pytest does not collect this module; test modules import it by
-name from the tests directory.
+answers.  is_associative is the triple loop that groups' associativity
+check is compared with.  pytest does not collect this module; test
+modules import it by name from the tests directory.
 """
 
 from fractions import Fraction
@@ -409,3 +410,14 @@ def sparse_dual_apply(dual, x):
         if xg is not None:
             out.accumulate((h, k), gam * right_translate(group.inverse(k), xg))
     return dict(sorted(out.terms.items()))
+
+
+def is_associative(table):
+    """(a*b)*c == a*(b*c) for every triple of a Cayley table."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -17,7 +17,8 @@ from finitegeo.calculus import (
     theta_form,
     to_edge_coeffs,
 )
-from finitegeo.errors import IdentityInHatG, NotBicovariant, NotLeftCovariant
+from finitegeo.errors import IdentityInHatG, NotBicovariant, NotLeftCovariant, TooLarge
+from finitegeo.groups import cyclic
 
 
 def test_edges_encode_right_difference(s3):
@@ -58,6 +59,15 @@ def test_bicovariant_calculi_on_s3(s3):
     hatgs = [tuple(s3.name(g) for g in c.hatG) for c in cals]
     assert ("ab", "ba") in hatgs
     assert ("b", "a", "c") in hatgs
+
+
+@pytest.mark.parametrize(
+    "enumerate_", [calculus.enumerate_left_covariant, calculus.enumerate_bicovariant]
+)
+def test_enumerations_past_the_limit_raise_too_large(enumerate_):
+    """Z14 has 2^13 = 8192 > ENUM_LIMIT calculi of either kind."""
+    with pytest.raises(TooLarge):
+        enumerate_(cyclic(14))
 
 
 def test_left_covariant_but_not_bicovariant_exists(s3):
@@ -122,6 +132,16 @@ def test_function_commutes_past_theta_by_translation(s3_universal):
     phi = theta_form(s3_universal, g).left_mul(f)
     psi = theta_form(s3_universal, g).right_mul(moved)
     assert phi == psi
+
+
+def test_omega_forms_and_edge_coefficients_store_integers_as_int(s3_universal):
+    s3 = s3_universal.group
+    forms = [omega_form(s3_universal, g) for g in s3_universal.hatG]
+    forms.append(from_edge_coeffs(s3_universal, {e: Fraction(2) for e in s3_universal.edges}))
+    assert all(type(v) is int for phi in forms for c in phi.coeffs.values() for v in c.values)
+    a = s3.element_index("a")
+    half = from_edge_coeffs(s3_universal, {(a, 0): Fraction(1, 2)}).coeff(a).values[a]
+    assert half == Fraction(1, 2) and type(half) is Fraction
 
 
 def test_rho_restricted_to_an_edge_is_one(s3_universal):

@@ -340,6 +340,25 @@ def test_main_reports_errors_on_stderr(capsys):
     assert "error" in captured.err
 
 
+def test_main_prints_errors_as_json_with_json(capsys, tmp_path, monkeypatch):
+    """--json puts the error payload on stdout; --quiet hides no error."""
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": 5}))
+    monkeypatch.setenv("FINITEGEO_MAX_ORDER", "4")
+    runs = [(["group", "info", "Q17"], 2), (["group", "info", f"@{bad}"], 2),
+            (["group", "info", "S4"], 1)]
+    for argv, status in runs:
+        for quiet in ([], ["--quiet"]):
+            assert cli.main(argv + ["--json"] + quiet) == status
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert list(json.loads(captured.out)) == ["error"]
+            assert cli.main(argv + quiet) == status
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+
 def test_main_plain_rendering_lists_rows(capsys):
     status = cli.main(
         [

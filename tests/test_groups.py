@@ -1,9 +1,14 @@
 """Group construction, validation and structure queries."""
 
+import random
+
 import pytest
 
 from finitegeo import groups
+from finitegeo.catalog import small_group_catalog
 from finitegeo.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
+
+import dense_paths
 
 
 def test_cyclic_group_basics():
@@ -86,14 +91,46 @@ def test_from_cayley_table_accepts_z2():
     assert g.element_index("t") == 1
 
 
-def test_from_cayley_table_rejects_nonassociative():
-    table = [
-        [0, 1, 2],
-        [1, 2, 0],
-        [2, 1, 0],
-    ]
-    with pytest.raises((NotAssociative, NoInverse, NoIdentity)):
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+    # A loop: identity 0, every element its own inverse, a Latin square.
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+])
+def test_from_cayley_table_rejects_nonassociative(table):
+    with pytest.raises(NotAssociative):
         groups.from_cayley_table(table)
+
+
+def _passes_associativity(table):
+    """from_cayley_table's associativity verdict; an associative table
+    may still lack inverses."""
+    try:
+        groups.from_cayley_table(table)
+    except NotAssociative:
+        return False
+    except NoInverse:
+        pass
+    return True
+
+
+def test_associativity_verdict_matches_the_triple_loop():
+    """Catalog tables and seeded one-entry changes away from the identity
+    row and column get the triple loop's verdict."""
+    rng = random.Random(5)
+    verdicts = set()
+    for group in small_group_catalog().values():
+        n = group.order
+        tables = [group.table]
+        for _ in range(8 if n > 1 else 0):
+            table = [list(row) for row in group.table]
+            x, y = rng.randrange(1, n), rng.randrange(1, n)
+            table[x][y] = rng.choice([v for v in range(n) if v != table[x][y]])
+            tables.append(table)
+        for table in tables:
+            verdict = dense_paths.is_associative(table)
+            assert _passes_associativity(table) == verdict, table
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_from_cayley_table_rejects_missing_identity():

@@ -3,7 +3,7 @@
 import pytest
 
 from finitegeo.calculus import enumerate_left_covariant
-from finitegeo.errors import NotAnAction
+from finitegeo.errors import NotAnAction, TooLarge
 from finitegeo.groups import cyclic, symmetric
 from finitegeo.gset import (
     GSet,
@@ -120,6 +120,12 @@ def test_full_symmetric_action_admits_only_two_calculi():
         assert len(cals) == 2
         assert cals[0] == ()
         assert len(cals[1]) == n * (n - 1)
+
+
+def test_covariant_calculi_past_the_limit_raise_too_large():
+    """The trivial group on 5 points has 20 pair orbits, 2^20 unions."""
+    with pytest.raises(TooLarge):
+        covariant_calculi(gset_from_permutations([(0, 1, 2, 3, 4)]))
 
 
 def test_left_translation_action_matches_group_calculi():

@@ -268,3 +268,19 @@ def test_differential_skips_constant_functions(monkeypatch, s3_universal):
     assert report["routes_agree"] is True
     assert calls["constant"] == 0
     assert calls["all"] > 0
+
+
+def test_products_do_not_translate_constants(monkeypatch, s3_universal):
+    """R_g of a constant is the constant: crossing a basis leg leaves it
+    untranslated."""
+    calls = {"constant": 0}
+    original = funcs.right_translate
+
+    def counting(g, f):
+        calls["constant"] += f.is_constant()
+        return original(g, f)
+
+    monkeypatch.setattr(funcs, "right_translate", counting)
+    result = dual.canonical_form_and_torsion(connection.c_connection(s3_universal))
+    assert all(entry["holds"] for entry in result["bianchi"].values())
+    assert calls["constant"] == 0
