@@ -3,8 +3,12 @@
 A calculus is a loopless digraph on the group.  Left-covariant calculi
 are in bijection with subsets hatG of the nonidentity elements: the edge
 (x, y) is present exactly when y^-1 x lies in hatG, so the basis 1-form
-theta^g collects the edges {(hg, h) : h in G}.  Edge-basis and
-theta-basis descriptions convert via e_{x,y} = e_x theta^{y^-1 x}.
+theta^g collects the edges {(hg, h) : h in G}.  A left-covariant
+calculus is its hatG, and edges are derived: from_hatG stores hatG, and
+the edge set is built from the Cayley table when first read.  It is
+bicovariant exactly when hatG is a union of conjugacy classes.
+Edge-basis and theta-basis descriptions convert via
+e_{x,y} = e_x theta^{y^-1 x}.
 
 Tensor is the one tensor type of the package: a sparse map from
 hatG^rank to functions on the group.  Its terms hold only the nonzero
@@ -41,6 +45,16 @@ ENUM_LIMIT = 4096
 
 
 class DifferentialCalculus:
+    """A first-order calculus on a group.
+
+    from_edges keeps the edges it is given and finds hatG = {y^-1 x} when
+    the digraph is left-covariant; from_hatG stores hatG alone.  Either
+    way a left-covariant calculus is right-covariant, and so bicovariant,
+    exactly when hatG is a union of conjugacy classes: the right set
+    {x y^-1} = {h g h^-1} is the conjugation closure of hatG.  Equality
+    and hash read hatG when it is set and the edges otherwise.
+    """
+
     def __init__(self, group, edges):
         self.group = group
         edges = frozenset((int(x), int(y)) for x, y in edges)
@@ -49,23 +63,51 @@ class DifferentialCalculus:
                 raise ValueError(f"loop edge at element {x}")
             if not (0 <= x < group.order and 0 <= y < group.order):
                 raise ValueError(f"edge ({x},{y}) out of range")
-        self.edges = edges
+        self._edges = edges
         left_set = sorted({group.mul(group.inverse(y), x) for x, y in edges})
-        right_set = sorted({group.mul(x, group.inverse(y)) for x, y in edges})
-        self.left_covariant = len(edges) == group.order * len(left_set)
+        if len(edges) == group.order * len(left_set):
+            self._set_hatG(left_set)
+            return
+        right_set = {group.mul(x, group.inverse(y)) for x, y in edges}
+        self.hatG = None
+        self.left_covariant = self.bicovariant = False
         self.right_covariant = len(edges) == group.order * len(right_set)
-        self.hatG = tuple(left_set) if self.left_covariant else None
-        self.bicovariant = self.left_covariant and _is_class_union(group, left_set)
+
+    @classmethod
+    def _of_hatG(cls, group, hatG):
+        """The left-covariant calculus of a sorted, validated hatG."""
+        cal = cls.__new__(cls)
+        cal.group = group
+        cal._edges = None
+        cal._set_hatG(hatG)
+        return cal
+
+    def _set_hatG(self, hatG):
+        self.hatG = tuple(hatG)
+        self.left_covariant = True
+        self.right_covariant = self.bicovariant = _is_class_union(self.group, hatG)
+
+    @property
+    def edges(self):
+        """The edges (hg, h) for h in G and g in hatG, or those given."""
+        if self._edges is None:
+            hatG = self.hatG
+            self._edges = frozenset(
+                (row[g], h) for h, row in enumerate(self.group.table) for g in hatG
+            )
+        return self._edges
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DifferentialCalculus)
-            and self.group is other.group
-            and self.edges == other.edges
-        )
+        if not isinstance(other, DifferentialCalculus) or self.group is not other.group:
+            return False
+        if self.hatG is None and other.hatG is None:
+            return self.edges == other.edges
+        return self.hatG == other.hatG
 
     def __hash__(self):
-        return hash((id(self.group), self.edges))
+        if self.hatG is None:
+            return hash((id(self.group), self.edges))
+        return hash((id(self.group), self.hatG))
 
     def __repr__(self):
         if self.hatG is not None:
@@ -91,13 +133,12 @@ class DifferentialCalculus:
         return [(g, gp) for g in self.hatG for gp in self.hatG]
 
 
-def _is_class_union(group, subset):
-    sset = set(subset)
-    if 0 in sset:
-        return False
-    return all(
-        group.adjoint(h, g) in sset for g in sset for h in range(group.order)
-    )
+def _is_class_union(group, hatG):
+    """Whether hatG, a set of distinct elements, is a union of conjugacy
+    classes: the classes it meets hold no other element."""
+    classes = group.conjugacy_classes()
+    met = {group._class_of[g] for g in hatG}
+    return sum(len(classes[c]) for c in met) == len(hatG)
 
 
 def from_hatG(group, hatG):
@@ -106,10 +147,7 @@ def from_hatG(group, hatG):
         raise IdentityInHatG("hatG may not contain the identity")
     if any(not 0 < g < group.order for g in hatG):
         raise ValueError("hatG entry out of range")
-    edges = {
-        (group.mul(h, g), h) for h in range(group.order) for g in hatG
-    }
-    return DifferentialCalculus(group, edges)
+    return DifferentialCalculus._of_hatG(group, hatG)
 
 
 def universal(group):

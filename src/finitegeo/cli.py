@@ -328,8 +328,19 @@ def _resolve_connection(calculus, args):
     raise UsageError("provide --connection FILE or --name NAME")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise UsageError, so that run
+    can report them as JSON; its subparsers are of the same class.  The
+    exception's usage holds the text argparse would print on stderr."""
+
+    def error(self, message):
+        exc = UsageError(f"{self.prog}: {message}")
+        exc.usage = f"{self.format_usage()}{self.prog}: error: {message}\n"
+        raise exc
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finitegeo",
         description="Exact differential geometry on finite groups.",
     )
@@ -704,6 +715,13 @@ def run(argv):
         args = parser.parse_args(_glue_list_values(argv))
     except SystemExit as exc:
         return CommandResult(exc.code if exc.code else 0)
+    except UsageError as exc:
+        if "--json" not in argv:
+            sys.stderr.write(exc.usage)
+            return CommandResult(2)
+        result = CommandResult(2, {"error": str(exc)})
+        result.as_json = True
+        return result
     handler = _DISPATCH.get((args.command, args.action))
     if handler is None:
         return CommandResult(2, {"error": "unknown command"})

@@ -8,6 +8,9 @@ is ever a float.  Values are never divided with `/`: any division goes
 through Fraction.  Because Fraction(n) == n and both hash alike, the
 storage choice does not show in == or hash.
 
+GroupFunction is an immutable slotted class: assigning an attribute
+raises AttributeError.
+
 Translation operators and the difference operators built from them are
 the raw material for differentials:
 
@@ -15,7 +18,6 @@ the raw material for differentials:
     ell_g f = R_{g^-1} f - f
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
@@ -29,10 +31,34 @@ def _exact(v):
     return v.numerator if v.denominator == 1 else v
 
 
-@dataclass(frozen=True)
 class GroupFunction:
-    group: object
-    values: tuple
+    """A function on group as the tuple of its values, one per element.
+
+    Equal to another when on the same group object with equal values.
+    """
+
+    __slots__ = ("group", "values")
+
+    def __init__(self, group, values):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group is other.group and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.group, self.values))
+
+    def __repr__(self):
+        return f"GroupFunction(group={self.group!r}, values={self.values!r})"
 
     def __call__(self, x):
         return self.values[x]
@@ -63,7 +89,7 @@ class GroupFunction:
         return self._wrap(map(neg, self.values))
 
     def is_zero(self):
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def is_constant(self):
         return all(v == self.values[0] for v in self.values)

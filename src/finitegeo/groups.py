@@ -33,6 +33,7 @@ class FiniteGroup:
             if self.inv[x] is None:
                 raise NoInverse(f"element {x} has no two-sided inverse")
         self._classes = None
+        self._class_of = None
         self._center = None
 
     # -- basic structure -------------------------------------------------
@@ -95,7 +96,11 @@ class FiniteGroup:
     # -- conjugacy machinery ---------------------------------------------
 
     def conjugacy_classes(self):
-        """Partition of elements into conjugacy classes, sorted tuples."""
+        """Partition of elements into conjugacy classes, sorted tuples.
+
+        Also fills _class_of, the index in this list of each element's
+        class.
+        """
         if self._classes is None:
             seen = [False] * self.order
             classes = []
@@ -107,6 +112,10 @@ class FiniteGroup:
                     seen[y] = True
                 classes.append(tuple(sorted(cls)))
             self._classes = sorted(classes, key=lambda c: c[0])
+            self._class_of = [0] * self.order
+            for i, cls in enumerate(self._classes):
+                for x in cls:
+                    self._class_of[x] = i
         return self._classes
 
     def nontrivial_classes(self):

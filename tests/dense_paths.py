@@ -6,7 +6,9 @@ they replaced, which visit every pair or triple of hatG and call
 StructureConstants.C or probe gamma per key, live here unchanged (methods
 written as functions of the connection), so the tests can compare the two
 answers.  is_associative is the triple loop that groups' associativity
-check is compared with.  pytest does not collect this module; test
+check is compared with.  EdgeRoundTripCalculus is the calculus
+constructor that expanded hatG into edges and rebuilt hatG and the
+covariance flags from them, with equality and hash on the edge set.  pytest does not collect this module; test
 modules import it by name from the tests directory.
 """
 
@@ -421,3 +423,49 @@ def is_associative(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+def hatG_edges(group, hatG):
+    """The edges (hg, h) of the left-covariant calculus of hatG."""
+    return {(group.mul(h, g), h) for h in range(group.order) for g in hatG}
+
+
+def is_class_union(group, subset):
+    """Every conjugate of every element of subset lies in subset."""
+    sset = set(subset)
+    if 0 in sset:
+        return False
+    return all(
+        group.adjoint(h, g) in sset for g in sset for h in range(group.order)
+    )
+
+
+class EdgeRoundTripCalculus:
+    """A calculus known by its edges: hatG and the covariance flags are
+    read back from the left and right difference sets of the edges."""
+
+    def __init__(self, group, edges):
+        self.group = group
+        edges = frozenset((int(x), int(y)) for x, y in edges)
+        for x, y in edges:
+            if x == y:
+                raise ValueError(f"loop edge at element {x}")
+            if not (0 <= x < group.order and 0 <= y < group.order):
+                raise ValueError(f"edge ({x},{y}) out of range")
+        self.edges = edges
+        left_set = sorted({group.mul(group.inverse(y), x) for x, y in edges})
+        right_set = sorted({group.mul(x, group.inverse(y)) for x, y in edges})
+        self.left_covariant = len(edges) == group.order * len(left_set)
+        self.right_covariant = len(edges) == group.order * len(right_set)
+        self.hatG = tuple(left_set) if self.left_covariant else None
+        self.bicovariant = self.left_covariant and is_class_union(group, left_set)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, EdgeRoundTripCalculus)
+            and self.group is other.group
+            and self.edges == other.edges
+        )
+
+    def __hash__(self):
+        return hash((id(self.group), self.edges))

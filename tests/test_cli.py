@@ -359,6 +359,34 @@ def test_main_prints_errors_as_json_with_json(capsys, tmp_path, monkeypatch):
             assert captured.err.startswith("error: ")
 
 
+def test_argparse_usage_errors_follow_json(capsys):
+    """A usage error that argparse finds is JSON on stdout under --json,
+    and argparse's usage text on stderr without it; both exit 2."""
+    cases = [
+        (["group", "info"], "the following arguments are required: spec"),
+        (["calculi", "list", "--group", "S3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["action", "orbits", "--set", "x", "--group-generators", "(12)"], "argument --set: invalid int value"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert list(payload) == ["error"] and message in payload["error"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: finitegeo")
+        assert f"error: {message}" in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    assert cli.main(["group", "info", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: finitegeo group info")
+    assert captured.err == ""
+
+
 def test_main_plain_rendering_lists_rows(capsys):
     status = cli.main(
         [

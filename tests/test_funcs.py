@@ -1,8 +1,15 @@
 """Functions on a group: pointwise algebra and translation operators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import finitegeo
 from finitegeo import funcs, groups
+from finitegeo.funcs import GroupFunction
 
 
 def test_delta_functions_form_a_basis(s3):
@@ -71,3 +78,50 @@ def test_scalar_and_function_arithmetic(s3):
     assert g == f
     assert (f - f).is_zero()
     assert (Fraction(1, 2) * f)(0) == Fraction(1, 2)
+
+
+def test_int_and_fraction_values_compare_equal_and_hash_alike(s3):
+    as_int = GroupFunction(s3, (0, 1, 2, 3, 4, 5))
+    as_fraction = GroupFunction(s3, tuple(Fraction(v) for v in range(6)))
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert len({as_int, as_fraction}) == 1
+
+
+def test_functions_on_different_group_objects_are_unequal():
+    a, b = groups.cyclic(3), groups.cyclic(3)
+    assert funcs.one(a) != funcs.one(b)
+    assert funcs.one(a) == funcs.one(a)
+
+
+def test_group_function_is_immutable(s3):
+    f = funcs.one(s3)
+    with pytest.raises(AttributeError):
+        f.values = (0,) * 6
+    with pytest.raises(AttributeError):
+        f.group = groups.cyclic(6)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(AttributeError):
+        del f.values
+    assert f.values == (1,) * 6 and f.group is s3
+
+
+def test_is_zero_on_fraction_values(s3):
+    assert GroupFunction(s3, (Fraction(0),) * 6).is_zero()
+    half = GroupFunction(s3, (Fraction(0),) * 5 + (Fraction(1, 2),))
+    assert not half.is_zero()
+    assert not funcs.constant(s3, Fraction(1, 2)).is_zero()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = (
+        "import sys, finitegeo.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(finitegeo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

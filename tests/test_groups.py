@@ -1,6 +1,7 @@
 """Group construction, validation and structure queries."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -131,6 +132,56 @@ def test_associativity_verdict_matches_the_triple_loop():
             assert _passes_associativity(table) == verdict, table
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _submagma(table, x):
+    """The elements reached from x and the identity by products."""
+    reached, frontier = {0}, [x]
+    while frontier:
+        y = frontier.pop()
+        if y not in reached:
+            reached.add(y)
+            frontier.extend(w for z in list(reached) for w in (table[y][z], table[z][y]))
+    return reached
+
+
+def _first_table(n, failures_allowed):
+    """The first n x n table, with identity row and column at 0, that is
+    not associative and whose failing triples (a, b, c) all pass
+    failures_allowed(table, a, b, c)."""
+    inner = range(1, n)
+    for body in product(range(n), repeat=(n - 1) ** 2):
+        table = [list(range(n))]
+        table += [[x] + list(body[(x - 1) * (n - 1):x * (n - 1)]) for x in inner]
+        bad = [
+            (a, b, c)
+            for a in inner
+            for b in inner
+            for c in inner
+            if table[table[a][b]][c] != table[a][table[b][c]]
+        ]
+        if bad and all(failures_allowed(table, *t) for t in bad):
+            return table
+    raise AssertionError("no such table")
+
+
+@pytest.mark.parametrize(
+    "failures_allowed",
+    [
+        # b outside what the first generator, element 1, generates
+        lambda table, a, b, c: b not in _submagma(table, 1),
+        # c the last element
+        lambda table, a, b, c: c == len(table) - 1,
+    ],
+    ids=["b-beyond-first-generator", "c-last"],
+)
+def test_associativity_check_finds_a_lone_failure_pattern(failures_allowed):
+    """A table whose failing triples all sit where a partial check does
+    not look: only at later generators, or only at the last c."""
+    table = _first_table(4, failures_allowed)
+    assert not dense_paths.is_associative(table)
+    with pytest.raises(NotAssociative):
+        groups._validate_table(table)
 
 
 def test_from_cayley_table_rejects_missing_identity():
