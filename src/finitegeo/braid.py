@@ -60,6 +60,7 @@ from math import gcd, lcm
 
 from .calculus import OneForm, StructureConstants, Tensor, differential, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
+from .groups import cycles
 
 
 class TensorField(Tensor):
@@ -109,15 +110,14 @@ class SigmaOperator:
         self.perm = {}
         for g, gp in calculus.pairs():
             self.perm[(g, gp)] = (grp.adjoint(grp.inverse(g), gp), g)
-        self.inv_perm = {v: k for k, v in self.perm.items()}
         self._order = None
         self._cycles = None
         self._decomposition = None
 
     def map_pair(self, pair, power=1):
-        table = self.perm if power >= 0 else self.inv_perm
-        for _ in range(abs(power)):
-            pair = table[pair]
+        """sigma^power of a pair; a negative power counts modulo the order."""
+        for _ in range(power % self.order()):
+            pair = self.perm[pair]
         return pair
 
     def apply(self, t):
@@ -130,7 +130,7 @@ class SigmaOperator:
 
     def order(self):
         if self._order is None:
-            self._order = _permutation_order(self.perm)
+            self._order = lcm(*self.cycle_lengths())
             ad_order = self.calculus.group.ad_order()
             if (2 * ad_order) % self._order != 0:
                 raise InternalInconsistency(
@@ -139,7 +139,7 @@ class SigmaOperator:
         return self._order
 
     def cycle_lengths(self):
-        return _cycle_lengths(self.perm)
+        return [len(c) for c in self.cycles()]
 
     def matrix(self):
         """Permutation matrix on coefficient vectors in lexicographic pair order."""
@@ -155,7 +155,7 @@ class SigmaOperator:
         """sigma's cycles as lists of pair indices, lexicographic pair order."""
         if self._cycles is None:
             index = {p: i for i, p in enumerate(self.calculus.pairs())}
-            self._cycles = [[index[p] for p in c] for c in _cycles(self.perm)]
+            self._cycles = [[index[p] for p in c] for c in cycles(self.perm)]
         return self._cycles
 
     def decompose(self):
@@ -233,31 +233,6 @@ class DecompositionReport:
     @property
     def dims(self):
         return (len(self.ker_a), len(self.im_a), len(self.ker_s), len(self.im_s))
-
-
-def _cycles(perm):
-    """The cycles of a permutation given as a dict, each in cycle order."""
-    seen = set()
-    cycles = []
-    for start in perm:
-        if start in seen:
-            continue
-        cycle = []
-        x = start
-        while x not in seen:
-            seen.add(x)
-            cycle.append(x)
-            x = perm[x]
-        cycles.append(cycle)
-    return cycles
-
-
-def _cycle_lengths(perm):
-    return [len(c) for c in _cycles(perm)]
-
-
-def _permutation_order(perm):
-    return lcm(*_cycle_lengths(perm)) if perm else 1
 
 
 def sigma_build(calculus):

@@ -162,35 +162,39 @@ def from_edges(group, edges):
     return DifferentialCalculus(group, edges)
 
 
+def unions(blocks):
+    """Every union of the disjoint blocks, as sorted tuples ordered by size
+    and then content; the empty union comes first.
+
+    Left-covariant calculi are the unions of singletons {g}, bicovariant
+    ones the unions of nontrivial conjugacy classes, and covariant calculi
+    on a G-set the unions of pair orbits.  Raises TooLarge when the
+    2^len(blocks) unions exceed ENUM_LIMIT.
+    """
+    count = 2 ** len(blocks)
+    if count > ENUM_LIMIT:
+        raise TooLarge(f"{count} unions of {len(blocks)} blocks exceed the bound {ENUM_LIMIT}")
+    out = []
+    for mask in range(count):
+        chosen = []
+        for i, block in enumerate(blocks):
+            if mask >> i & 1:
+                chosen.extend(block)
+        out.append(tuple(sorted(chosen)))
+    out.sort(key=lambda u: (len(u), u))
+    return out
+
+
 def enumerate_left_covariant(group):
     """All 2^(|G|-1) left-covariant calculi, sorted by size then hatG."""
-    k = group.order - 1
-    if 2**k > ENUM_LIMIT:
-        raise TooLarge(
-            f"2^{k} left-covariant calculi exceed the bound {ENUM_LIMIT}; "
-            f"the {k} orbit generators are the nonidentity elements"
-        )
-    subsets = []
-    for mask in range(2**k):
-        subsets.append([g for g in range(1, group.order) if mask & (1 << (g - 1))])
-    subsets.sort(key=lambda s: (len(s), s))
-    return [from_hatG(group, s) for s in subsets]
+    singletons = [(g,) for g in range(1, group.order)]
+    return [DifferentialCalculus._of_hatG(group, s) for s in unions(singletons)]
 
 
 def enumerate_bicovariant(group):
     """All unions of nontrivial conjugacy classes, sorted by size then hatG."""
     classes = group.nontrivial_classes()
-    if 2 ** len(classes) > ENUM_LIMIT:
-        raise TooLarge(f"2^{len(classes)} bicovariant calculi exceed the bound {ENUM_LIMIT}")
-    subsets = []
-    for mask in range(2 ** len(classes)):
-        chosen = []
-        for i, cls in enumerate(classes):
-            if mask & (1 << i):
-                chosen.extend(cls)
-        subsets.append(sorted(chosen))
-    subsets.sort(key=lambda s: (len(s), s))
-    return [from_hatG(group, s) for s in subsets]
+    return [DifferentialCalculus._of_hatG(group, s) for s in unions(classes)]
 
 
 class StructureConstants:
@@ -486,37 +490,25 @@ def theta_commute(calculus, f, g):
     return funcs.right_translate(g, f)
 
 
-def omega_theta_convert(calculus, form, direction="theta_to_omega"):
-    """Re-express a 1-form between the theta and omega bases.
+def omega_theta_convert(form):
+    """Re-express a 1-form in the other basis: a theta-basis form in the
+    omega basis, an omega-basis form in the theta basis.
 
-    theta_to_omega: psi_k(h) = phi_{ad(h^-1)k}(h)
-    omega_to_theta: phi_k(h) = psi_{ad(h)k}(h)
+    theta to omega: psi_k(h) = phi_{ad(h^-1)k}(h)
+    omega to theta: phi_k(h) = psi_{ad(h)k}(h)
     """
+    calculus = form.calculus
     calculus.require_bicovariant()
     grp = calculus.group
-    if direction == "theta_to_omega":
-        if form.basis != "theta":
-            raise ValueError("form is not in the theta basis")
-        out_basis = "omega"
-
-        def source(k, h):
-            return form.coeff(grp.adjoint(grp.inverse(h), k))(h)
-
-    elif direction == "omega_to_theta":
-        if form.basis != "omega":
-            raise ValueError("form is not in the omega basis")
-        out_basis = "theta"
-
-        def source(k, h):
-            return form.coeff(grp.adjoint(h, k))(h)
-
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    coeffs = {
-        k: funcs.GroupFunction(grp, tuple(source(k, h) for h in range(grp.order)))
-        for k in calculus.hatG
-    }
-    return OneForm(calculus, coeffs, basis=out_basis)
+    to_omega = form.basis == "theta"
+    coeffs = {}
+    for k in calculus.hatG:
+        values = []
+        for h in range(grp.order):
+            conj = grp.inverse(h) if to_omega else h
+            values.append(form.coeff(grp.adjoint(conj, k))(h))
+        coeffs[k] = funcs.GroupFunction(grp, tuple(values))
+    return OneForm(calculus, coeffs, basis="omega" if to_omega else "theta")
 
 
 def to_edge_coeffs(form):

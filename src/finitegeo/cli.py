@@ -103,7 +103,9 @@ def _parse_atom(token, bound):
 def parse_permutation(text, set_size=None):
     """Parse cycle notation like (12) or (1 2 3)(4 5) into one-line form.
 
-    Points are 1-based in the notation.
+    Points are 1-based in the notation.  With set_size the permutation
+    acts on that many points, and a larger point is refused before the
+    one-line list is built.
     """
     text = text.strip()
     if not text:
@@ -144,6 +146,8 @@ def parse_permutation(text, set_size=None):
             raise UsageError(f"bad cycle {joined!r}")
         parsed.append(cyc)
     top = max((max(c) for c in parsed if c), default=-1) + 1
+    if set_size is not None and top > set_size:
+        raise UsageError(f"permutation moves point {top} beyond the set size {set_size}")
     degree = max(top, set_size or 0)
     if degree == 0:
         raise UsageError(f"empty permutation {text!r}")
@@ -152,14 +156,6 @@ def parse_permutation(text, set_size=None):
         for i, p in enumerate(cyc):
             onel[p] = cyc[(i + 1) % len(cyc)]
     return tuple(onel)
-
-
-def _pad_permutation(p, size):
-    if len(p) > size:
-        raise UsageError(
-            f"permutation moves point {len(p)} beyond the set size {size}"
-        )
-    return tuple(list(p) + list(range(len(p), size)))
 
 
 def parse_hatg(group, spec):
@@ -178,10 +174,7 @@ def parse_hatg(group, spec):
             continue
         if item.startswith("class:"):
             rep = group.element_index(item[len("class:"):])
-            for cls in group.conjugacy_classes():
-                if rep in cls:
-                    chosen.update(cls)
-                    break
+            chosen.update(group.conjugacy_classes()[group._class_of[rep]])
         else:
             chosen.add(group.element_index(item))
     if 0 in chosen:
@@ -634,10 +627,12 @@ def _cmd_metric_check(args):
 
 
 def _action_gset(args):
+    bound = _max_order()
+    if not 1 <= args.set <= bound:
+        raise UsageError(f"--set must lie between 1 and the bound {bound}, got {args.set}")
     tokens = [t for t in args.group_generators.split(",") if t.strip()]
     perms = [parse_permutation(tok, args.set) for tok in tokens]
-    perms = [_pad_permutation(p, args.set) for p in perms]
-    return gset_mod.gset_from_permutations(perms, size=args.set)
+    return gset_mod.gset_from_permutations(perms, size=args.set, max_order=bound)
 
 
 def _cmd_action_orbits(args):

@@ -17,9 +17,10 @@ their compatibility, and the canonical field-valued form whose covariant
 derivatives reproduce torsion and curvature.
 """
 
+from math import lcm
+
 from .braid import (
     TensorField,
-    _permutation_order,
     apply_a3,
     d_rep,
     project_two_form,
@@ -30,6 +31,7 @@ from .calculus import OneForm, Tensor, differential, theta_form
 from .connection import extend_on_basis_pairs, extensibility_analysis
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
 from .funcs import right_translate, zero
+from .groups import cycles
 
 
 class VectorField(Tensor):
@@ -179,9 +181,8 @@ def sigma_x(calculus, g, gp):
 def sigma_x_order(calculus):
     """Order of the doubled-field braid transpose."""
     calculus.require_bicovariant()
-    return _permutation_order(
-        {p: sigma_x(calculus, *p) for p in calculus.pairs()}
-    )
+    perm = {p: sigma_x(calculus, *p) for p in calculus.pairs()}
+    return lcm(*(len(c) for c in cycles(perm)))
 
 
 class Metric(Tensor):

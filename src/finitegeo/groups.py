@@ -1,8 +1,11 @@
 """Finite groups as indexed Cayley tables.
 
 Elements are integers 0..order-1 with the identity always at index 0.
-Constructors relabel if needed.  Conjugacy classes, center and the
-adjoint action are derived lazily and cached.
+Constructors relabel if needed.  orbits is the one orbit routine: the
+conjugacy classes are the orbits of the adjoint action, computed lazily
+and cached, the center is the singleton classes, and a group is abelian
+when every class is a singleton.  cycles is the one cycle routine: cycle
+names and parities of permutations and sigma's cycles in braid read it.
 """
 
 import itertools
@@ -34,7 +37,6 @@ class FiniteGroup:
                 raise NoInverse(f"element {x} has no two-sided inverse")
         self._classes = None
         self._class_of = None
-        self._center = None
 
     # -- basic structure -------------------------------------------------
 
@@ -87,11 +89,7 @@ class FiniteGroup:
         raise KeyError(f"unknown element {spec!r} of {self.label}")
 
     def is_abelian(self):
-        return all(
-            self.table[x][y] == self.table[y][x]
-            for x in range(self.order)
-            for y in range(x + 1, self.order)
-        )
+        return len(self.conjugacy_classes()) == self.order
 
     # -- conjugacy machinery ---------------------------------------------
 
@@ -102,16 +100,7 @@ class FiniteGroup:
         class.
         """
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                cls = {self.adjoint(h, x) for h in range(self.order)}
-                for y in cls:
-                    seen[y] = True
-                classes.append(tuple(sorted(cls)))
-            self._classes = sorted(classes, key=lambda c: c[0])
+            self._classes = orbits(range(self.order), self.adjoint, self)
             self._class_of = [0] * self.order
             for i, cls in enumerate(self._classes):
                 for x in cls:
@@ -122,13 +111,8 @@ class FiniteGroup:
         return [c for c in self.conjugacy_classes() if c != (0,)]
 
     def center(self):
-        if self._center is None:
-            self._center = [
-                x
-                for x in range(self.order)
-                if all(self.table[x][y] == self.table[y][x] for y in range(self.order))
-            ]
-        return self._center
+        """The elements alone in their conjugacy class, ascending."""
+        return [c[0] for c in self.conjugacy_classes() if len(c) == 1]
 
     def ad_order(self):
         """Order of the inner automorphism group, |G| / |Z(G)|."""
@@ -244,23 +228,28 @@ def _perm_mul(x, y):
     return tuple(x[i] for i in y)
 
 
+def cycles(perm):
+    """The cycles of a permutation given as a dict from each point to its
+    image, in the dict's order of first points, each in cycle order."""
+    seen = set()
+    out = []
+    for start in perm:
+        if start in seen:
+            continue
+        cycle = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = perm[x]
+        out.append(cycle)
+    return out
+
+
 def _cycle_name(perm):
     """Cycle notation with 1-based entries, e.g. (12)(34); identity is 'e'."""
-    n = len(perm)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = perm[i]
-        parts.append("(" + "".join(str(j + 1) for j in cyc) + ")")
-    return "".join(parts) if parts else "e"
+    moved = [c for c in cycles(dict(enumerate(perm))) if len(c) > 1]
+    return "".join("(" + "".join(str(j + 1) for j in c) + ")" for c in moved) or "e"
 
 
 # Conventional short names for the six elements of S3 in lexicographic
@@ -312,12 +301,8 @@ def alternating(n, max_order=DEFAULT_MAX_ORDER):
 
 
 def _parity(perm):
-    flips = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                flips += 1
-    return flips % 2
+    """0 for an even permutation, 1 for an odd one: (n - #cycles) mod 2."""
+    return (len(perm) - len(cycles(dict(enumerate(perm))))) % 2
 
 
 def direct_product(g1, g2, max_order=DEFAULT_MAX_ORDER):
@@ -389,8 +374,10 @@ def dicyclic(n, max_order=DEFAULT_MAX_ORDER):
 def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
     """Closure of the given permutations (tuples) under composition.
 
-    With with_elements, also returns the permutation list in element
-    order, so callers can recover the natural action on points.
+    Right products x*gen suffice: in a finite group they already reach
+    every product of generators.  With with_elements, also returns the
+    permutation list in element order, so callers can recover the natural
+    action on points.
     """
     perms = [tuple(p) for p in perms]
     if not perms:
@@ -405,12 +392,12 @@ def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
     while frontier:
         x = frontier.pop()
         for gen in perms:
-            for y in (_perm_mul(x, gen), _perm_mul(gen, x)):
-                if y not in closure:
-                    if len(closure) >= max_order:
-                        raise TooLarge(f"closure exceeds the bound {max_order}")
-                    closure.add(y)
-                    frontier.append(y)
+            y = _perm_mul(x, gen)
+            if y not in closure:
+                if len(closure) >= max_order:
+                    raise TooLarge(f"closure exceeds the bound {max_order}")
+                closure.add(y)
+                frontier.append(y)
     ordered = sorted(closure)
     group = _group_from_perms(ordered, f"P{len(ordered)}", None, max_order)
     if with_elements:
@@ -421,9 +408,10 @@ def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
 def orbits(points, act, group):
     """Orbits of a left group action, as a sorted list of sorted tuples.
 
-    act(g, p) -> p is evaluated for all group elements, so the action
-    axioms are implicitly exercised; a spot check on generators of the
-    orbit computation guards against non-actions.
+    act(g, p) -> p is evaluated for every group element and point.  Two
+    checks guard against a non-action: the orbit of p must contain p (the
+    identity fixes it), and orbits must be disjoint.  Neither proves the
+    action axioms.
     """
     points = list(points)
     remaining = set(points)

@@ -7,9 +7,9 @@ unions of orbits of the action on off-diagonal pairs, and the
 irreducible ones are the single orbits.
 """
 
-from .calculus import ENUM_LIMIT, digraph_dot
-from .errors import NotAnAction, TooLarge
-from .groups import from_permutations, orbits as group_orbits
+from .calculus import digraph_dot, unions
+from .errors import NotAnAction
+from .groups import DEFAULT_MAX_ORDER, from_permutations, orbits as group_orbits
 
 
 class GSet:
@@ -53,11 +53,12 @@ class GSet:
         return f"GSet({self.group.label}, {self.size} points)"
 
 
-def gset_from_permutations(perms, size=None):
+def gset_from_permutations(perms, size=None, max_order=DEFAULT_MAX_ORDER):
     """Build the group generated by permutations together with its
     natural action on the points.
 
     Permutations are tuples in one-line notation over range(size).
+    Raises TooLarge when the group exceeds max_order.
     """
     if not perms:
         raise NotAnAction("at least one permutation is needed")
@@ -67,7 +68,7 @@ def gset_from_permutations(perms, size=None):
     for p in perms:
         if sorted(p) != list(range(size)):
             raise NotAnAction(f"{p} is not a permutation of {size} points")
-    group, elements = from_permutations(perms, with_elements=True)
+    group, elements = from_permutations(perms, max_order, with_elements=True)
     table = {}
     for i, perm in enumerate(elements):
         for x in range(size):
@@ -115,21 +116,7 @@ def covariant_calculi(gs):
     one).  Raises TooLarge when there are more than ENUM_LIMIT unions;
     the orbit list from pair_orbits is a usable summary in that case.
     """
-    orbs = pair_orbits(gs)
-    if 2 ** len(orbs) > ENUM_LIMIT:
-        raise TooLarge(
-            f"{2 ** len(orbs)} orbit unions exceed the limit {ENUM_LIMIT}; "
-            "inspect pair_orbits instead"
-        )
-    out = []
-    for mask in range(2 ** len(orbs)):
-        edges = []
-        for i, orb in enumerate(orbs):
-            if mask >> i & 1:
-                edges.extend(orb)
-        out.append(tuple(sorted(edges)))
-    out.sort(key=lambda e: (len(e), e))
-    return out
+    return unions(pair_orbits(gs))
 
 
 def irreducible_calculi(gs):

@@ -8,7 +8,12 @@ written as functions of the connection), so the tests can compare the two
 answers.  is_associative is the triple loop that groups' associativity
 check is compared with.  EdgeRoundTripCalculus is the calculus
 constructor that expanded hatG into edges and rebuilt hatG and the
-covariance flags from them, with equality and hash on the edge set.  pytest does not collect this module; test
+covariance flags from them, with equality and hash on the edge set.
+The last section keeps the loops that groups.orbits, calculus.unions and
+groups.cycles replaced: the class, centre and abelian sweeps over the
+Cayley table, the cycle-name walk, the inversion-count parity, the mask
+loops of the three enumerations, the two-sided permutation closure and
+sigma's inverse table.  pytest does not collect this module; test
 modules import it by name from the tests directory.
 """
 
@@ -469,3 +474,174 @@ class EdgeRoundTripCalculus:
 
     def __hash__(self):
         return hash((id(self.group), self.edges))
+
+
+# -- orbits, unions and cycles, before they shared one routine each ------
+
+
+def conjugacy_classes(group):
+    """Classes by one conjugation sweep per unseen element, sorted by
+    their least element."""
+    seen = [False] * group.order
+    classes = []
+    for x in range(group.order):
+        if seen[x]:
+            continue
+        cls = {group.adjoint(h, x) for h in range(group.order)}
+        for y in cls:
+            seen[y] = True
+        classes.append(tuple(sorted(cls)))
+    return sorted(classes, key=lambda c: c[0])
+
+
+def center(group):
+    """The elements that commute with every element, by the table."""
+    return [
+        x
+        for x in range(group.order)
+        if all(group.table[x][y] == group.table[y][x] for y in range(group.order))
+    ]
+
+
+def is_abelian(group):
+    return all(
+        group.table[x][y] == group.table[y][x]
+        for x in range(group.order)
+        for y in range(x + 1, group.order)
+    )
+
+
+def cycle_name(perm):
+    """Cycle notation with 1-based entries by a walk over seen flags."""
+    n = len(perm)
+    seen = [False] * n
+    parts = []
+    for start in range(n):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = perm[i]
+        parts.append("(" + "".join(str(j + 1) for j in cyc) + ")")
+    return "".join(parts) if parts else "e"
+
+
+def parity(perm):
+    """The number of inversions mod 2."""
+    flips = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                flips += 1
+    return flips % 2
+
+
+def two_sided_closure(perms):
+    """The permutations generated, closing under left and right products."""
+    perms = [tuple(p) for p in perms]
+    identity = tuple(range(len(perms[0])))
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for gen in perms:
+            for y in (tuple(x[i] for i in gen), tuple(gen[i] for i in x)):
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+    return sorted(closure)
+
+
+def left_covariant_subsets(group):
+    """hatG of every left-covariant calculus by a mask over G - {e}."""
+    k = group.order - 1
+    subsets = []
+    for mask in range(2**k):
+        subsets.append([g for g in range(1, group.order) if mask & (1 << (g - 1))])
+    subsets.sort(key=lambda s: (len(s), s))
+    return subsets
+
+
+def bicovariant_subsets(group):
+    """hatG of every bicovariant calculus by a mask over the nontrivial
+    classes."""
+    classes = [c for c in conjugacy_classes(group) if c != (0,)]
+    subsets = []
+    for mask in range(2 ** len(classes)):
+        chosen = []
+        for i, cls in enumerate(classes):
+            if mask & (1 << i):
+                chosen.extend(cls)
+        subsets.append(sorted(chosen))
+    subsets.sort(key=lambda s: (len(s), s))
+    return subsets
+
+
+def pair_orbits(gs):
+    """Orbits of the diagonal action on off-diagonal pairs, each found by
+    acting with every group element."""
+    found = set()
+    for x in range(gs.size):
+        for y in range(gs.size):
+            if x != y:
+                orbit = {(gs.act(a, x), gs.act(a, y)) for a in range(gs.group.order)}
+                found.add(tuple(sorted(orbit)))
+    return sorted(found)
+
+
+def covariant_calculi(gs):
+    """Every union of pair orbits by a mask, as sorted edge tuples."""
+    orbs = pair_orbits(gs)
+    out = []
+    for mask in range(2 ** len(orbs)):
+        edges = []
+        for i, orb in enumerate(orbs):
+            if mask >> i & 1:
+                edges.extend(orb)
+        out.append(tuple(sorted(edges)))
+    out.sort(key=lambda e: (len(e), e))
+    return out
+
+
+def irreducible_calculi(gs):
+    """The universal calculus less one pair orbit, per orbit."""
+    orbs = pair_orbits(gs)
+    universe = {p for orb in orbs for p in orb}
+    return [tuple(sorted(universe - set(orb))) for orb in orbs]
+
+
+def sigma_map_pair(sig, pair, power=1):
+    """sigma^power of a pair through sigma's table or its inverse table."""
+    table = sig.perm if power >= 0 else {v: k for k, v in sig.perm.items()}
+    for _ in range(abs(power)):
+        pair = table[pair]
+    return pair
+
+
+def sigma_order(sig):
+    """The least n >= 1 with sigma^n the identity, by composing."""
+    power, n = dict(sig.perm), 1
+    while any(p != q for p, q in power.items()):
+        power = {p: sig.perm[q] for p, q in power.items()}
+        n += 1
+    return n
+
+
+def sigma_cycle_lengths(sig):
+    """The length of sigma's orbit of each pair that comes first in it,
+    in lexicographic pair order."""
+    pairs = sig.calculus.pairs()
+    rank = {p: i for i, p in enumerate(pairs)}
+    lengths = []
+    for p in pairs:
+        orbit, q = [p], sig.perm[p]
+        while q != p:
+            orbit.append(q)
+            q = sig.perm[q]
+        if min(orbit, key=rank.get) == p:
+            lengths.append(len(orbit))
+    return lengths

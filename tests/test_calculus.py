@@ -163,9 +163,9 @@ def test_edge_coefficients_round_trip(s3_universal):
 def test_omega_theta_conversion_round_trip(s3_cycle_calculus):
     s3 = s3_cycle_calculus.group
     phi = theta_form(s3_cycle_calculus, s3.element_index("ab"), coeff=2)
-    psi = omega_theta_convert(s3_cycle_calculus, phi, "theta_to_omega")
+    psi = omega_theta_convert(phi)
     assert psi.basis == "omega"
-    back = omega_theta_convert(s3_cycle_calculus, psi, "omega_to_theta")
+    back = omega_theta_convert(psi)
     assert back == phi
 
 
@@ -181,7 +181,7 @@ def test_omega_form_of_central_free_group_twists(s3_transposition_calculus):
 
 def test_rho_is_invariant_under_both_bases(s3_universal):
     r = rho(s3_universal)
-    conv = omega_theta_convert(s3_universal, r, "theta_to_omega")
+    conv = omega_theta_convert(r)
     assert all(c == funcs.one(s3_universal.group) for c in conv.coeffs.values())
 
 

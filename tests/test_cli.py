@@ -1,8 +1,12 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import tracemalloc
+
+import pytest
 
 from finitegeo import cli
+from finitegeo.errors import UsageError
 
 
 def test_group_info_payload():
@@ -316,6 +320,40 @@ def test_domain_errors_exit_with_one(monkeypatch):
     result = cli.run(["group", "info", "S4"])
     assert result.status == 1
     assert "error" in result.payload
+
+
+def test_action_commands_keep_the_size_bound(monkeypatch):
+    """The bound that refuses S4 by name also refuses it generated by
+    permutations, and --set must lie between 1 and the bound."""
+    monkeypatch.setenv("FINITEGEO_MAX_ORDER", "8")
+    assert cli.run(["group", "info", "S4"]).payload == {"error": "4! exceeds the bound 8"}
+    for act in ("orbits", "calculi"):
+        result = cli.run(["action", act, "--set", "4", "--group-generators", "(1234),(12)"])
+        assert (result.status, result.payload) == (1, {"error": "closure exceeds the bound 8"})
+    result = cli.run(["action", "orbits", "--set", "4", "--group-generators", "(1234),(13)"])
+    assert (result.status, result.payload["group_order"]) == (0, 8)
+    for size in ("0", "-1", "9"):
+        result = cli.run(["action", "orbits", "--set", size, "--group-generators", "(12)"])
+        assert result.status == 2
+        assert result.payload == {
+            "error": f"--set must lie between 1 and the bound 8, got {size}"
+        }
+
+
+def test_a_point_beyond_the_set_is_refused_before_the_permutation_is_built():
+    result = cli.run(["action", "orbits", "--set", "3", "--group-generators", "(1 40)"])
+    assert result.status == 2
+    assert result.payload == {"error": "permutation moves point 40 beyond the set size 3"}
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="point 100000 beyond the set size 3"):
+            cli.parse_permutation("(1 100000)", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, "a one-line list as long as the point was built"
+    assert cli.parse_permutation("(13)", 4) == (2, 1, 0, 3)
+    assert cli.parse_permutation("(13)") == (2, 1, 0)
 
 
 def test_main_prints_json(capsys):

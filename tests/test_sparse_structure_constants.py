@@ -206,9 +206,10 @@ def _extensible(cal, rng):
 
 
 BICOVARIANT = [(name, cal) for name, cal in SAMPLE if cal.bicovariant]
+BICO_IDS = [f"{n}-{'.'.join(map(str, c.hatG))}" for n, c in BICOVARIANT]
 
 
-@pytest.mark.parametrize("name,cal", BICOVARIANT, ids=[f"{n}-{'.'.join(map(str, c.hatG))}" for n, c in BICOVARIANT])
+@pytest.mark.parametrize("name,cal", BICOVARIANT, ids=BICO_IDS)
 def test_twist_and_extension_match_rank_specific_routines(name, cal):
     rng = random.Random(len(cal.hatG) * 43 + cal.group.order)
     t = _tensor(TensorField, cal, rng, 2 * len(cal.hatG))
@@ -284,3 +285,32 @@ def test_products_do_not_translate_constants(monkeypatch, s3_universal):
     result = dual.canonical_form_and_torsion(connection.c_connection(s3_universal))
     assert all(entry["holds"] for entry in result["bianchi"].values())
     assert calls["constant"] == 0
+
+
+@pytest.mark.parametrize("name,cal", BICOVARIANT, ids=BICO_IDS)
+def test_torsion_and_curvature_without_arguments_match_their_verdicts(name, cal):
+    """torsion() and curvature() list the 2-forms of every basis label;
+    they all vanish exactly when the verdicts say so."""
+    rng = random.Random(len(cal.hatG) * 61 + cal.group.order)
+    for conn in _connections(cal, rng):
+        torsion = conn.torsion()
+        assert list(torsion) == list(cal.hatG)
+        for h, t in torsion.items():
+            assert t == conn.torsion(theta_form(cal, h))
+        torsion_free = all(t.is_zero() for t in torsion.values())
+        assert torsion_free == conn.is_torsion_free()
+        curvature = conn.curvature()
+        assert list(curvature) == list(cal.hatG)
+        assert all(list(row) == list(cal.hatG) for row in curvature.values())
+        flat = all(t.is_zero() for row in curvature.values() for t in row.values())
+        assert flat == conn.curvature_is_zero()
+
+
+def test_the_sample_connections_take_both_verdicts():
+    """Both sides of each equivalence above are met on the sample."""
+    verdicts = set()
+    for _, cal in BICOVARIANT:
+        rng = random.Random(len(cal.hatG) * 61 + cal.group.order)
+        for conn in _connections(cal, rng):
+            verdicts.add((conn.is_torsion_free(), conn.curvature_is_zero()))
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
