@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .calculus import OneForm, StructureConstants, Tensor, differential, theta_form
+from .calculus import OneForm, Tensor, differential, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
 from .groups import cycles
 
@@ -84,16 +84,20 @@ def basis_tensor(calculus, g, gp):
     return TensorField(calculus, {(g, gp): 1})
 
 
-def tensor_product(a, b):
+def tensor_product(a, b, out=None):
     """a (x)_A b of left tensors of total rank 2 or 3: each coefficient
     of b crosses the legs of a (Tensor._crossing), so the coefficient at
-    K + L is a_K R_{(k_n ... k_1)^-1} b_L."""
+    K + L is a_K R_{(k_n ... k_1)^-1} b_L.  With out, a tensor of that
+    rank, the product is added into out, which is returned."""
     if a.calculus != b.calculus:
         raise CalculusMismatch("tensors live on different calculi")
     kind = {2: TensorField, 3: Rank3Field}.get(a.rank + b.rank)
     if kind is None or a.side != "left" or b.side != "left":
         raise ValueError("tensor_product takes left tensors of total rank 2 or 3")
-    out = kind(a.calculus)
+    if out is None:
+        out = kind(a.calculus)
+    elif not isinstance(out, kind) or out.calculus != a.calculus:
+        raise CalculusMismatch(f"out must be a {kind.__name__} on the same calculus")
     across = {key: a._crossing(d) for key, d in b.terms.items()}
     for key_a, c in a.terms.items():
         legs = a._legs(key_a)
@@ -365,7 +369,7 @@ def d_rep(t):
     if kind is None or t.side != "left":
         raise ValueError("d_rep takes a left tensor of rank 1 or 2")
     cal = t.calculus
-    sc = StructureConstants(cal)
+    sc = cal.structure_constants
     out = kind(cal)
     for key, c in t.terms.items():
         legs = t._legs(key)

@@ -12,10 +12,11 @@ e_{x,y} = e_x theta^{y^-1 x}.
 
 Tensor is the one tensor type of the package: a sparse map from
 hatG^rank to functions on the group.  Its terms hold only the nonzero
-coefficients; its coeffs list every key of hatG^rank, zero where no
-term is stored.  Its side says where the coefficients sit: left of the
-basis for 1-forms and their tensor powers, right of it for vector fields
-and metrics.  A factor multiplied on the coefficient side multiplies the
+coefficients in the canonical form of funcs.canonical, a scalar when
+constant; its coeffs list every key of hatG^rank as a GroupFunction,
+zero where no term is stored.  Its side says where the coefficients
+sit: left of the basis for 1-forms and their tensor powers, right of it
+for vector fields and metrics.  A factor multiplied on the coefficient side multiplies the
 coefficients.  A factor on the other side crosses the basis legs,
 nearest first, and each crossing translates it: theta^k f =
 (R_{k^-1} f) theta^k and f ell_k = ell_k (R_{k^-1} f).  After crossing
@@ -29,9 +30,11 @@ Metric in dual only fix rank and side.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import funcs
+from .funcs import GroupFunction
 from .errors import (
     CalculusMismatch,
     IdentityInHatG,
@@ -132,6 +135,11 @@ class DifferentialCalculus:
         """All (g, g') in hatG x hatG, lexicographic."""
         return [(g, gp) for g in self.hatG for gp in self.hatG]
 
+    @cached_property
+    def structure_constants(self):
+        """The calculus's StructureConstants, built on first read."""
+        return StructureConstants(self)
+
 
 def _is_class_union(group, hatG):
     """Whether hatG, a set of distinct elements, is a union of conjugacy
@@ -202,7 +210,7 @@ class StructureConstants:
 
     C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so for a target h
     at most 3|hatG| of the |hatG|^2 pairs (g, g') carry a constant;
-    nonzero(h) lists them.
+    nonzero(h) lists them, once per calculus.structure_constants.
     """
 
     def __init__(self, calculus):
@@ -210,14 +218,19 @@ class StructureConstants:
         self.calculus = calculus
         self.group = calculus.group
         self._hset = set(calculus.hatG)
+        self._nonzero = {}
 
     def nonzero(self, h):
         """The triples (g, g', C^h_{g,g'}) with g, g' in hatG and a nonzero
-        constant, lexicographic in (g, g').
+        constant, lexicographic in (g, g'); the list is shared, so callers
+        must not change it.
 
         With g = h every g' counts (-2 at g' = h, -1 otherwise); with
         g != h only g' = h (-1) and g' = g^-1 h (+1), which differ.
         """
+        got = self._nonzero.get(h)
+        if got is not None:
+            return got
         grp = self.group
         out = []
         for g in self.calculus.hatG:
@@ -227,6 +240,7 @@ class StructureConstants:
             rest = grp.mul(grp.inverse(g), h)
             ends = [(gp, c) for gp, c in ((h, -1), (rest, 1)) if gp in self._hset]
             out.extend((g, gp, c) for gp, c in sorted(ends))
+        self._nonzero[h] = out
         return out
 
     def C(self, h, g, gp):
@@ -241,24 +255,25 @@ class StructureConstants:
 
 
 class _Coeffs(dict):
-    """A tensor's coefficient at every key of hatG^rank, lexicographic.
+    """A tensor's coefficient at every key of hatG^rank, lexicographic, as
+    a GroupFunction.
 
     A key with nothing stored holds the zero function.  Assigning a key
-    also stores the function in the tensor, or drops the key when it is
-    zero; other changes stay in this dict.
+    also stores the coefficient in the tensor, or drops the key when it
+    is zero; other changes stay in this dict.
     """
 
     __slots__ = ("tensor",)
 
     def __init__(self, tensor):
-        zero = funcs.zero(tensor.calculus.group)
-        super().__init__((k, tensor.terms.get(k, zero)) for k in tensor._keys())
+        group, terms = tensor.calculus.group, tensor.terms
+        super().__init__((k, funcs.as_function(group, terms.get(k, 0))) for k in tensor._keys())
         self.tensor = tensor
 
     def __setitem__(self, key, f):
         if key not in self:
             raise NotInHatG(f"coefficient key {key!r} is not in hatG^{self.tensor.rank}")
-        super().__setitem__(key, f)
+        super().__setitem__(key, funcs.as_function(self.tensor.calculus.group, f))
         self.tensor.terms.pop(key, None)
         self.tensor.accumulate(key, f)
 
@@ -269,8 +284,9 @@ class Tensor:
     Subclasses set rank (keys are labels g at rank 1 and tuples
     (k_1, ..., k_rank) above) and side, "left" or "right" of the basis,
     where the coefficients sit; the module docstring gives the rule for
-    multiplying by functions.  terms holds only the nonzero functions;
-    coeffs reads every key of hatG^rank, zero where nothing is stored.
+    multiplying by functions.  terms holds only the nonzero coefficients
+    in canonical form (funcs.canonical), which accumulate keeps, so == is
+    structural; coeffs and coeff read them back as GroupFunctions.
     """
 
     rank = 1
@@ -286,9 +302,7 @@ class Tensor:
         for key, value in coeffs.items():
             if key not in space:
                 raise NotInHatG(f"coefficient key {key!r} is not in hatG^{self.rank}")
-            f = funcs.as_function(calculus.group, value)
-            if not f.is_zero():
-                self.terms[key] = f
+            self.accumulate(key, value)
 
     @property
     def coeffs(self):
@@ -327,18 +341,23 @@ class Tensor:
         return out
 
     def accumulate(self, key, f):
-        """Add the GroupFunction f to the coefficient at key, in place."""
-        got = self.terms.get(key)
+        """Add the coefficient f, a scalar or a GroupFunction, at key in
+        place, keeping the canonical form."""
+        terms = self.terms
+        got = terms.get(key)
         if got is not None:
             f = got + f
-        if f.is_zero():
-            self.terms.pop(key, None)
+        if f.__class__ is not int:
+            f = funcs.canonical(self.calculus.group, f)
+        if f.__class__ is GroupFunction or f:  # a canonical function is nonzero
+            terms[key] = f
         else:
-            self.terms[key] = f
+            terms.pop(key, None)
 
     def coeff(self, *labels):
-        got = self.terms.get(labels[0] if self.rank == 1 else labels)
-        return funcs.zero(self.calculus.group) if got is None else got
+        """The coefficient at a key as a GroupFunction."""
+        got = self.terms.get(labels[0] if self.rank == 1 else labels, 0)
+        return funcs.as_function(self.calculus.group, got)
 
     def __iadd__(self, other):
         self._check(other)
@@ -363,9 +382,10 @@ class Tensor:
         return self._map(lambda key, c: c * a)
 
     def _crossing(self, f):
-        """key -> f translated across the basis legs of key.  R_g of a
-        constant is the same constant, so a constant f crosses as itself."""
-        if f.is_constant():
+        """key -> f, a canonical coefficient, translated across the basis
+        legs of key.  R_g of a scalar is the scalar, so it crosses as
+        itself."""
+        if not isinstance(f, GroupFunction):
             return lambda key: f
         group = self.calculus.group
         moved = {}
@@ -386,7 +406,7 @@ class Tensor:
 
     def left_mul(self, f):
         """f * self."""
-        f = funcs.as_function(self.calculus.group, f)
+        f = funcs.canonical(self.calculus.group, f)
         if self.side == "left":
             return self._map(lambda key, c: f * c)
         across = self._crossing(f)
@@ -394,7 +414,7 @@ class Tensor:
 
     def right_mul(self, f):
         """self * f."""
-        f = funcs.as_function(self.calculus.group, f)
+        f = funcs.canonical(self.calculus.group, f)
         if self.side == "right":
             return self._map(lambda key, c: c * f)
         across = self._crossing(f)
@@ -404,7 +424,7 @@ class Tensor:
         return not self.terms
 
     def is_constant(self):
-        return all(c.is_constant() for c in self.terms.values())
+        return not any(isinstance(c, GroupFunction) for c in self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -418,7 +438,7 @@ class Tensor:
     def constant_vector(self):
         if not self.is_constant():
             raise ValueError("tensor has non-constant coefficients")
-        return [c.values[0] for c in self.coeffs.values()]
+        return [self.terms.get(k, 0) for k in self._keys()]
 
 
 class OneForm(Tensor):
@@ -440,14 +460,15 @@ class OneForm(Tensor):
     def __repr__(self):
         sym = "theta" if self.basis == "theta" else "omega"
         parts = [
-            f"({'+'.join(c.as_strings())}) {sym}^{self.calculus.group.name(g)}"
+            f"({'+'.join(funcs.as_function(self.calculus.group, c).as_strings())}) "
+            f"{sym}^{self.calculus.group.name(g)}"
             for g, c in sorted(self.terms.items())
         ]
         return " + ".join(parts) if parts else "0"
 
 
 def theta_form(calculus, g, coeff=1):
-    return OneForm(calculus, {g: funcs.as_function(calculus.group, coeff)})
+    return OneForm(calculus, {g: coeff})
 
 
 def omega_form(calculus, g):
@@ -465,20 +486,19 @@ def omega_form(calculus, g):
 def rho(calculus):
     """The bi-invariant 1-form rho = sum of all theta^g."""
     calculus.require_left_covariant()
-    return OneForm(
-        calculus, {g: funcs.one(calculus.group) for g in calculus.hatG}
-    )
+    return OneForm(calculus, dict.fromkeys(calculus.hatG, 1))
 
 
 def differential(calculus, f):
-    """d f = (ell_g f) theta^g; zero for a constant f.
+    """d f = (ell_g f) theta^g; the zero form for a scalar or a constant f.
 
     The only place that evaluates ell_g: d of tensors, covariant
     derivatives and vector fields on functions all read it.
     """
     calculus.require_left_covariant()
     out = OneForm(calculus, {})
-    if not f.is_constant():
+    f = funcs.canonical(calculus.group, f)
+    if isinstance(f, GroupFunction):
         for g in calculus.hatG:
             out.accumulate(g, funcs.ell(g, f))
     return out
@@ -517,9 +537,9 @@ def to_edge_coeffs(form):
     out = {}
     for g, c in form.terms.items():
         ginv = grp.inverse(g)
-        for x in range(grp.order):
-            if c(x) != 0:
-                out[(x, grp.mul(x, ginv))] = c(x)
+        for x, v in enumerate(funcs.as_function(grp, c).values):
+            if v != 0:
+                out[(x, grp.mul(x, ginv))] = v
     return out
 
 

@@ -22,7 +22,7 @@ from . import groups as groups_mod
 from . import gset as gset_mod
 from . import invariants as invariants_mod
 from .errors import FiniteGeoError, UsageError
-from .funcs import from_values
+from .funcs import GroupFunction, from_values
 
 
 def _max_order():
@@ -195,10 +195,11 @@ def _parse_fraction(text):
         raise UsageError(f"cannot parse rational {text!r}")
 
 
-def _function_to_json(f):
-    if f.is_constant():
-        return _fraction_str(f.values[0])
-    return [_fraction_str(v) for v in f.values]
+def _coefficient_to_json(c):
+    """A scalar as one string, a GroupFunction as its value list."""
+    if isinstance(c, GroupFunction):
+        return [_fraction_str(v) for v in c.values]
+    return _fraction_str(c)
 
 
 def _function_from_json(group, doc):
@@ -215,9 +216,9 @@ def connection_to_json(conn):
     cal = conn.calculus
     group = cal.group
     gamma = {}
-    for (h, g, gp), f in sorted(conn.gamma.items()):
+    for (h, g, gp), c in sorted(conn.terms.items()):
         key = f"{group.name(h)}|{group.name(g)}|{group.name(gp)}"
-        gamma[key] = _function_to_json(f)
+        gamma[key] = _coefficient_to_json(c)
     return {
         "schema": 1,
         "group": group.label,

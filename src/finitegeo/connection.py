@@ -26,7 +26,6 @@ from .braid import (
 )
 from .calculus import (
     OneForm,
-    StructureConstants,
     differential,
     rho,
     theta_form,
@@ -40,7 +39,7 @@ from .errors import (
     NotUniversal,
     UsageError,
 )
-from .funcs import as_function, constant, right_translate, zero
+from .funcs import GroupFunction, as_function, canonical, right_translate
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -48,9 +47,10 @@ from .linalg import identity_matrix, matmul, solve_differences
 class Connection:
     """A left connection nabla: Omega^1 -> Omega^1 (x) Omega^1.
 
-    The connection is stored through its coefficients Gamma^h_{g,g'},
-    which are functions on the group (constant for left-invariant
-    connections).  The action on a basis form is
+    The connection is stored through its coefficients Gamma^h_{g,g'}:
+    terms maps (h, g, g') to each nonzero one in canonical form
+    (funcs.canonical), a scalar when constant; gamma and gamma_value
+    read them back as GroupFunctions.  The action on a basis form is
 
         nabla theta^h = -Gamma^h_{g,g'} theta^{g'} (x) theta^g,
 
@@ -62,34 +62,37 @@ class Connection:
         self.calculus = calculus
         group = calculus.group
         hset = set(calculus.hatG)
-        coeffs = {}
+        terms = {}
         for key, value in gamma.items():
             h, g, gp = key
             if h not in hset or g not in hset or gp not in hset:
                 raise NotInHatG(f"gamma key {key} outside the reduced set")
-            func = as_function(group, value)
-            if not func.is_zero():
-                coeffs[(h, g, gp)] = func
-        self.gamma = coeffs
+            c = canonical(group, value)
+            if isinstance(c, GroupFunction) or c:  # a canonical function is nonzero
+                terms[(h, g, gp)] = c
+        self.terms = terms
         self._omega = None
+
+    @property
+    def gamma(self):
+        """The nonzero coefficients as GroupFunctions, keyed (h, g, g')."""
+        group = self.calculus.group
+        return {key: as_function(group, c) for key, c in self.terms.items()}
 
     def gamma_value(self, h, g, gp):
         """Coefficient Gamma^h_{g,g'} as a group function."""
-        got = self.gamma.get((h, g, gp))
-        if got is None:
-            return zero(self.calculus.group)
-        return got
+        return as_function(self.calculus.group, self.terms.get((h, g, gp), 0))
 
     def is_left_invariant(self):
-        return all(f.is_constant() for f in self.gamma.values())
+        return not any(isinstance(c, GroupFunction) for c in self.terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.calculus == other.calculus and self.gamma == other.gamma
+        return self.calculus == other.calculus and self.terms == other.terms
 
     def __repr__(self):
-        n = len(self.gamma)
+        n = len(self.terms)
         return f"Connection({self.calculus!r}, {n} nonzero coefficients)"
 
     def sigma(self):
@@ -104,7 +107,7 @@ class Connection:
         nabla theta^i = -omega^i_j (x) theta^j."""
         cal = self.calculus
         out = {(i, j): OneForm(cal, {}) for i in cal.hatG for j in cal.hatG}
-        for (i, j, k), f in self.gamma.items():
+        for (i, j, k), f in self.terms.items():
             out[(i, j)].terms[k] = f
         return out
 
@@ -123,7 +126,7 @@ class Connection:
         for gp, f in phi.terms.items():
             for g, e in differential(cal, f).terms.items():
                 out.accumulate((g, gp), e)
-        for (h, gp, g), gam in self.gamma.items():
+        for (h, gp, g), gam in self.terms.items():
             f = phi.terms.get(h)
             if f is not None:
                 out.accumulate((g, gp), -(f * gam))
@@ -134,11 +137,11 @@ class Connection:
         at (u, v)."""
         cal = self.calculus
         out = TensorField(cal)
-        for (k, v, u), f in self.gamma.items():
+        for (k, v, u), f in self.terms.items():
             if k == h:
                 out.accumulate((u, v), f)
-        for v, u, c in StructureConstants(cal).nonzero(h):
-            out.accumulate((u, v), constant(cal.group, -c))
+        for v, u, c in cal.structure_constants.nonzero(h):
+            out.accumulate((u, v), -c)
         return out
 
     def torsion(self, phi=None):
@@ -174,7 +177,7 @@ class Connection:
         for k in self.calculus.hatG:
             a, b = omega[(h, k)], omega[(k, gp)]
             if a.terms and b.terms:
-                rep += tensor_product(a, b)
+                tensor_product(a, b, rep)
         return rep
 
     def curvature(self, h=None):
@@ -203,7 +206,7 @@ class Connection:
 def c_connection(calculus):
     """The connection whose coefficients are the structure constants."""
     calculus.require_left_covariant()
-    sc = StructureConstants(calculus)
+    sc = calculus.structure_constants
     gamma = {(h, g, gp): c for h in calculus.hatG for g, gp, c in sc.nonzero(h)}
     return Connection(calculus, gamma)
 
@@ -282,8 +285,8 @@ def flatness_representation_check(conn):
         raise UsageError("transport matrices need constant coefficients")
     idx = {g: i for i, g in enumerate(cal.hatG)}
     mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
-    for (h, hp, g), f in conn.gamma.items():
-        mats[g][idx[hp]][idx[h]] += f.values[0]
+    for (h, hp, g), c in conn.terms.items():
+        mats[g][idx[hp]][idx[h]] += c
     is_rep = all(
         matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
         for g in mats
@@ -336,7 +339,7 @@ def _orbit_values(conn, orbits):
         return None
     out = []
     for orb in orbits:
-        vals = {conn.gamma_value(*t).values[0] for t in orb}
+        vals = {conn.terms.get(t, 0) for t in orb}
         if len(vals) > 1:
             return None
         out.append(vals.pop())
@@ -501,7 +504,7 @@ def extensibility_analysis(conn):
     psi_violations = []
     v_map = {}
     w_map = {}
-    for (g, h, hp), f in conn.gamma.items():
+    for (g, h, hp), f in conn.terms.items():
         t = group.mul(group.mul(h, hp), group.inverse(g))
         if t in hset:
             v_map[(g, t, h, hp)] = -f
@@ -559,7 +562,7 @@ def bimodule_hom_space(calculus, kind="V"):
 def _extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
     """Add nabla(phi (x) psi) = (nabla phi) (x) psi + (Psi (x) id)(phi (x)
     nabla psi) into out, a Rank3Field, given nabla phi and nabla psi."""
-    out += tensor_product(nabla_phi, psi)
+    tensor_product(nabla_phi, psi, out)
     out += report.psi_apply(tensor_product(phi, nabla_psi))
     return out
 
@@ -610,11 +613,7 @@ def extend_to_tensor(conn, t):
     cal = conn.calculus
     out = Rank3Field(cal)
     for g in cal.hatG:
-        psi = OneForm(cal, {})
-        for gp in cal.hatG:
-            c = t.terms.get((g, gp))
-            if c is not None:
-                psi.accumulate(gp, right_translate(g, c))
+        psi = OneForm(cal, {gp: right_translate(g, c) for (u, gp), c in t.terms.items() if u == g})
         if not psi.is_zero():
             theta = theta_form(cal, g)
             _extend_pair(report, theta, conn.apply(theta), psi, conn.apply(psi), out)
@@ -707,14 +706,7 @@ def two_sided_square(ts, phi):
     left_part, right_part = ts.apply(phi)
     two_left = {}
     for v in cal.hatG:
-        col = OneForm(
-            cal,
-            {
-                u: left_part.terms[(u, v)]
-                for u in cal.hatG
-                if (u, v) in left_part.terms
-            },
-        )
+        col = OneForm(cal, {u: c for (u, w), c in left_part.terms.items() if w == v})
         if col.is_zero():
             continue
         tf = d_one_form(col, sig) - wedge(col, r, sig)
@@ -755,11 +747,10 @@ def verify_invariance_transport(conn):
     ok_tensor = all(r3.is_constant() for _, r3 in extend_on_basis_pairs(report))
     from .dual import dual_connection, vector_field_basis
 
-    ok_dual = True
     star = dual_connection(conn)
-    for g in cal.hatG:
-        dx = star.apply(vector_field_basis(cal, g))
-        for f in dx.values():
-            if not f.is_constant():
-                ok_dual = False
+    ok_dual = not any(
+        isinstance(c, GroupFunction)
+        for g in cal.hatG
+        for c in star.apply(vector_field_basis(cal, g)).values()
+    )
     return {"psi": ok_psi, "tensor": ok_tensor, "dual": ok_dual}

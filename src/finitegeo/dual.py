@@ -30,7 +30,7 @@ from .braid import (
 from .calculus import OneForm, Tensor, differential, theta_form
 from .connection import extend_on_basis_pairs, extensibility_analysis
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
-from .funcs import right_translate, zero
+from .funcs import GroupFunction, as_function, right_translate
 from .groups import cycles
 
 
@@ -41,7 +41,8 @@ class VectorField(Tensor):
 
     def __repr__(self):
         parts = ", ".join(
-            f"{self.calculus.group.name(g)}: {f.as_strings()}"
+            f"{self.calculus.group.name(g)}: "
+            f"{as_function(self.calculus.group, f).as_strings()}"
             for g, f in sorted(self.terms.items())
         )
         return f"VectorField({{{parts}}})"
@@ -58,8 +59,8 @@ def vector_field_basis(calculus, g):
 
 def pair(t, x):
     """Contract the last x.rank legs of a left tensor t with the right
-    tensor x, innermost first: a function when no leg is left, else the
-    1-form on the lead leg (module docstring)."""
+    tensor x, innermost first: a GroupFunction when no leg is left, else
+    the 1-form on the lead leg (module docstring)."""
     cal = t.calculus
     if cal != x.calculus:
         raise CalculusMismatch("tensor and field on different calculi")
@@ -69,7 +70,7 @@ def pair(t, x):
     if t.side != "left" or x.side != "right" or lead not in (0, 1):
         raise ValueError("pair takes a left tensor with at most one leg more than the right one")
     group = cal.group
-    acc = OneForm(cal, {}) if lead else zero(group)
+    acc = OneForm(cal, {}) if lead else 0
     for key, c in t.terms.items():
         legs = t._legs(key)
         inner = legs[lead:][::-1]
@@ -80,7 +81,7 @@ def pair(t, x):
             acc.accumulate(legs[0], c * right_translate(group.inverse(legs[0]), xc))
         else:
             acc = acc + c * xc
-    return acc
+    return acc if lead else as_function(group, acc)
 
 
 class DualConnection:
@@ -97,7 +98,7 @@ class DualConnection:
 
     def apply(self, x):
         """nabla* X as a dict (h, k) -> coefficient of ell_h (x) theta^k,
-        in sorted key order.
+        in sorted key order, each nonzero one in canonical form.
 
         The coefficient is ell_k X^h + sum_g Gamma^h_{g,k} R_{k^-1} X^g.
         """
@@ -109,7 +110,7 @@ class DualConnection:
         for h, c in x.terms.items():
             for k, e in differential(cal, c).terms.items():
                 out.accumulate((h, k), e)
-        for (h, g, k), gam in self.source.gamma.items():
+        for (h, g, k), gam in self.source.terms.items():
             xg = x.terms.get(g)
             if xg is not None:
                 out.accumulate((h, k), gam * right_translate(group.inverse(k), xg))
@@ -120,7 +121,9 @@ class DualConnection:
         cal = self.calculus
         lhs_form = OneForm(cal, {})
         for (h, k), c in self.apply(x).items():
-            lhs_form.accumulate(k, gamma.coeff(h) * c)
+            a = gamma.terms.get(h)
+            if a is not None:
+                lhs_form.accumulate(k, a * c)
         rhs = differential(cal, pair(gamma, x)) - pair(self.source.apply(gamma), x)
         return lhs_form == rhs
 
@@ -259,6 +262,7 @@ def metric_compatibility(m, route="both", connection=None):
     results = {}
     if route in ("dual-extension", "both"):
         dual = dual_connection(connection)
+        star = {x: dual.apply(vector_field_basis(cal, x)) for x in cal.hatG}
         out = {}
 
         def add(p, q, form):
@@ -267,24 +271,16 @@ def metric_compatibility(m, route="both", connection=None):
 
         for (g, gp), gv in m.terms.items():
             add(g, gp, differential(cal, gv))
-            dgp = dual.apply(vector_field_basis(cal, gp))
-            for (h, k), c in dgp.items():
+            for (h, k), c in star[gp].items():
                 add(g, h, OneForm(cal, {k: c}).right_mul(gv))
-            dg = dual.apply(vector_field_basis(cal, g))
-            for (h, k), c in dg.items():
-                twist = _dual_twist_apply(report, k, gp)
-                for q, form in twist.items():
-                    piece = form.left_mul(
-                        right_translate(group.inverse(q), c)
-                    ).right_mul(gv)
-                    add(h, q, piece)
-        results["dual-extension"] = {
-            k: v for k, v in out.items() if not v.is_zero()
-        }
+            for (h, k), c in star[g].items():
+                for q, form in _dual_twist_apply(report, k, gp).items():
+                    add(h, q, form.left_mul(right_translate(group.inverse(q), c)).right_mul(gv))
+        results["dual-extension"] = {k: v for k, v in out.items() if not v.is_zero()}
     if route in ("tensor-dual", "both"):
         out = {}
         for (v, w), r3 in extend_on_basis_pairs(report):
-            form = differential(cal, m.coeff(w, v)) - pair(r3, m)
+            form = differential(cal, m.terms.get((w, v), 0)) - pair(r3, m)
             if not form.is_zero():
                 out[(w, v)] = form
         results["tensor-dual"] = out
@@ -329,10 +325,10 @@ def canonical_form_and_torsion(conn):
         for gp in cal.hatG:
             form = omega[(g, gp)]
             if not form.is_zero():
-                difference += tensor_product(form, theta_reps[gp])
+                tensor_product(form, theta_reps[gp], difference)
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
-                difference += tensor_product(crep, theta_form(cal, gp, -1))
+                tensor_product(crep, theta_form(cal, gp, -1), difference)
         bianchi[g] = {"holds": apply_a3(difference, sig).is_zero(), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
 

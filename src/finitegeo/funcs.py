@@ -9,17 +9,28 @@ through Fraction.  Because Fraction(n) == n and both hash alike, the
 storage choice does not show in == or hash.
 
 GroupFunction is an immutable slotted class: assigning an attribute
-raises AttributeError.
+raises AttributeError.  Its + - * take a function on the same group
+object or a scalar, which acts as the constant function.
+
+Tensor and connection coefficients have one canonical form (canonical):
+an exact scalar when constant, a GroupFunction only when its values
+differ.  as_function turns either back into a GroupFunction, as the read
+surfaces Tensor.coeffs, Tensor.coeff, Connection.gamma and
+Connection.gamma_value do.
 
 Translation operators and the difference operators built from them are
-the raw material for differentials:
+the raw material for differentials; a translate of a scalar is the
+scalar itself:
 
     (R_g f)(h) = f(hg)        (L_g f)(h) = f(gh)
     ell_g f = R_{g^-1} f - f
 """
 
 from fractions import Fraction
+from itertools import repeat
 from operator import add, mul, neg, sub
+
+from .errors import CalculusMismatch
 
 
 def _exact(v):
@@ -66,22 +77,27 @@ class GroupFunction:
     def _wrap(self, values):
         return GroupFunction(self.group, tuple(values))
 
+    def _apply(self, op, other):
+        """op on the values of self and of other, a function or a scalar."""
+        if other.__class__ is GroupFunction:
+            if other.group is not self.group:
+                raise CalculusMismatch("functions live on different groups")
+            return self._wrap(map(op, self.values, other.values))
+        return self._wrap(map(op, self.values, repeat(_exact(other))))
+
     def __add__(self, other):
-        other = as_function(self.group, other)
-        return self._wrap(map(add, self.values, other.values))
+        return self._apply(add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_function(self.group, other)
-        return self._wrap(map(sub, self.values, other.values))
+        return self._apply(sub, other)
 
     def __rsub__(self, other):
-        return as_function(self.group, other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = as_function(self.group, other)
-        return self._wrap(map(mul, self.values, other.values))
+        return self._apply(mul, other)
 
     __rmul__ = __mul__
 
@@ -98,11 +114,25 @@ class GroupFunction:
         return [str(v) for v in self.values]
 
 
+def canonical(group, value):
+    """A coefficient in canonical form: the exact scalar of a scalar or of
+    a constant function on group, otherwise the GroupFunction itself."""
+    if value.__class__ is not GroupFunction:
+        return _exact(value)
+    if value.group is not group:
+        raise CalculusMismatch("functions live on different groups")
+    values = value.values
+    if values.count(values[0]) != len(values):
+        return value
+    return _exact(values[0])
+
+
 def as_function(group, value):
-    """The coefficient helper: a GroupFunction on group, or a constant."""
-    if isinstance(value, GroupFunction):
+    """A coefficient as a GroupFunction on group: a scalar becomes the
+    constant function."""
+    if value.__class__ is GroupFunction:
         if value.group is not group:
-            raise ValueError("functions live on different groups")
+            raise CalculusMismatch("functions live on different groups")
         return value
     return constant(group, value)
 
@@ -133,17 +163,23 @@ def from_values(group, values):
 
 def right_translate(g, f):
     """(R_g f)(h) = f(hg): column g of the Cayley table indexes f."""
+    if f.__class__ is not GroupFunction:
+        return f
     values = f.values
     return GroupFunction(f.group, tuple(values[row[g]] for row in f.group.table))
 
 
 def left_translate(g, f):
     """(L_g f)(h) = f(gh): row g of the Cayley table indexes f."""
+    if f.__class__ is not GroupFunction:
+        return f
     values = f.values
     return GroupFunction(f.group, tuple(values[x] for x in f.group.table[g]))
 
 
 def ell(g, f):
-    """Difference operator ell_g f = R_{g^-1} f - f."""
+    """Difference operator ell_g f = R_{g^-1} f - f; zero for a scalar."""
+    if f.__class__ is not GroupFunction:
+        return 0
     return right_translate(f.group.inverse(g), f) - f
 

@@ -123,38 +123,44 @@ def _default_names(n):
     return ["e"] + [f"g{i}" for i in range(1, n)]
 
 
+def generators(table):
+    """Generators of a table with identity 0: each element not yet reached
+    joins, and the reached set is closed under right products by them.
+    A property of the generators that passes from x and g to xg so holds
+    for every element, associative or not (Light's test, GSet._validate).
+    """
+    n = len(table)
+    gens = []
+    reached = {0}
+    for x in range(1, n):
+        if x in reached:
+            continue
+        gens.append(x)
+        frontier = [table[y][x] for y in reached]
+        while frontier:
+            y = frontier.pop()
+            if y not in reached:
+                reached.add(y)
+                frontier.extend(table[y][g] for g in gens)
+        if len(reached) == n:
+            break
+    return gens
+
+
 def _validate_table(table):
     """Check the shape, that index 0 is a two-sided identity, and
     associativity by Light's test.
 
     Light's test checks (a*b)*c = a*(b*c) for every a and c but only for
-    b in a generating set.  The b that pass are closed under the product,
-    so they are all of the table: the verdict is the full triple loop's
-    at a cost of |generators|*n^2 <= n^3.
+    b in a generating set (generators).  The b that pass are closed under
+    the product, so they are all of the table: the verdict is the full
+    triple loop's at a cost of |generators|*n^2 <= n^3.
     """
     n = len(table)
     _check_shape(table)
     if any(table[0][x] != x or table[x][0] != x for x in range(n)):
         raise NoIdentity("index 0 is not a two-sided identity")
-    generators = []
-    closure = {0}
-    for x in range(n):
-        if x in closure:
-            continue
-        generators.append(x)
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            if y in closure:
-                continue
-            closure.add(y)
-            for z in list(closure):
-                for w in (table[y][z], table[z][y]):
-                    if w not in closure:
-                        frontier.append(w)
-        if len(closure) == n:
-            break
-    for b in generators:
+    for b in generators(table):
         col_b = [table[x][b] for x in range(n)]
         row_b = table[b]
         for a in range(n):

@@ -9,7 +9,7 @@ irreducible ones are the single orbits.
 
 from .calculus import digraph_dot, unions
 from .errors import NotAnAction
-from .groups import DEFAULT_MAX_ORDER, from_permutations, orbits as group_orbits
+from .groups import DEFAULT_MAX_ORDER, from_permutations, generators, orbits as group_orbits
 
 
 class GSet:
@@ -37,11 +37,15 @@ class GSet:
         for x in range(self.size):
             if self.table[(0, x)] != x:
                 raise NotAnAction("identity must fix every point")
-        for a in range(group.order):
+        # The product rule (ab).x = a.(b.x) for all b and x holds for every
+        # a once it holds for a generating set: if a and g satisfy it, so
+        # does ag, since (agb).x = a.((gb).x) = a.(g.(b.x)) = (ag).(b.x).
+        table = self.table
+        for a in generators(group.table):
             for b in range(group.order):
                 ab = group.mul(a, b)
                 for x in range(self.size):
-                    if self.table[(ab, x)] != self.table[(a, self.table[(b, x)])]:
+                    if table[(ab, x)] != table[(a, table[(b, x)])]:
                         raise NotAnAction(
                             "table does not respect the group product"
                         )

@@ -6,22 +6,27 @@ they replaced, which visit every pair or triple of hatG and call
 StructureConstants.C or probe gamma per key, live here unchanged (methods
 written as functions of the connection), so the tests can compare the two
 answers.  is_associative is the triple loop that groups' associativity
-check is compared with.  EdgeRoundTripCalculus is the calculus
-constructor that expanded hatG into edges and rebuilt hatG and the
-covariance flags from them, with equality and hash on the edge set.
-The last section keeps the loops that groups.orbits, calculus.unions and
+check is compared with, respects_product the one that gset.GSet's
+product-rule check is compared with.  EdgeRoundTripCalculus is the
+calculus constructor that expanded hatG into edges and rebuilt hatG and
+the covariance flags from them, with equality and hash on the edge set.
+The next section keeps the loops that groups.orbits, calculus.unions and
 groups.cycles replaced: the class, centre and abelian sweeps over the
 Cayley table, the cycle-name walk, the inversion-count parity, the mask
 loops of the three enumerations, the two-sided permutation closure and
-sigma's inverse table.  pytest does not collect this module; test
-modules import it by name from the tests directory.
+sigma's inverse table.  The last keeps the storage that held every
+tensor and connection coefficient as a GroupFunction.  pytest does not
+collect this module; test modules import it by name from the tests
+directory.
 """
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 from finitegeo import funcs
 from finitegeo.braid import Rank3Field, TensorField, project_two_form
-from finitegeo.calculus import OneForm, StructureConstants, theta_form
+from finitegeo.calculus import OneForm, StructureConstants, Tensor, theta_form
 from finitegeo.connection import Connection, extensibility_analysis
 from finitegeo.errors import CalculusMismatch, NotExtensible, NotInHatG
 from finitegeo.funcs import constant, ell, right_translate, zero
@@ -32,10 +37,11 @@ def nabla_theta(conn, h):
     cal = conn.calculus
     if h not in set(cal.hatG):
         raise NotInHatG(f"{h} not in the reduced set")
+    gamma = conn.gamma
     out = TensorField(cal)
     for g in cal.hatG:
         for gp in cal.hatG:
-            f = conn.gamma.get((h, g, gp))
+            f = gamma.get((h, g, gp))
             if f is not None:
                 out.accumulate((gp, g), -f)
     return out
@@ -53,13 +59,14 @@ def apply(conn, phi):
     if phi.basis != "theta":
         raise CalculusMismatch("covariant derivative expects theta basis")
     group = cal.group
+    gamma = conn.gamma
     out = TensorField(cal)
     for g in cal.hatG:
         ginv = group.inverse(g)
         for gp in cal.hatG:
             acc = right_translate(ginv, phi.coeff(gp)) - phi.coeff(gp)
             for h in cal.hatG:
-                f = conn.gamma.get((h, gp, g))
+                f = gamma.get((h, gp, g))
                 if f is not None:
                     acc = acc - phi.coeff(h) * f
             out.accumulate((g, gp), acc)
@@ -88,22 +95,23 @@ def curvature_raw(conn, h, gp):
     cal = conn.calculus
     group = cal.group
     sc = StructureConstants(cal)
+    gamma = conn.gamma
     rep = TensorField(cal)
     for u in cal.hatG:
         uinv = group.inverse(u)
         for v in cal.hatG:
             acc = zero(group)
-            gam = conn.gamma.get((h, gp, v))
+            gam = gamma.get((h, gp, v))
             if gam is not None:
                 acc = acc + right_translate(uinv, gam) - gam
             for k in cal.hatG:
-                a = conn.gamma.get((h, k, u))
-                b = conn.gamma.get((k, gp, v))
+                a = gamma.get((h, k, u))
+                b = gamma.get((k, gp, v))
                 if a is not None and b is not None:
                     acc = acc + a * right_translate(uinv, b)
                 c = sc.C(k, v, u)
                 if c:
-                    gk = conn.gamma.get((h, gp, k))
+                    gk = gamma.get((h, gp, k))
                     if gk is not None:
                         acc = acc - c * gk
             rep.accumulate((u, v), acc)
@@ -175,12 +183,13 @@ def dual_apply(dual, x):
     if x.calculus != cal:
         raise CalculusMismatch("field lives on a different calculus")
     group = cal.group
+    gamma = dual.source.gamma
     out = {}
     for h in cal.hatG:
         for k in cal.hatG:
             acc = ell(k, x.coeff(h))
             for g in cal.hatG:
-                gam = dual.source.gamma.get((h, g, k))
+                gam = gamma.get((h, g, k))
                 if gam is not None:
                     xg = x.terms.get(g)
                     if xg is not None:
@@ -430,6 +439,16 @@ def is_associative(table):
     )
 
 
+def respects_product(group, size, table):
+    """(ab).x == a.(b.x) for every triple (a, b, x) of an action table."""
+    return all(
+        table[(group.mul(a, b), x)] == table[(a, table[(b, x)])]
+        for a in range(group.order)
+        for b in range(group.order)
+        for x in range(size)
+    )
+
+
 def hatG_edges(group, hatG):
     """The edges (hg, h) of the left-covariant calculus of hatG."""
     return {(group.mul(h, g), h) for h in range(group.order) for g in hatG}
@@ -645,3 +664,60 @@ def sigma_cycle_lengths(sig):
         if min(orbit, key=rank.get) == p:
             lengths.append(len(orbit))
     return lengths
+
+
+# ---------------------------------------------------------------------------
+# Function-valued coefficients.  Tensors and connections store a constant
+# coefficient as a scalar (funcs.canonical).  The storage they replaced
+# keeps every coefficient as a GroupFunction: the accumulate, the
+# Connection constructor and _torsion_raw_theta below.  function_valued()
+# installs them, so the package's own routines run on |G|-tuples again
+# and their answers can be compared through coeffs.
+
+
+def function_accumulate(self, key, f):
+    """Tensor.accumulate storing every coefficient as a GroupFunction."""
+    f = funcs.as_function(self.calculus.group, f)
+    got = self.terms.get(key)
+    if got is not None:
+        f = got + f
+    if f.is_zero():
+        self.terms.pop(key, None)
+    else:
+        self.terms[key] = f
+
+
+def function_connection_init(self, calculus, gamma):
+    """Connection.__init__ storing every coefficient as a GroupFunction."""
+    calculus.require_left_covariant()
+    self.calculus = calculus
+    hset = set(calculus.hatG)
+    self.terms = {}
+    for key, value in gamma.items():
+        if not set(key) <= hset:
+            raise NotInHatG(f"gamma key {key} outside the reduced set")
+        f = funcs.as_function(calculus.group, value)
+        if not f.is_zero():
+            self.terms[key] = f
+    self._omega = None
+
+
+def function_torsion_raw_theta(self, h):
+    """_torsion_raw_theta adding the constant function -C^h_{v,u}."""
+    cal = self.calculus
+    out = TensorField(cal)
+    for (k, v, u), f in self.terms.items():
+        if k == h:
+            out.accumulate((u, v), f)
+    for v, u, c in StructureConstants(cal).nonzero(h):
+        out.accumulate((u, v), constant(cal.group, -c))
+    return out
+
+
+@contextlib.contextmanager
+def function_valued():
+    """Run the package with every coefficient stored as a GroupFunction."""
+    with mock.patch.object(Tensor, "accumulate", function_accumulate), \
+            mock.patch.object(Connection, "__init__", function_connection_init), \
+            mock.patch.object(Connection, "_torsion_raw_theta", function_torsion_raw_theta):
+        yield

@@ -22,6 +22,7 @@ from finitegeo.braid import (
 )
 from finitegeo.calculus import OneForm, theta_form
 from finitegeo.catalog import small_group_catalog
+from finitegeo.errors import CalculusMismatch
 from finitegeo.linalg import rref
 
 from elimination import SubspaceReducer
@@ -188,8 +189,12 @@ def test_coercion_helper_rejects_a_foreign_group(s3, z3):
     assert funcs.as_function(s3, 2) == funcs.constant(s3, 2)
     f = funcs.one(s3)
     assert funcs.as_function(s3, f) is f
-    with pytest.raises(ValueError):
+    with pytest.raises(CalculusMismatch):
         funcs.as_function(z3, f)
+    with pytest.raises(CalculusMismatch):
+        funcs.canonical(z3, f)
+    with pytest.raises(CalculusMismatch):
+        f + funcs.one(z3)
 
 
 # ---------------------------------------------------------------------------

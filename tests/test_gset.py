@@ -1,10 +1,14 @@
 """Tests for group actions on finite sets and their covariant calculi."""
 
+import random
+from itertools import product
+
 import pytest
 
 from finitegeo.calculus import enumerate_left_covariant
+from finitegeo.catalog import small_group_catalog
 from finitegeo.errors import NotAnAction, TooLarge
-from finitegeo.groups import cyclic, symmetric
+from finitegeo.groups import cyclic, generators, symmetric
 from finitegeo.gset import (
     GSet,
     covariant_calculi,
@@ -15,6 +19,8 @@ from finitegeo.gset import (
     left_translation_gset,
     pair_orbits,
 )
+
+import dense_paths
 
 
 def swap_action():
@@ -146,3 +152,71 @@ def test_dot_output_is_deterministic():
     assert first == second
     assert first.startswith("digraph")
     assert '"3"' in first
+
+
+# ---------------------------------------------------------------------------
+# The product rule is checked for a in a generating set only; the triple
+# loop over every (a, b, x) is the oracle.
+
+
+def _accepted(group, size, table):
+    try:
+        GSet(group, size, table)
+    except NotAnAction:
+        return False
+    return True
+
+
+def _failing_triples(group, size, table):
+    return [
+        (a, b, x)
+        for a in range(group.order)
+        for b in range(group.order)
+        for x in range(size)
+        if table[(group.mul(a, b), x)] != table[(a, table[(b, x)])]
+    ]
+
+
+@pytest.mark.parametrize("name,size", [("Z2xZ2", 2), ("S3", 2), ("Z2xZ2", 3)])
+def test_product_rule_verdict_matches_the_triple_loop(name, size):
+    """Every table of maps with the identity acting trivially gets the
+    triple loop's verdict, among them tables whose failing triples all
+    have a outside the subgroup of the first generator."""
+    group = small_group_catalog()[name]
+    first = generators(group.table)[0]
+    first_subgroup = {group.power(first, k) for k in range(group.order)}
+    cells = [(a, x) for a in range(1, group.order) for x in range(size)]
+    verdicts = set()
+    beyond_first = 0
+    for values in product(range(size), repeat=len(cells)):
+        table = {(0, x): x for x in range(size)}
+        table.update(zip(cells, values))
+        verdict = dense_paths.respects_product(group, size, table)
+        assert _accepted(group, size, table) == verdict, table
+        verdicts.add(verdict)
+        bad = _failing_triples(group, size, table)
+        beyond_first += bool(bad) and all(a not in first_subgroup for a, _, _ in bad)
+    assert verdicts == {True, False}
+    assert beyond_first > 0
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [[(1, 2, 3, 0), (0, 3, 2, 1)], [(1, 0, 2, 3), (1, 2, 3, 0)], [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]],
+    ids=["D4", "S4", "Z3xZ2"],
+)
+def test_one_changed_entry_beyond_the_first_generator_is_rejected(perms):
+    """Changing one image a.x of a natural action, with a not the first
+    generator, breaks the product rule, and the check finds it."""
+    gs = gset_from_permutations(perms)
+    group, size = gs.group, gs.size
+    first = generators(group.table)[0]
+    rng = random.Random(len(perms[0]) * 7 + group.order)
+    for _ in range(12):
+        a = rng.choice([a for a in range(1, group.order) if a != first])
+        x = rng.randrange(size)
+        table = dict(gs.table)
+        table[(a, x)] = rng.choice([y for y in range(size) if y != table[(a, x)]])
+        assert not dense_paths.respects_product(group, size, table)
+        with pytest.raises(NotAnAction):
+            GSet(group, size, table)

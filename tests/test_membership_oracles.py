@@ -54,12 +54,12 @@ def test_ker_a3_equals_the_eliminated_ideal(label, cal):
     sig = sigma_for(cal)
     ideal = DegreeThreeIdeal(cal, sig)
     triples = list(product(cal.hatG, repeat=3))
-    index = {t: i for i, t in enumerate(triples)}
     # Column t of A_3 is A_3 applied to the basis triple t.
     a3 = [[0] * len(triples) for _ in triples]
     for j, t in enumerate(triples):
-        for img, f in apply_a3(Rank3Field(cal, {t: 1}), sig).terms.items():
-            a3[index[img]][j] = f.values[0]
+        column = apply_a3(Rank3Field(cal, {t: 1}), sig).constant_vector()
+        for i, x in enumerate(column):
+            a3[i][j] = x
     kernel = kernel_basis(a3)
     assert len(kernel) == ideal.reducer.rank
     assert all(ideal.reducer.contains(v) for v in kernel)

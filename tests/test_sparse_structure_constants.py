@@ -133,7 +133,8 @@ def test_dual_connection_matches_dense_loop(name, cal):
         star = dual.dual_connection(conn)
         for x in fields:
             got = star.apply(x)
-            assert got == dense_paths.dual_apply(star, x)
+            dense = dense_paths.dual_apply(star, x)
+            assert got == {k: funcs.canonical(cal.group, f) for k, f in dense.items()}
             assert list(got) == sorted(got)
 
 
