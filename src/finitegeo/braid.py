@@ -98,11 +98,11 @@ def tensor_product(a, b, out=None):
         out = kind(a.calculus)
     elif not isinstance(out, kind) or out.calculus != a.calculus:
         raise CalculusMismatch(f"out must be a {kind.__name__} on the same calculus")
-    across = {key: a._crossing(d) for key, d in b.terms.items()}
+    right = [(b._legs(key), a._crossing(d)) for key, d in b.terms.items()]
     for key_a, c in a.terms.items():
         legs = a._legs(key_a)
-        for key_b, d in b.terms.items():
-            out.accumulate(legs + b._legs(key_b), c * across[key_b](key_a))
+        for legs_b, across in right:
+            out.accumulate(legs + legs_b, c * across(key_a))
     return out
 
 

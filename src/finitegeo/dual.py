@@ -30,7 +30,7 @@ from .braid import (
 from .calculus import OneForm, Tensor, differential, theta_form
 from .connection import extend_on_basis_pairs, extensibility_analysis
 from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
-from .funcs import GroupFunction, as_function, right_translate
+from .funcs import as_function, right_translate
 from .groups import cycles
 
 
