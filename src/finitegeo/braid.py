@@ -36,9 +36,11 @@ represented 2-form by the graded Leibniz rule, i counted from 0:
                  + sum_i (-1)^i c theta^{k_0} ... d theta^{k_i} ...,
 
 so C^{k_i}_{u,v} enters at the slots (v, u) of leg i with the sign
--1 at the first leg and +1 at the second.  dc is
-calculus.differential, which is zero for a constant c and then does not
-evaluate ell_g.
+-1 at the first leg and +1 at the second.  dc = (ell_h c) theta^h is
+zero for a constant c, and then ell_h is not evaluated.  d_rep collects
+the (scalar, coefficient) terms that land on each output key, the ell_h
+terms and those of the StructureConstants.nonzero lists, and stores
+each key once, summed by funcs.combination.
 
 In degree 3, sigma_12 and sigma_23 permute the triples,
 (u, v, w) -> (sigma(u, v), w) and (u, sigma(v, w)).  Following
@@ -55,11 +57,11 @@ tests, not proven here.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
-from .calculus import OneForm, Tensor, differential, theta_form
+from .calculus import OneForm, Tensor, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
+from .funcs import GroupFunction, combination, ell
 from .groups import cycles
 
 
@@ -215,16 +217,6 @@ class SigmaOperator:
                 return False
         return True
 
-    def on_first(self, triple):
-        """sigma_12: (u, v, w) -> (sigma(u, v), w)."""
-        u, v, w = triple
-        return self.perm[u, v] + (w,)
-
-    def on_last(self, triple):
-        """sigma_23: (u, v, w) -> (u, sigma(v, w))."""
-        u, v, w = triple
-        return (u,) + self.perm[v, w]
-
 
 class DecompositionReport:
     def __init__(self, pairs, ker_a, im_a, ker_s, im_s):
@@ -274,12 +266,20 @@ def symmetric_universal_sigma_order(n):
 
 
 def braid_check(sigma):
-    """(sigma x id)(id x sigma)(sigma x id) = (id x sigma)(sigma x id)(id x sigma)."""
-    s12, s23 = sigma.on_first, sigma.on_last
+    """(sigma x id)(id x sigma)(sigma x id) = (id x sigma)(sigma x id)(id x sigma),
+    by one lookup in sigma's table per step on every triple (u, v, w)."""
+    perm = sigma.perm
     hatG = sigma.calculus.hatG
-    for tr in product(hatG, repeat=3):
-        if s12(s23(s12(tr))) != s23(s12(s23(tr))):
-            return False
+    for (u, v), (a, b) in perm.items():
+        for w in hatG:
+            # Left side: (u, v, w) -> (a, b, w) -> (a, c, d) -> (x, y, d).
+            c, d = perm[b, w]
+            x, y = perm[a, c]
+            # Right side: (u, v, w) -> (u, p, q) -> (r, s, q) -> (r, perm[s, q]).
+            p, q = perm[v, w]
+            r, s = perm[u, p]
+            if x != r or (y, d) != perm[s, q]:
+                return False
     return True
 
 
@@ -370,14 +370,21 @@ def d_rep(t):
         raise ValueError("d_rep takes a left tensor of rank 1 or 2")
     cal = t.calculus
     sc = cal.structure_constants
-    out = kind(cal)
+    parts = {}
     for key, c in t.terms.items():
         legs = t._legs(key)
-        for h, e in differential(cal, c).terms.items():
-            out.accumulate((h,) + legs, e)
+        if c.__class__ is GroupFunction:
+            for h in cal.hatG:
+                parts.setdefault((h,) + legs, []).append((1, ell(h, c)))
         for i, k in enumerate(legs):
+            sign = -1 if i == 0 else 1
             for u, v, x in sc.nonzero(k):
-                out.accumulate(legs[:i] + (v, u) + legs[i + 1:], c * ((-1) ** (i + 1) * x))
+                parts.setdefault(legs[:i] + (v, u) + legs[i + 1:], []).append((sign * x, c))
+    out = kind(cal)
+    for key, pairs in parts.items():
+        c = combination(cal.group, pairs)
+        if c.__class__ is GroupFunction or c:  # a canonical function is nonzero
+            out.terms[key] = c
     return out
 
 
@@ -400,11 +407,13 @@ def apply_a3(r3, sigma):
     the degree-3 part of the ideal generated by ker A when the result is
     zero (see the module docstring).
     """
-    s12, s23 = sigma.on_first, sigma.on_last
+    perm = sigma.perm
     out = Rank3Field(r3.calculus)
-    for t, c in r3.terms.items():
-        x, y = s12(t), s23(t)
-        z = s23(x)
-        for img, f in ((t, c), (x, -c), (y, -c), (s12(y), c), (z, c), (s12(z), -c)):
+    for (u, v, w), c in r3.terms.items():
+        a, b = perm[u, v]  # sigma_12 (u, v, w) = (a, b, w)
+        p, q = perm[v, w]  # sigma_23 (u, v, w) = (u, p, q)
+        x, y = perm[b, w]  # sigma_23 sigma_12 (u, v, w) = (a, x, y)
+        for img, f in (((u, v, w), c), ((a, b, w), -c), ((u, p, q), -c),
+                       ((*perm[u, p], q), c), ((a, x, y), c), ((*perm[a, x], y), -c)):
             out.accumulate(img, f)
     return out

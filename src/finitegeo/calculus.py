@@ -77,18 +77,21 @@ class DifferentialCalculus:
         self.right_covariant = len(edges) == group.order * len(right_set)
 
     @classmethod
-    def _of_hatG(cls, group, hatG):
-        """The left-covariant calculus of a sorted, validated hatG."""
+    def _of_hatG(cls, group, hatG, bicovariant=None):
+        """The left-covariant calculus of a sorted, validated hatG, with
+        bicovariant given when the caller knows it."""
         cal = cls.__new__(cls)
         cal.group = group
         cal._edges = None
-        cal._set_hatG(hatG)
+        cal._set_hatG(hatG, bicovariant)
         return cal
 
-    def _set_hatG(self, hatG):
+    def _set_hatG(self, hatG, bicovariant=None):
         self.hatG = tuple(hatG)
         self.left_covariant = True
-        self.right_covariant = self.bicovariant = _is_class_union(self.group, hatG)
+        if bicovariant is None:
+            bicovariant = _is_class_union(self.group, hatG)
+        self.right_covariant = self.bicovariant = bicovariant
 
     @property
     def edges(self):
@@ -202,7 +205,7 @@ def enumerate_left_covariant(group):
 def enumerate_bicovariant(group):
     """All unions of nontrivial conjugacy classes, sorted by size then hatG."""
     classes = group.nontrivial_classes()
-    return [DifferentialCalculus._of_hatG(group, s) for s in unions(classes)]
+    return [DifferentialCalculus._of_hatG(group, s, bicovariant=True) for s in unions(classes)]
 
 
 class StructureConstants:
@@ -492,8 +495,8 @@ def rho(calculus):
 def differential(calculus, f):
     """d f = (ell_g f) theta^g; the zero form for a scalar or a constant f.
 
-    The only place that evaluates ell_g: d of tensors, covariant
-    derivatives and vector fields on functions all read it.
+    Covariant derivatives and vector fields on functions read it;
+    braid.d_rep sums ell_g of each coefficient with its other terms.
     """
     calculus.require_left_covariant()
     out = OneForm(calculus, {})

@@ -39,7 +39,7 @@ from .errors import (
     NotUniversal,
     UsageError,
 )
-from .funcs import GroupFunction, as_function, canonical, right_translate
+from .funcs import GroupFunction, _exact, as_function, canonical, right_translate
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -67,8 +67,8 @@ class Connection:
             h, g, gp = key
             if h not in hset or g not in hset or gp not in hset:
                 raise NotInHatG(f"gamma key {key} outside the reduced set")
-            c = canonical(group, value)
-            if isinstance(c, GroupFunction) or c:  # a canonical function is nonzero
+            c = value if value.__class__ is int else canonical(group, value)
+            if c.__class__ is GroupFunction or c:  # a canonical function is nonzero
                 terms[(h, g, gp)] = c
         self.terms = terms
         self._omega = None
@@ -132,16 +132,16 @@ class Connection:
                 out.accumulate((g, gp), -(f * gam))
         return out
 
-    def _torsion_raw_theta(self, h):
-        """Representative of the torsion of theta^h: Gamma^h_{v,u} - C^h_{v,u}
-        at (u, v)."""
+    def _torsion_raw(self):
+        """Representatives of the torsion of every theta^h, keyed by h:
+        Gamma^h_{v,u} - C^h_{v,u} at (u, v), from one pass over Gamma."""
         cal = self.calculus
-        out = TensorField(cal)
-        for (k, v, u), f in self.terms.items():
-            if k == h:
-                out.accumulate((u, v), f)
-        for v, u, c in cal.structure_constants.nonzero(h):
-            out.accumulate((u, v), -c)
+        out = {h: TensorField(cal) for h in cal.hatG}
+        for (h, v, u), f in self.terms.items():
+            out[h].terms[(u, v)] = f
+        for h, rep in out.items():
+            for v, u, c in cal.structure_constants.nonzero(h):
+                rep.accumulate((u, v), -c)
         return out
 
     def torsion(self, phi=None):
@@ -151,20 +151,16 @@ class Connection:
         Without phi, returns a dict mapping each basis label h to the
         torsion of theta^h.
         """
+        sig = self.sigma()
         if phi is not None:
-            return project_two_form(d_rep(phi) - self.apply(phi), self.sigma())
-        return {
-            h: project_two_form(self._torsion_raw_theta(h), self.sigma())
-            for h in self.calculus.hatG
-        }
+            return project_two_form(d_rep(phi) - self.apply(phi), sig)
+        return {h: project_two_form(rep, sig) for h, rep in self._torsion_raw().items()}
 
     def is_torsion_free(self):
         """True when every torsion 2-form vanishes: each representative is
         fixed by sigma, so A kills it."""
         sig = self.sigma()
-        return all(
-            t == sig.apply(t) for t in map(self._torsion_raw_theta, self.calculus.hatG)
-        )
+        return all(t == sig.apply(t) for t in self._torsion_raw().values())
 
     def _curvature_raw(self, h, gp):
         """Representative tensor of the curvature 2-form Omega^h_{gp},
@@ -230,13 +226,13 @@ def sigma_family(calculus, lambdas):
     """
     sig = sigma_for(calculus)
     order = sig.order()
-    lams = [Fraction(x) for x in lambdas]
+    lams = [_exact(Fraction(x)) for x in lambdas]
     if len(lams) != order:
         raise BadLambdaLength(
             f"expected {order} parameters (the braid operator order), "
             f"got {len(lams)}"
         )
-    gamma = {(g, g, u): Fraction(-1) for g, u in calculus.pairs()}
+    gamma = {(g, g, u): -1 for g, u in calculus.pairs()}
     for n, lam in enumerate(lams):
         if lam:
             for g, h in calculus.pairs():
@@ -250,18 +246,14 @@ def nabla_sigma(calculus):
 
     Every basis form theta^g is covariantly constant for it.
     """
-    sig = sigma_for(calculus)
-    lams = [Fraction(0)] * sig.order()
-    lams[1 % len(lams)] = Fraction(1)
-    return sigma_family(calculus, lams)
+    order = sigma_for(calculus).order()
+    return sigma_family(calculus, [int(n == 1 % order) for n in range(order)])
 
 
 def nabla_sigma_inverse(calculus):
     """The braid connection built from the inverse power of sigma."""
-    sig = sigma_for(calculus)
-    lams = [Fraction(0)] * sig.order()
-    lams[-1] = Fraction(1)
-    return sigma_family(calculus, lams)
+    order = sigma_for(calculus).order()
+    return sigma_family(calculus, [int(n == order - 1) for n in range(order)])
 
 
 def flatness_representation_check(conn):

@@ -311,12 +311,8 @@ def canonical_form_and_torsion(conn):
     cal.require_bicovariant()
     sig = sigma_for(cal)
     omega = conn.connection_one_forms()
-    theta_caps = {}
-    theta_reps = {}
-    for g in cal.hatG:
-        rep = conn._torsion_raw_theta(g)
-        theta_reps[g] = rep
-        theta_caps[g] = project_two_form(rep, sig)
+    theta_reps = conn._torsion_raw()
+    theta_caps = {g: project_two_form(rep, sig) for g, rep in theta_reps.items()}
     bianchi = {}
     for g in cal.hatG:
         # lhs - rhs = d Theta^g + omega^g_{g'} Theta^{g'} - Omega^g_{g'} theta^{g'},

@@ -18,9 +18,14 @@ differ.  as_function turns either back into a GroupFunction, as the read
 surfaces Tensor.coeffs, Tensor.coeff, Connection.gamma and
 Connection.gamma_value do.
 
+combination sums (scalar, coefficient) terms in one pass and puts the
+total in canonical form once, where adding term by term would build
+and test a function for every partial sum.
+
 Translation operators and the difference operators built from them are
 the raw material for differentials; a translate of a scalar is the
-scalar itself:
+scalar itself.  R_g maps f's values over column g of the Cayley table
+(FiniteGroup.columns), L_g over row g, and ell_g subtracts in that map:
 
     (R_g f)(h) = f(hg)        (L_g f)(h) = f(gh)
     ell_g f = R_{g^-1} f - f
@@ -127,6 +132,25 @@ def canonical(group, value):
     return _exact(values[0])
 
 
+def combination(group, pairs):
+    """The canonical form of sum a_i f_i over pairs (a_i, f_i) of an exact
+    scalar and a scalar or GroupFunction on group."""
+    scalar, values = 0, None
+    for a, f in pairs:
+        if f.__class__ is not GroupFunction:
+            scalar += a * f
+            continue
+        if f.group is not group:
+            raise CalculusMismatch("functions live on different groups")
+        vals = f.values if a == 1 else map(mul, f.values, repeat(a))
+        values = list(vals) if values is None else list(map(add, values, vals))
+    if values is None:
+        return _exact(scalar)
+    if scalar:
+        values = map(add, values, repeat(scalar))
+    return canonical(group, GroupFunction(group, tuple(values)))
+
+
 def as_function(group, value):
     """A coefficient as a GroupFunction on group: a scalar becomes the
     constant function."""
@@ -165,21 +189,21 @@ def right_translate(g, f):
     """(R_g f)(h) = f(hg): column g of the Cayley table indexes f."""
     if f.__class__ is not GroupFunction:
         return f
-    values = f.values
-    return GroupFunction(f.group, tuple(values[row[g]] for row in f.group.table))
+    return GroupFunction(f.group, tuple(map(f.values.__getitem__, f.group.columns[g])))
 
 
 def left_translate(g, f):
     """(L_g f)(h) = f(gh): row g of the Cayley table indexes f."""
     if f.__class__ is not GroupFunction:
         return f
-    values = f.values
-    return GroupFunction(f.group, tuple(values[x] for x in f.group.table[g]))
+    return GroupFunction(f.group, tuple(map(f.values.__getitem__, f.group.table[g])))
 
 
 def ell(g, f):
     """Difference operator ell_g f = R_{g^-1} f - f; zero for a scalar."""
     if f.__class__ is not GroupFunction:
         return 0
-    return right_translate(f.group.inverse(g), f) - f
+    group, values = f.group, f.values
+    moved = map(values.__getitem__, group.columns[group.inverse(g)])
+    return GroupFunction(group, tuple(map(sub, moved, values)))
 

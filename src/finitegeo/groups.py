@@ -9,9 +9,11 @@ names and parities of permutations and sigma's cycles in braid read it.
 """
 
 import itertools
+from functools import cached_property
 from math import factorial
 
-from .errors import NoIdentity, NoInverse, NotAnAction, NotAssociative, TooLarge
+from .errors import (InternalInconsistency, NoIdentity, NoInverse, NotAnAction,
+                     NotAssociative, TooLarge)
 
 DEFAULT_MAX_ORDER = 1024
 
@@ -27,13 +29,10 @@ class FiniteGroup:
             raise ValueError("names must be distinct and match the order")
         self.aliases = dict(aliases) if aliases else {}
         self.label = label or f"G{self.order}"
-        self.inv = [None] * self.order
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.table[x][y] == 0 and self.table[y][x] == 0:
-                    self.inv[x] = y
-                    break
-            if self.inv[x] is None:
+        # In an associative table with identity, x y = e forces y x = e.
+        self.inv = [row.index(0) if 0 in row else None for row in self.table]
+        for x, y in enumerate(self.inv):
+            if y is None or self.table[y][x] != 0:
                 raise NoInverse(f"element {x} has no two-sided inverse")
         self._classes = None
         self._class_of = None
@@ -45,6 +44,11 @@ class FiniteGroup:
 
     def inverse(self, x):
         return self.inv[x]
+
+    @cached_property
+    def columns(self):
+        """The columns of the Cayley table: columns[g][h] = h g."""
+        return tuple(zip(*self.table))
 
     def adjoint(self, h, x):
         """Conjugation h x h^-1."""
@@ -188,11 +192,7 @@ def from_cayley_table(table, names=None, label=None):
         # Swap element e with element 0 so the identity lands at index 0.
         sub = {e: 0, 0: e}
         perm = [sub.get(x, x) for x in range(n)]
-        new = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                new[perm[x]][perm[y]] = perm[table[x][y]]
-        table = new
+        table = [[perm[table[perm[x]][perm[y]]] for y in range(n)] for x in range(n)]
         if names:
             reordered = list(names)
             reordered[0], reordered[e] = reordered[e], reordered[0]
@@ -270,11 +270,34 @@ _S3_NAMES = {
 }
 
 
-def _group_from_perms(perms, label, letter_names=None, max_order=DEFAULT_MAX_ORDER):
+def _group_from_perms(perms, gens, label, letter_names=None, max_order=DEFAULT_MAX_ORDER):
+    """The group of perms, a composition-closed list with the identity
+    first, generated by gens.  Breadth-first from the identity each element
+    gets a word z = y s with y found earlier, and as x (y s) = (x y) s,
+    row[z] = R_s[row[y]] fills each row, R_s being right multiplication by
+    s as an index table."""
     if len(perms) > max_order:
         raise TooLarge(f"order {len(perms)} exceeds the bound {max_order}")
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_mul(x, y)] for y in perms] for x in perms]
+    right = [[index[_perm_mul(x, s)] for x in perms] for s in gens]
+    reached = {0}
+    steps = []  # (z, R_s, y) with z = y s, y reached before z
+    frontier = [0]
+    for y in frontier:
+        for r in right:
+            z = r[y]
+            if z not in reached:
+                reached.add(z)
+                steps.append((z, r, y))
+                frontier.append(z)
+    if len(reached) != len(perms):
+        raise InternalInconsistency(f"generators reach {len(reached)} of {len(perms)} elements")
+    table = []
+    for x in range(len(perms)):
+        row = [x] * len(perms)
+        for z, r, y in steps:
+            row[z] = r[row[y]]
+        table.append(row)
     if letter_names:
         names = [letter_names[p] for p in perms]
         aliases = {_cycle_name(p): i for i, p in enumerate(perms)}
@@ -292,8 +315,10 @@ def symmetric(n, max_order=DEFAULT_MAX_ORDER):
     if factorial(n) > max_order:
         raise TooLarge(f"{n}! exceeds the bound {max_order}")
     perms = sorted(itertools.permutations(range(n)))
+    transposition = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
+    n_cycle = tuple(range(1, n)) + (0,)
     letter_names = _S3_NAMES if n == 3 else None
-    return _group_from_perms(perms, f"S{n}", letter_names, max_order)
+    return _group_from_perms(perms, [transposition, n_cycle], f"S{n}", letter_names, max_order)
 
 
 def alternating(n, max_order=DEFAULT_MAX_ORDER):
@@ -303,7 +328,9 @@ def alternating(n, max_order=DEFAULT_MAX_ORDER):
     if n > 1 and factorial(n) // 2 > max_order:
         raise TooLarge(f"{n}!/2 exceeds the bound {max_order}")
     perms = sorted(p for p in itertools.permutations(range(n)) if _parity(p) == 0)
-    return _group_from_perms(perms, f"A{n}", None, max_order)
+    # The 3-cycles (0 1 k), 2 <= k < n, generate A_n.
+    gens = [(1, k, *range(2, k), 0, *range(k + 1, n)) for k in range(2, n)]
+    return _group_from_perms(perms, gens, f"A{n}", None, max_order)
 
 
 def _parity(perm):
@@ -405,7 +432,7 @@ def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
                 closure.add(y)
                 frontier.append(y)
     ordered = sorted(closure)
-    group = _group_from_perms(ordered, f"P{len(ordered)}", None, max_order)
+    group = _group_from_perms(ordered, perms, f"P{len(ordered)}", None, max_order)
     if with_elements:
         return group, ordered
     return group

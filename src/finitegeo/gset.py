@@ -73,20 +73,14 @@ def gset_from_permutations(perms, size=None, max_order=DEFAULT_MAX_ORDER):
         if sorted(p) != list(range(size)):
             raise NotAnAction(f"{p} is not a permutation of {size} points")
     group, elements = from_permutations(perms, max_order, with_elements=True)
-    table = {}
-    for i, perm in enumerate(elements):
-        for x in range(size):
-            table[(i, x)] = perm[x]
+    table = {(i, x): perm[x] for i, perm in enumerate(elements) for x in range(size)}
     return GSet(group, size, table)
 
 
 def left_translation_gset(group):
     """The group acting on itself by left translation."""
-    table = {}
-    for a in range(group.order):
-        for x in range(group.order):
-            table[(a, x)] = group.mul(a, x)
-    return GSet(group, group.order, table)
+    n = group.order
+    return GSet(group, n, {(a, x): group.mul(a, x) for a in range(n) for x in range(n)})
 
 
 def pair_orbits(gs):
@@ -105,11 +99,9 @@ def pair_orbits(gs):
 def is_covariant(gs, edges):
     """Whether an edge set is stable under the diagonal action."""
     edges = set(edges)
-    for (x, y) in edges:
-        for a in range(gs.group.order):
-            if (gs.act(a, x), gs.act(a, y)) not in edges:
-                return False
-    return True
+    return all(
+        (gs.act(a, x), gs.act(a, y)) in edges for x, y in edges for a in range(gs.group.order)
+    )
 
 
 def covariant_calculi(gs):

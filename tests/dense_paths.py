@@ -5,9 +5,13 @@ connection coefficients Gamma through their stored entries.  The loops
 they replaced, which visit every pair or triple of hatG and call
 StructureConstants.C or probe gamma per key, live here unchanged (methods
 written as functions of the connection), so the tests can compare the two
-answers.  is_associative is the triple loop that groups' associativity
-check is compared with, respects_product the one that gset.GSet's
-product-rule check is compared with.  EdgeRoundTripCalculus is the
+answers.  braid_check and apply_a3 reach sigma_12 and sigma_23 through
+the triple maps on_first and on_last, which SigmaOperator had, and are
+what braid.braid_check and braid.apply_a3 are compared with; perm_table the composition of
+every pair of permutations that the tables built from generator words
+are compared with, is_associative the triple loop that groups'
+associativity check is compared with, respects_product the one that
+gset.GSet's product-rule check is compared with.  EdgeRoundTripCalculus is the
 calculus constructor that expanded hatG into edges and rebuilt hatG and
 the covariance flags from them, with equality and hash on the edge set.
 The next section keeps the loops that groups.orbits, calculus.unions and
@@ -22,6 +26,7 @@ directory.
 
 import contextlib
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 from finitegeo import funcs
@@ -428,6 +433,59 @@ def sparse_dual_apply(dual, x):
     return dict(sorted(out.terms.items()))
 
 
+def on_first(sigma, triple):
+    """sigma_12: (u, v, w) -> (sigma(u, v), w)."""
+    u, v, w = triple
+    return sigma.perm[u, v] + (w,)
+
+
+def on_last(sigma, triple):
+    """sigma_23: (u, v, w) -> (u, sigma(v, w))."""
+    u, v, w = triple
+    return (u,) + sigma.perm[v, w]
+
+
+def braid_check(sigma):
+    """The braid relation on every triple by sigma_12 and sigma_23 as
+    triple maps: (sigma x id)(id x sigma)(sigma x id) = (id x sigma)
+    (sigma x id)(id x sigma)."""
+    def s12(tr):
+        return on_first(sigma, tr)
+
+    def s23(tr):
+        return on_last(sigma, tr)
+
+    hatG = sigma.calculus.hatG
+    for tr in product(hatG, repeat=3):
+        if s12(s23(s12(tr))) != s23(s12(s23(tr))):
+            return False
+    return True
+
+
+def apply_a3(r3, sigma):
+    """A_3 of a rank-3 field through the triple maps on_first and on_last."""
+    def s12(tr):
+        return on_first(sigma, tr)
+
+    def s23(tr):
+        return on_last(sigma, tr)
+
+    out = Rank3Field(r3.calculus)
+    for t, c in r3.terms.items():
+        x, y = s12(t), s23(t)
+        z = s23(x)
+        for img, f in ((t, c), (x, -c), (y, -c), (s12(y), c), (z, c), (s12(z), -c)):
+            out.accumulate(img, f)
+    return out
+
+
+def perm_table(perms):
+    """The Cayley table of a list of permutations by composing every
+    pair, (x*y)(i) = x(y(i))."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(x[i] for i in y)] for y in perms] for x in perms]
+
+
 def is_associative(table):
     """(a*b)*c == a*(b*c) for every triple of a Cayley table."""
     n = len(table)
@@ -670,7 +728,7 @@ def sigma_cycle_lengths(sig):
 # Function-valued coefficients.  Tensors and connections store a constant
 # coefficient as a scalar (funcs.canonical).  The storage they replaced
 # keeps every coefficient as a GroupFunction: the accumulate, the
-# Connection constructor and _torsion_raw_theta below.  function_valued()
+# Connection constructor and the per-label torsion loop below.  function_valued()
 # installs them, so the package's own routines run on |G|-tuples again
 # and their answers can be compared through coeffs.
 
@@ -702,15 +760,19 @@ def function_connection_init(self, calculus, gamma):
     self._omega = None
 
 
-def function_torsion_raw_theta(self, h):
-    """_torsion_raw_theta adding the constant function -C^h_{v,u}."""
+def function_torsion_raw(self):
+    """Connection._torsion_raw adding the constant function -C^h_{v,u},
+    one label h at a time."""
     cal = self.calculus
-    out = TensorField(cal)
-    for (k, v, u), f in self.terms.items():
-        if k == h:
-            out.accumulate((u, v), f)
-    for v, u, c in StructureConstants(cal).nonzero(h):
-        out.accumulate((u, v), constant(cal.group, -c))
+    sc = StructureConstants(cal)
+    out = {}
+    for h in cal.hatG:
+        rep = out[h] = TensorField(cal)
+        for (k, v, u), f in self.terms.items():
+            if k == h:
+                rep.accumulate((u, v), f)
+        for v, u, c in sc.nonzero(h):
+            rep.accumulate((u, v), constant(cal.group, -c))
     return out
 
 
@@ -719,5 +781,5 @@ def function_valued():
     """Run the package with every coefficient stored as a GroupFunction."""
     with mock.patch.object(Tensor, "accumulate", function_accumulate), \
             mock.patch.object(Connection, "__init__", function_connection_init), \
-            mock.patch.object(Connection, "_torsion_raw_theta", function_torsion_raw_theta):
+            mock.patch.object(Connection, "_torsion_raw", function_torsion_raw):
         yield

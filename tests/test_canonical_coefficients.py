@@ -155,7 +155,7 @@ def test_function_valued_oracle_stores_functions(s3_universal):
     cal = s3_universal
     with dense_paths.function_valued():
         conn = connection.c_connection(cal)
-        torsion = conn._torsion_raw_theta(cal.hatG[0])
+        torsion = conn._torsion_raw()[cal.hatG[0]]
     assert conn.terms and all(isinstance(c, funcs.GroupFunction) for c in conn.terms.values())
     assert all(isinstance(c, funcs.GroupFunction) for c in torsion.terms.values())
 

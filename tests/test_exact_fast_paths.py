@@ -128,11 +128,12 @@ def _dense_extend_to_tensor(conn, t):
 def _dense_bianchi_difference(conn, g):
     cal = conn.calculus
     omega = conn.connection_one_forms()
-    lhs = d_rep(conn._torsion_raw_theta(g))
+    torsion = conn._torsion_raw()
+    lhs = d_rep(torsion[g])
     for gp in cal.hatG:
         form = omega[(g, gp)]
         if not form.is_zero():
-            lhs = lhs + tensor_product(form, conn._torsion_raw_theta(gp))
+            lhs = lhs + tensor_product(form, torsion[gp])
     rhs = Rank3Field(cal, {})
     for gp in cal.hatG:
         crep = conn._curvature_raw(g, gp)

@@ -9,6 +9,8 @@ import pytest
 
 import finitegeo
 from finitegeo import funcs, groups
+from finitegeo.braid import TensorField
+from finitegeo.errors import CalculusMismatch
 from finitegeo.funcs import GroupFunction
 
 
@@ -125,3 +127,72 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Cayley-table columns and one-pass linear combinations.
+
+
+@pytest.mark.parametrize("group", [groups.symmetric(3), groups.dihedral(4), groups.cyclic(5)],
+                         ids=["S3", "D4", "Z5"])
+def test_columns_are_right_products(group):
+    assert len(group.columns) == group.order
+    for g in group.elements():
+        assert list(group.columns[g]) == [group.mul(h, g) for h in group.elements()]
+    assert group.columns is group.columns
+
+
+def test_translations_and_ell_read_the_table(s3):
+    f = funcs.from_values(s3, [Fraction(k, 3) for k in range(6)])
+    for g in s3.elements():
+        assert funcs.right_translate(g, f).values == tuple(f(s3.mul(h, g)) for h in s3.elements())
+        assert funcs.left_translate(g, f).values == tuple(f(s3.mul(g, h)) for h in s3.elements())
+        ginv = s3.inverse(g)
+        assert funcs.ell(g, f).values == tuple(
+            f(s3.mul(h, ginv)) - f(h) for h in s3.elements()
+        )
+
+
+def test_combination_of_scalars_is_a_scalar(s3):
+    got = funcs.combination(s3, [(2, 3), (Fraction(1, 2), Fraction(1, 3)), (-1, 1)])
+    assert got == Fraction(31, 6) and type(got) is Fraction
+    assert funcs.combination(s3, []) == 0
+
+
+def test_combination_sums_functions_and_scalars(s3):
+    f = funcs.from_values(s3, range(6))
+    g = funcs.from_values(s3, [Fraction(k, 2) for k in range(6)])
+    got = funcs.combination(s3, [(1, f), (-2, g), (3, 1), (Fraction(1, 2), g)])
+    assert got == f - 2 * g + 3 + g * Fraction(1, 2)
+    assert isinstance(got, GroupFunction)
+
+
+def test_combination_that_cancels_is_zero_and_accumulate_drops_it(s3_universal):
+    cal = s3_universal
+    group = cal.group
+    f = funcs.from_values(group, range(6))
+    zero = funcs.combination(group, [(1, f), (-1, f)])
+    assert zero == 0 and type(zero) is int
+    assert funcs.combination(group, [(2, f), (-1, f), (-1, f), (1, 4), (-2, 2)]) == 0
+    t = TensorField(cal, {(1, 2): f})
+    t.accumulate((1, 2), funcs.combination(group, [(-1, f)]))
+    assert t.terms == {}
+
+
+def test_combination_of_a_constant_is_an_int(s3):
+    two = funcs.combination(s3, [(1, Fraction(4, 2))])
+    assert two == 2 and type(two) is int
+    half = funcs.from_values(s3, [Fraction(1, 2)] * 6)
+    got = funcs.combination(s3, [(Fraction(4), half)])
+    assert got == 2 and type(got) is int
+    f = funcs.from_values(s3, range(6))
+    got = funcs.combination(s3, [(1, f), (-1, f), (1, Fraction(4, 2))])
+    assert got == 2 and type(got) is int
+
+
+def test_combination_rejects_a_foreign_group(s3):
+    other = groups.symmetric(3)
+    with pytest.raises(CalculusMismatch):
+        funcs.combination(s3, [(1, funcs.one(s3)), (1, funcs.from_values(other, range(6)))])
+    with pytest.raises(CalculusMismatch):
+        funcs.combination(s3, [(1, funcs.from_values(other, range(6)))])

@@ -1,13 +1,19 @@
 """Group construction, validation and structure queries."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from finitegeo import groups
+from finitegeo import cli, groups
 from finitegeo.catalog import small_group_catalog
-from finitegeo.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
+from finitegeo.errors import (
+    InternalInconsistency,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    TooLarge,
+)
 
 import dense_paths
 
@@ -232,3 +238,39 @@ def test_small_group_catalog_orders():
         by_order[g.order] = by_order.get(g.order, 0) + 1
     assert by_order[8] == 5
     assert by_order[12] == 5
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables of permutation groups from generator words.
+
+
+def _even(p):
+    return dense_paths.parity(p) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetric_table_matches_pairwise_composition(n):
+    perms = sorted(permutations(range(n)))
+    assert groups.symmetric(n).table == dense_paths.perm_table(perms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_alternating_table_matches_pairwise_composition(n):
+    perms = sorted(p for p in permutations(range(n)) if _even(p))
+    assert groups.alternating(n).table == dense_paths.perm_table(perms)
+
+
+@pytest.mark.parametrize("size,gens", [
+    (3, "(12)"), (3, "(123)"), (3, "(12),(123)"), (4, "(1234),(12)"),
+    (4, "(1234),(13)"), (5, "(12345)"), (6, "(123456),(12)"),
+])
+def test_permutation_group_table_matches_pairwise_composition(size, gens):
+    perms = [cli.parse_permutation(t, size) for t in gens.split(",")]
+    group, elements = groups.from_permutations(perms, with_elements=True)
+    assert group.table == dense_paths.perm_table(elements)
+
+
+def test_generators_that_miss_an_element_raise():
+    perms = sorted(permutations(range(3)))
+    with pytest.raises(InternalInconsistency):
+        groups._group_from_perms(perms, [(1, 2, 0)], "S3")

@@ -117,9 +117,11 @@ def test_connection_paths_match_dense_loops(name, cal):
     for conn in _connections(cal, rng):
         for phi in forms:
             assert conn.apply(phi) == dense_paths.apply(conn, phi)
+        torsion = conn._torsion_raw()
+        assert list(torsion) == list(cal.hatG)
         for h in cal.hatG:
             assert conn.nabla_theta(h) == dense_paths.nabla_theta(conn, h)
-            assert conn._torsion_raw_theta(h) == dense_paths.torsion_raw_theta(conn, h)
+            assert torsion[h] == dense_paths.torsion_raw_theta(conn, h)
             for gp in cal.hatG:
                 assert conn._curvature_raw(h, gp) == dense_paths.curvature_raw(conn, h, gp)
 
@@ -164,7 +166,7 @@ def test_tensor_product_and_d_match_rank_specific_routines(name, cal):
     rng = random.Random(len(cal.hatG) * 71 + cal.group.order)
     forms = _forms(cal, rng)
     twos = [_tensor(TensorField, cal, rng, len(cal.hatG) + 1),
-            connection.c_connection(cal)._torsion_raw_theta(cal.hatG[0])]
+            connection.c_connection(cal)._torsion_raw()[cal.hatG[0]]]
     for phi in forms:
         assert d_rep(phi) == dense_paths.sparse_d_one_form_rep(phi)
         for psi in forms:
