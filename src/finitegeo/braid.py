@@ -57,7 +57,7 @@ tests, not proven here.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .calculus import OneForm, Tensor, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
@@ -248,21 +248,11 @@ def symmetric_universal_sigma_order(n):
     """Order of sigma on the universal calculus of the symmetric group S_n.
 
     Closed form for n >= 3: twice the smallest positive exponent that kills
-    every element of S_n, built as an incremental product
-
-        2 * n * prod_{k=1}^{n-2} (n-k) / gcd(n (n-1) ... (n-k+1), n-k).
-
-    Each factor enlarges the running product just enough to absorb the
-    cycle length n-k, so the result equals 2 * lcm(2, ..., n).
+    every element of S_n, which is 2 * lcm(2, ..., n).
     """
     if n < 3:
         raise ValueError("closed form requires n >= 3")
-    order = n
-    running = n
-    for k in range(1, n - 1):
-        order = order * (n - k) // gcd(running, n - k)
-        running *= n - k
-    return 2 * order
+    return 2 * lcm(*range(2, n + 1))
 
 
 def braid_check(sigma):

@@ -49,8 +49,7 @@ def parse_group(spec):
         raise UsageError("a group specification is required")
     spec = spec.strip()
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = _load_json(spec[1:])
         if not isinstance(doc, dict):
             raise UsageError("a group file must hold a JSON object")
         table = doc["table"]
@@ -727,7 +726,7 @@ def run(argv):
         result = CommandResult(2, {"error": str(exc)})
     except FiniteGeoError as exc:
         result = CommandResult(1, {"error": str(exc)})
-    except (FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
         result = CommandResult(2, {"error": str(exc)})
     result.quiet = getattr(args, "quiet", False)
     result.as_json = getattr(args, "json", False)

@@ -479,6 +479,15 @@ class ExtensibilityReport:
         return sig.apply(t) - self.v_apply(t)
 
 
+def _extensible_report(conn):
+    """The connection's ExtensibilityReport; raises NotExtensible when the
+    connection has no twist map."""
+    report = extensibility_analysis(conn)
+    if not report.extensible:
+        raise NotExtensible("connection does not extend to tensor products")
+    return report
+
+
 def extensibility_analysis(conn):
     """Test a connection for extensibility and extract its twist map.
 
@@ -565,9 +574,7 @@ def extend_on_pair(conn, phi, psi):
     Computes (nabla phi) (x) psi + (Psi (x) id)(phi (x) nabla psi).
     Raises NotExtensible when the connection has no twist map.
     """
-    report = extensibility_analysis(conn)
-    if not report.extensible:
-        raise NotExtensible("connection does not extend to tensor products")
+    report = _extensible_report(conn)
     return _extend_pair(
         report, phi, conn.apply(phi), psi, conn.apply(psi), Rank3Field(conn.calculus)
     )
@@ -577,11 +584,9 @@ def extend_on_basis_pairs(report):
     """Yield ((v, w), nabla(theta^v (x) theta^w)) for every pair of labels.
 
     Takes the connection's ExtensibilityReport and computes each
-    nabla theta^g once.  Raises NotExtensible when the connection has no
-    twist map.
+    nabla theta^g once.  Raises NotExtensible, through psi_apply, when the
+    connection has no twist map.
     """
-    if not report.extensible:
-        raise NotExtensible("connection does not extend to tensor products")
     conn = report.connection
     cal = conn.calculus
     theta = {g: theta_form(cal, g) for g in cal.hatG}
@@ -599,9 +604,7 @@ def extend_to_tensor(conn, t):
     pair is extended; returns a rank 3 field.  Raises NotExtensible
     when the connection has no twist map.
     """
-    report = extensibility_analysis(conn)
-    if not report.extensible:
-        raise NotExtensible("connection does not extend to tensor products")
+    report = _extensible_report(conn)
     cal = conn.calculus
     out = Rank3Field(cal)
     for g in cal.hatG:
@@ -613,22 +616,19 @@ def extend_to_tensor(conn, t):
 
 
 class TwoSidedConnection:
-    """A connection on 1-forms with values in
-    (Omega^1 (x) Gamma) + (Gamma (x) Omega^1), obeying the two-sided
-    Leibniz rule nabla(f phi f') = df (x) phi f' + f phi (x) df'
-    + f (nabla phi) f'.
-
-    Stored through its action on a 1-form as a pair of tensor fields.
+    """The basic connection on 1-forms with values in
+    (Omega^1 (x) Gamma) + (Gamma (x) Omega^1),
+    phi -> (rho (x) phi, -phi (x) rho), obeying the two-sided Leibniz
+    rule nabla(f phi f') = df (x) phi f' + f phi (x) df' + f (nabla phi) f'.
     """
 
-    def __init__(self, calculus, left_map, right_map):
+    def __init__(self, calculus):
         calculus.require_left_covariant()
         self.calculus = calculus
-        self._left = left_map
-        self._right = right_map
+        self.rho = rho(calculus)
 
     def apply(self, phi):
-        return self._left(phi), self._right(phi)
+        return tensor_product(self.rho, phi), tensor_product(phi, self.rho).scale(Fraction(-1))
 
     def check_leibniz(self, f, phi, fp):
         """Verify the two-sided Leibniz rule on the triple (f, phi, f')."""
@@ -651,16 +651,7 @@ class TwoSidedConnection:
 
 def two_sided_connection(calculus):
     """The basic two-sided connection phi -> (rho (x) phi, -phi (x) rho)."""
-    calculus.require_left_covariant()
-    r = rho(calculus)
-
-    def left_map(phi):
-        return tensor_product(r, phi)
-
-    def right_map(phi):
-        return tensor_product(phi, r).scale(Fraction(-1))
-
-    return TwoSidedConnection(calculus, left_map, right_map)
+    return TwoSidedConnection(calculus)
 
 
 def two_sided_space(calculus):
@@ -694,7 +685,7 @@ def two_sided_square(ts, phi):
     """
     cal = ts.calculus
     sig = sigma_for(cal)
-    r = rho(cal)
+    r = ts.rho
     left_part, right_part = ts.apply(phi)
     two_left = {}
     for v in cal.hatG:
@@ -727,9 +718,7 @@ def verify_invariance_transport(conn):
     Returns a dict of booleans.  Raises NotExtensible when the
     connection has no twist map.
     """
-    report = extensibility_analysis(conn)
-    if not report.extensible:
-        raise NotExtensible("connection does not extend to tensor products")
+    report = _extensible_report(conn)
     cal = conn.calculus
     ok_psi = all(
         report.psi_apply(basis_tensor(cal, g, gp)).is_constant()

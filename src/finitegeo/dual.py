@@ -15,9 +15,13 @@ This module implements the contraction, the dual of a left connection,
 the braid transposes on mixed and doubled field tensors, metrics and
 their compatibility, and the canonical field-valued form whose covariant
 derivatives reproduce torsion and curvature.
-"""
 
-from math import lcm
+Both braid transposes come from sigma, with tau the flip of the two
+legs: the mixed transpose is sigma' = tau sigma tau and the
+doubled-field transpose is sigma_X = tau sigma^-1 tau, so sigma_X has
+sigma's order.  The sigma'-connection X -> sigma'(rho (x) X) - X (x) rho
+is the dual of the braid connection nabla_sigma.
+"""
 
 from .braid import (
     TensorField,
@@ -28,10 +32,9 @@ from .braid import (
     tensor_product,
 )
 from .calculus import OneForm, Tensor, differential, theta_form
-from .connection import extend_on_basis_pairs, extensibility_analysis
-from .errors import CalculusMismatch, NotBicovariant, NotExtensible, NotInHatG
+from .connection import _extensible_report, extend_on_basis_pairs, nabla_sigma
+from .errors import CalculusMismatch, NotBicovariant, NotInHatG
 from .funcs import as_function, right_translate
-from .groups import cycles
 
 
 class VectorField(Tensor):
@@ -134,39 +137,24 @@ def dual_connection(conn):
 
 
 def sigma_prime(calculus, h, g):
-    """Basis action of the mixed braid transpose.
+    """Basis action of the mixed braid transpose sigma' = tau sigma tau.
 
     sigma'(theta^h (x) ell_g) = ell_g (x) theta^{g^-1 h g}; returns the
-    resulting index pair (g, g^-1 h g).
+    resulting index pair (g, g^-1 h g), sigma(g, h) with its legs swapped.
     """
-    calculus.require_bicovariant()
-    group = calculus.group
-    if h not in set(calculus.hatG) or g not in set(calculus.hatG):
+    image = sigma_for(calculus).perm.get((g, h))
+    if image is None:
         raise NotInHatG("mixed basis labels must lie in the reduced set")
-    return (g, group.adjoint(group.inverse(g), h))
+    return image[1], image[0]
 
 
 def sigma_prime_connection(calculus):
     """The right connection X -> sigma'(rho (x) X) - X (x) rho.
 
     It annihilates every basis field ell_g and acts on general fields as
-    ell_g (x) dX^g; it coincides with the dual of the braid connection.
+    ell_g (x) dX^g: it is the dual of the braid connection.
     """
-    calculus.require_bicovariant()
-
-    class _SigmaPrimeConnection:
-        def __init__(self, cal):
-            self.calculus = cal
-
-        def apply(self, x):
-            cal = self.calculus
-            return {
-                (g, k): val
-                for g, c in x.terms.items()
-                for k, val in differential(cal, c).terms.items()
-            }
-
-    return _SigmaPrimeConnection(calculus)
+    return DualConnection(nabla_sigma(calculus))
 
 
 def sigma_x(calculus, g, gp):
@@ -182,10 +170,9 @@ def sigma_x(calculus, g, gp):
 
 
 def sigma_x_order(calculus):
-    """Order of the doubled-field braid transpose."""
-    calculus.require_bicovariant()
-    perm = {p: sigma_x(calculus, *p) for p in calculus.pairs()}
-    return lcm(*(len(c) for c in cycles(perm)))
+    """Order of the doubled-field braid transpose tau sigma^-1 tau,
+    which is sigma's order."""
+    return sigma_for(calculus).order()
 
 
 class Metric(Tensor):
@@ -250,14 +237,10 @@ def metric_compatibility(m, route="both", connection=None):
     if route not in ("dual-extension", "tensor-dual", "both"):
         raise ValueError(f"unknown route {route!r}")
     if connection is None:
-        from .connection import nabla_sigma
-
         connection = nabla_sigma(cal)
     if connection.calculus != cal:
         raise CalculusMismatch("metric and connection on different calculi")
-    report = extensibility_analysis(connection)
-    if not report.extensible:
-        raise NotExtensible("compatibility needs an extensible connection")
+    report = _extensible_report(connection)
     group = cal.group
     results = {}
     if route in ("dual-extension", "both"):

@@ -18,8 +18,12 @@ The next section keeps the loops that groups.orbits, calculus.unions and
 groups.cycles replaced: the class, centre and abelian sweeps over the
 Cayley table, the cycle-name walk, the inversion-count parity, the mask
 loops of the three enumerations, the two-sided permutation closure and
-sigma's inverse table.  The last keeps the storage that held every
-tensor and connection coefficient as a GroupFunction.  pytest does not
+sigma's inverse table.  The next keeps the storage that held every
+tensor and connection coefficient as a GroupFunction.  The last keeps
+the braid transposes of the dual module as they were written before
+they were read off sigma: sigma' by the adjoint formula, the order of
+sigma_X by counting its own cycles, and the sigma'-connection as
+ell_g (x) dX^g.  pytest does not
 collect this module; test modules import it by name from the tests
 directory.
 """
@@ -27,14 +31,17 @@ directory.
 import contextlib
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from unittest import mock
 
 from finitegeo import funcs
 from finitegeo.braid import Rank3Field, TensorField, project_two_form
-from finitegeo.calculus import OneForm, StructureConstants, Tensor, theta_form
+from finitegeo.calculus import OneForm, StructureConstants, Tensor, differential, theta_form
 from finitegeo.connection import Connection, extensibility_analysis
+from finitegeo.dual import sigma_x
 from finitegeo.errors import CalculusMismatch, NotExtensible, NotInHatG
 from finitegeo.funcs import constant, ell, right_translate, zero
+from finitegeo.groups import cycles
 
 
 def nabla_theta(conn, h):
@@ -783,3 +790,37 @@ def function_valued():
             mock.patch.object(Connection, "__init__", function_connection_init), \
             mock.patch.object(Connection, "_torsion_raw", function_torsion_raw):
         yield
+
+
+# ---------------------------------------------------------------------------
+# Braid transposes written out.  dual.sigma_prime reads sigma's table,
+# dual.sigma_x_order is sigma's order and dual.sigma_prime_connection is
+# the dual of the braid connection; these are the formulas they replaced.
+
+
+def sigma_prime(calculus, h, g):
+    """sigma'(theta^h (x) ell_g) = ell_g (x) theta^{g^-1 h g}, as the
+    index pair (g, g^-1 h g)."""
+    calculus.require_bicovariant()
+    group = calculus.group
+    if h not in set(calculus.hatG) or g not in set(calculus.hatG):
+        raise NotInHatG("mixed basis labels must lie in the reduced set")
+    return (g, group.adjoint(group.inverse(g), h))
+
+
+def sigma_x_order(calculus):
+    """Order of sigma_X from the cycles of its own permutation."""
+    calculus.require_bicovariant()
+    perm = {p: sigma_x(calculus, *p) for p in calculus.pairs()}
+    return lcm(*(len(c) for c in cycles(perm)))
+
+
+def sigma_prime_connection_apply(calculus, x):
+    """The sigma'-connection on a field X = ell_g X^g: ell_g (x) dX^g, as
+    a dict (g, k) -> coefficient of ell_g (x) theta^k."""
+    calculus.require_bicovariant()
+    return {
+        (g, k): val
+        for g, c in x.terms.items()
+        for k, val in differential(calculus, c).terms.items()
+    }

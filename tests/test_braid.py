@@ -98,7 +98,7 @@ def test_closed_form_universal_order_matches_brute_force():
 
 
 def test_closed_form_is_twice_lcm():
-    for n in range(3, 9):
+    for n in range(3, 21):
         assert symmetric_universal_sigma_order(n) == 2 * lcm(*range(2, n + 1))
     with pytest.raises(ValueError):
         symmetric_universal_sigma_order(2)

@@ -379,12 +379,30 @@ def test_main_reports_errors_on_stderr(capsys):
 
 
 def test_main_prints_errors_as_json_with_json(capsys, tmp_path, monkeypatch):
-    """--json puts the error payload on stdout; --quiet hides no error."""
+    """--json puts the error payload on stdout; --quiet hides no error.
+    A directory or a file that is not UTF-8, given as a group file, a
+    connection or a metric, is a usage error.  Compatibility along
+    Gamma^a_{a2,a2} = 1 on Z4 with hatG {a, a2}, which has no twist map,
+    is a domain error."""
     bad = tmp_path / "g.json"
     bad.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": 5}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"table": [[0]], "label": "\xe9"}')
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"schema": 1, "coeffs": {"a|a": "1"}}))
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({"schema": 1, "gamma": {"a|a2|a2": "1"}}))
     monkeypatch.setenv("FINITEGEO_MAX_ORDER", "4")
     runs = [(["group", "info", "Q17"], 2), (["group", "info", f"@{bad}"], 2),
             (["group", "info", "S4"], 1)]
+    calc = ["--group", "Z4", "--hatg", "a,a2"]
+    check = ["metric", "check", *calc, "--metric"]
+    for path in (str(tmp_path), str(latin1)):
+        runs += [(["group", "info", f"@{path}"], 2),
+                 (["connection", "analyze", *calc, "--connection", path], 2),
+                 (check + [path], 2),
+                 (check + [str(metric), "--connection", path], 2)]
+    runs.append((check + [str(metric), "--connection", str(conn)], 1))
     for argv, status in runs:
         for quiet in ([], ["--quiet"]):
             assert cli.main(argv + ["--json"] + quiet) == status

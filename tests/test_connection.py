@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 from finitegeo import calculus, connection, funcs, groups
-from finitegeo.braid import basis_tensor, d_theta, sigma_build
+from finitegeo.braid import TensorField, basis_tensor, d_theta, sigma_build
 from finitegeo.calculus import omega_form, theta_form
 from finitegeo.connection import (
     Connection,
     bimodule_hom_space,
     c_connection,
     canonical_connection,
+    extend_on_basis_pairs,
+    extend_on_pair,
+    extend_to_tensor,
     extensibility_analysis,
     flatness_representation_check,
     invariance_constraints,
@@ -24,9 +27,11 @@ from finitegeo.connection import (
     two_sided_square,
     verify_invariance_transport,
 )
+from finitegeo.dual import Metric, metric_compatibility
 from finitegeo.errors import (
     BadLambdaLength,
     InternalInconsistency,
+    NotExtensible,
     NotInHatG,
     NotUniversal,
     UsageError,
@@ -251,3 +256,27 @@ def test_two_sided_leibniz_and_square(s3_transposition_calculus):
 def test_invariance_transport_for_braid_connection(s3_transposition_calculus):
     flags = verify_invariance_transport(nabla_sigma(s3_transposition_calculus))
     assert flags == {"psi": True, "tensor": True, "dual": True}
+
+
+def test_extension_entry_points_refuse_a_connection_without_twist(z4):
+    """Gamma^a_{a2,a2} = 1 on Z4 with hatG {a, a2}: a2 a2 a^-1 = a3 is
+    neither in hatG nor e, so there is no twist map, and every extension
+    entry point raises on its first call or first iteration."""
+    cal = calculus.from_hatG(z4, [1, 2])
+    conn = Connection(cal, {(1, 2, 2): 1})
+    report = extensibility_analysis(conn)
+    assert not report.extensible
+    theta, t, m = theta_form(cal, 1), basis_tensor(cal, 1, 2), Metric(cal, {(1, 1): 1})
+    calls = {
+        "extend_on_pair": lambda: extend_on_pair(conn, theta, theta),
+        "extend_to_tensor": lambda: extend_to_tensor(conn, t),
+        "extend_to_tensor on zero": lambda: extend_to_tensor(conn, TensorField(cal)),
+        "extend_on_basis_pairs": lambda: next(extend_on_basis_pairs(report)),
+        "psi_apply": lambda: report.psi_apply(t),
+        "verify_invariance_transport": lambda: verify_invariance_transport(conn),
+    }
+    for route in ("dual-extension", "tensor-dual", "both"):
+        calls[route] = lambda route=route: metric_compatibility(m, route, conn)
+    for call in calls.values():
+        with pytest.raises(NotExtensible):
+            call()
