@@ -15,8 +15,8 @@ lexicographically; for a cycle C of sigma with largest index top,
 
 Sorted by top, resp. a, these are the reduced echelon bases of dense
 elimination: a cycle's only relation among the columns of A or S uses
-all of them, so top is the free column.  2-forms are tensors projected
-by pi = A.
+all of them, so top is the free column.  A 2-form is a tensor modulo
+ker A, a TwoForm holding its representative pi(t) = A t in im A.
 
 Membership is read off the cycles too.  A vector lies in ker A when it
 is constant along every cycle, and in ker S when it changes sign at each
@@ -147,16 +147,6 @@ class SigmaOperator:
     def cycle_lengths(self):
         return [len(c) for c in self.cycles()]
 
-    def matrix(self):
-        """Permutation matrix on coefficient vectors in lexicographic pair order."""
-        pairs = self.calculus.pairs()
-        index = {p: i for i, p in enumerate(pairs)}
-        m = len(pairs)
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for p in pairs:
-            rows[index[self.perm[p]]][index[p]] = Fraction(1)
-        return rows
-
     def cycles(self):
         """sigma's cycles as lists of pair indices, lexicographic pair order."""
         if self._cycles is None:
@@ -198,9 +188,13 @@ class SigmaOperator:
         return self._decomposition
 
     def in_part(self, part, vec):
-        """Whether a fiber vector (lexicographic pairs) lies in one part of
-        the decomposition, "ker_a", "im_a", "ker_s" or "im_s", by the
-        cycle conditions of the module docstring."""
+        """Whether a vector over calculus.pairs() of canonical coefficients,
+        exact scalars or GroupFunctions (funcs.canonical), lies in "ker_a", "im_a",
+        "ker_s" or "im_s", by the cycle conditions of the module docstring;
+        a vector of functions does when every fiber does."""
+        if part not in ("ker_a", "im_a", "ker_s", "im_s"):
+            raise ValueError(f"unknown part {part!r}")
+        group = self.calculus.group
         for cycle in self.cycles():
             vals = [vec[a] for a in cycle]
             if part == "ker_a":
@@ -208,11 +202,9 @@ class SigmaOperator:
             elif part == "ker_s":
                 ok = all(x == -vals[k - 1] for k, x in enumerate(vals))
             elif part == "im_a":
-                ok = sum(vals) == 0
-            elif part == "im_s":
-                ok = len(vals) % 2 or sum(vals[0::2]) == sum(vals[1::2])
+                ok = combination(group, ((1, x) for x in vals)) == 0
             else:
-                raise ValueError(f"unknown part {part!r}")
+                ok = len(vals) % 2 or combination(group, zip((1, -1) * len(vals), vals)) == 0
             if not ok:
                 return False
         return True
@@ -282,67 +274,39 @@ def antisymmetrize(t, sigma):
 
 
 def classify(t, sigma):
-    """Strong and weak (anti)symmetry flags for a tensor."""
-    s_symmetric = antisymmetrize(t, sigma).is_zero()
-    s_antisymmetric = symmetrize(t, sigma).is_zero()
-    fibers = [t.fiber(h) for h in range(sigma.calculus.group.order)]
-    w_symmetric = all(sigma.in_part("im_s", f) for f in fibers)
-    w_antisymmetric = all(sigma.in_part("im_a", f) for f in fibers)
+    """Strong and weak (anti)symmetry flags for a rank-2 tensor: whether
+    its coefficients lie in ker A, ker S, im S and im A (in_part)."""
+    if t.rank != 2 or t.calculus != sigma.calculus:
+        raise CalculusMismatch("classify takes a rank-2 tensor on sigma's calculus")
+    vec = [t.terms.get(p, 0) for p in sigma.calculus.pairs()]
     return {
-        "s_symmetric": s_symmetric,
-        "s_antisymmetric": s_antisymmetric,
-        "w_symmetric": w_symmetric,
-        "w_antisymmetric": w_antisymmetric,
+        "s_symmetric": sigma.in_part("ker_a", vec),
+        "s_antisymmetric": sigma.in_part("ker_s", vec),
+        "w_symmetric": sigma.in_part("im_s", vec),
+        "w_antisymmetric": sigma.in_part("im_a", vec),
     }
 
 
-class TwoForm:
-    """A 2-form, represented by its image under the projection pi = A."""
+class TwoForm(TensorField):
+    """A 2-form, stored as its representative in im A (project_two_form);
+    TwoForm(calculus) is zero.  A is a bimodule map, so sums, scalings and
+    products by functions on either side stay in im A."""
 
-    def __init__(self, calculus, rep):
-        self.calculus = calculus
-        self.rep = rep
-
-    def __add__(self, other):
-        return TwoForm(self.calculus, self.rep + other.rep)
-
-    def __sub__(self, other):
-        return TwoForm(self.calculus, self.rep - other.rep)
-
-    def __neg__(self):
-        return TwoForm(self.calculus, -self.rep)
-
-    def scale(self, a):
-        return TwoForm(self.calculus, self.rep.scale(a))
-
-    def left_mul(self, f):
-        return TwoForm(self.calculus, self.rep.left_mul(f))
-
-    def right_mul(self, f):
-        return TwoForm(self.calculus, self.rep.right_mul(f))
-
-    def is_zero(self):
-        return self.rep.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoForm)
-            and self.calculus == other.calculus
-            and self.rep == other.rep
-        )
+    @property
+    def rep(self):
+        """The representative in im A, which is the form itself."""
+        return self
 
 
 def project_two_form(t, sigma):
-    """pi = A: the 2-form class of a tensor."""
-    return TwoForm(t.calculus, antisymmetrize(t, sigma))
+    """pi = A: a tensor's 2-form, as its representative; a TwoForm is its own."""
+    if isinstance(t, TwoForm):
+        return t
+    return TwoForm(t.calculus)._like(antisymmetrize(t, sigma).terms)
 
 
 def wedge(phi, psi, sigma):
     return project_two_form(tensor_product(phi, psi), sigma)
-
-
-def zero_two_form(calculus):
-    return TwoForm(calculus, TensorField(calculus))
 
 
 def d_theta(calculus, sigma, h):

@@ -25,8 +25,8 @@ has the coefficient t_k R_{(k_rank ... k_1)^-1} f at the key
 k = (k_1, ..., k_rank).  The tensor product of left tensors follows the
 same rule: in a (x) b each coefficient of b crosses the legs of a, so
 (a (x) b)_{K,L} = a_K R_{(k_rank ... k_1)^-1} b_L (braid.tensor_product).
-OneForm here, TensorField and Rank3Field in braid, VectorField and
-Metric in dual only fix rank and side.
+OneForm here, TensorField, TwoForm (in im A) and Rank3Field in braid,
+VectorField and Metric in dual only fix rank and side.
 """
 
 from fractions import Fraction
@@ -301,9 +301,10 @@ class Tensor:
         self.terms = {}
         if not coeffs:
             return
-        space = set(self._keys())
+        hset = set(calculus.hatG)
         for key, value in coeffs.items():
-            if key not in space:
+            if not (key in hset if self.rank == 1 else isinstance(key, tuple)
+                    and len(key) == self.rank and hset.issuperset(key)):
                 raise NotInHatG(f"coefficient key {key!r} is not in hatG^{self.rank}")
             self.accumulate(key, value)
 

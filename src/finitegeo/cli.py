@@ -281,7 +281,8 @@ def metric_from_json(calculus, doc):
 
 
 class CommandResult:
-    """Status, JSON payload and optional DOT documents of one run."""
+    """Status, JSON payload and optional DOT documents of one run, keyed by
+    path; run writes the files, so only the one for "-" is left to print."""
 
     def __init__(self, status=0, payload=None, dots=None):
         self.status = status
@@ -704,7 +705,7 @@ def _glue_list_values(argv):
 
 
 def run(argv):
-    """Parse arguments and execute; returns a CommandResult."""
+    """Parse arguments, execute and write DOT files; returns a CommandResult."""
     parser = _build_parser()
     try:
         args = parser.parse_args(_glue_list_values(argv))
@@ -722,6 +723,9 @@ def run(argv):
         return CommandResult(2, {"error": "unknown command"})
     try:
         result = handler(args)
+        for path in [p for p in result.dots if p != "-"]:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(result.dots.pop(path))
     except UsageError as exc:
         result = CommandResult(2, {"error": str(exc)})
     except FiniteGeoError as exc:
@@ -774,12 +778,8 @@ def main(argv=None):
             print(json.dumps(result.payload, sort_keys=True, indent=2))
         else:
             print("\n".join(_render_plain(result.payload)))
-    for path, content in result.dots.items():
-        if path == "-":
-            print(content)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(content)
+    if "-" in result.dots:
+        print(result.dots["-"])
     return result.status
 
 

@@ -35,11 +35,10 @@ from .errors import (
     CalculusMismatch,
     InternalInconsistency,
     NotExtensible,
-    NotInHatG,
     NotUniversal,
     UsageError,
 )
-from .funcs import GroupFunction, _exact, as_function, canonical, right_translate
+from .funcs import GroupFunction, _exact, as_function, right_translate
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -48,9 +47,10 @@ class Connection:
     """A left connection nabla: Omega^1 -> Omega^1 (x) Omega^1.
 
     The connection is stored through its coefficients Gamma^h_{g,g'}:
-    terms maps (h, g, g') to each nonzero one in canonical form
-    (funcs.canonical), a scalar when constant; gamma and gamma_value
-    read them back as GroupFunctions.  The action on a basis form is
+    terms holds them as Rank3Field(calculus, gamma) stores them: the
+    nonzero ones in canonical form (funcs.canonical), a scalar when
+    constant, keyed (h, g, g'); gamma and gamma_value read them back as
+    GroupFunctions.  The action on a basis form is
 
         nabla theta^h = -Gamma^h_{g,g'} theta^{g'} (x) theta^g,
 
@@ -58,19 +58,8 @@ class Connection:
     """
 
     def __init__(self, calculus, gamma):
-        calculus.require_left_covariant()
         self.calculus = calculus
-        group = calculus.group
-        hset = set(calculus.hatG)
-        terms = {}
-        for key, value in gamma.items():
-            h, g, gp = key
-            if h not in hset or g not in hset or gp not in hset:
-                raise NotInHatG(f"gamma key {key} outside the reduced set")
-            c = value if value.__class__ is int else canonical(group, value)
-            if c.__class__ is GroupFunction or c:  # a canonical function is nonzero
-                terms[(h, g, gp)] = c
-        self.terms = terms
+        self.terms = Rank3Field(calculus, gamma).terms
         self._omega = None
 
     @property
@@ -444,14 +433,13 @@ class ExtensibilityReport:
     """
 
     def __init__(self, connection, extensible, violations,
-                 psi_representable, psi_violations, v_map, w_map):
+                 psi_representable, psi_violations, v_map):
         self.connection = connection
         self.extensible = extensible
         self.violations = violations
         self.psi_representable = psi_representable
         self.psi_violations = psi_violations
         self.v_map = v_map
-        self.w_map = w_map
 
     def v_apply(self, t):
         """Apply the bimodule map V to the first two legs of a rank-2 or
@@ -496,7 +484,7 @@ def extensibility_analysis(conn):
     h h' g^-1 lies outside the reduced set and differs from the
     identity.  The stricter pointwise form additionally requires the
     coefficients with h h' = g to vanish.  Both verdicts are reported,
-    together with the extracted maps V (off-diagonal) and W (diagonal).
+    together with the extracted map V.
     """
     cal = conn.calculus
     group = cal.group
@@ -504,13 +492,11 @@ def extensibility_analysis(conn):
     violations = []
     psi_violations = []
     v_map = {}
-    w_map = {}
     for (g, h, hp), f in conn.terms.items():
         t = group.mul(group.mul(h, hp), group.inverse(g))
         if t in hset:
             v_map[(g, t, h, hp)] = -f
         elif t == 0:
-            w_map[(g, h, hp)] = -f
             psi_violations.append((g, h, hp))
         else:
             violations.append((g, h, hp))
@@ -524,7 +510,6 @@ def extensibility_analysis(conn):
         psi_representable=not psi_violations,
         psi_violations=psi_violations,
         v_map=v_map,
-        w_map=w_map,
     )
 
 

@@ -19,11 +19,13 @@ groups.cycles replaced: the class, centre and abelian sweeps over the
 Cayley table, the cycle-name walk, the inversion-count parity, the mask
 loops of the three enumerations, the two-sided permutation closure and
 sigma's inverse table.  The next keeps the storage that held every
-tensor and connection coefficient as a GroupFunction.  The last keeps
+tensor and connection coefficient as a GroupFunction.  The next keeps
 the braid transposes of the dual module as they were written before
 they were read off sigma: sigma' by the adjoint formula, the order of
 sigma_X by counting its own cycles, and the sigma'-connection as
-ell_g (x) dX^g.  pytest does not
+ell_g (x) dX^g.  The last keeps braid.classify as it was before it read
+sigma's cycles on the coefficients: the strong flags from comparing t
+with sigma(t), the weak ones from every fiber of t.  pytest does not
 collect this module; test modules import it by name from the tests
 directory.
 """
@@ -35,7 +37,13 @@ from math import lcm
 from unittest import mock
 
 from finitegeo import funcs
-from finitegeo.braid import Rank3Field, TensorField, project_two_form
+from finitegeo.braid import (
+    Rank3Field,
+    TensorField,
+    antisymmetrize,
+    project_two_form,
+    symmetrize,
+)
 from finitegeo.calculus import OneForm, StructureConstants, Tensor, differential, theta_form
 from finitegeo.connection import Connection, extensibility_analysis
 from finitegeo.dual import sigma_x
@@ -823,4 +831,41 @@ def sigma_prime_connection_apply(calculus, x):
         (g, k): val
         for g, c in x.terms.items()
         for k, val in differential(calculus, c).terms.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Fiber-wise classification.  braid.classify tests the cycle conditions on
+# a tensor's canonical coefficients; this is the classify it replaced,
+# with SigmaOperator.in_part as it was on scalar fiber vectors.
+
+
+def fiber_in_part(sigma, part, vec):
+    """Whether a scalar fiber vector lies in "im_a" or "im_s", by sums
+    over sigma's cycles."""
+    for cycle in sigma.cycles():
+        vals = [vec[a] for a in cycle]
+        if part == "im_a":
+            ok = sum(vals) == 0
+        elif part == "im_s":
+            ok = len(vals) % 2 or sum(vals[0::2]) == sum(vals[1::2])
+        else:
+            raise ValueError(f"unknown part {part!r}")
+        if not ok:
+            return False
+    return True
+
+
+def classify(t, sigma):
+    """Strong and weak (anti)symmetry flags for a tensor."""
+    s_symmetric = antisymmetrize(t, sigma).is_zero()
+    s_antisymmetric = symmetrize(t, sigma).is_zero()
+    fibers = [t.fiber(h) for h in range(sigma.calculus.group.order)]
+    w_symmetric = all(fiber_in_part(sigma, "im_s", f) for f in fibers)
+    w_antisymmetric = all(fiber_in_part(sigma, "im_a", f) for f in fibers)
+    return {
+        "s_symmetric": s_symmetric,
+        "s_antisymmetric": s_antisymmetric,
+        "w_symmetric": w_symmetric,
+        "w_antisymmetric": w_antisymmetric,
     }

@@ -8,6 +8,7 @@ import pytest
 from finitegeo import calculus, groups
 from finitegeo.braid import (
     SigmaOperator,
+    TwoForm,
     antisymmetrize,
     basis_tensor,
     braid_check,
@@ -20,7 +21,6 @@ from finitegeo.braid import (
     symmetrize,
     tensor_product,
     wedge,
-    zero_two_form,
 )
 from finitegeo.calculus import StructureConstants, rho, theta_form
 
@@ -222,7 +222,7 @@ def test_maurer_cartan_equation(s3_transposition_calculus):
     sig = sigma_build(cal)
     sc = StructureConstants(cal)
     for h in cal.hatG:
-        mc = zero_two_form(cal)
+        mc = TwoForm(cal)
         for g in cal.hatG:
             for gp in cal.hatG:
                 cval = sc.C(h, g, gp)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from finitegeo import calculus, connection, dual, funcs
-from finitegeo.braid import TensorField, TwoForm
+from finitegeo.braid import TensorField
 from finitegeo.calculus import OneForm, Tensor, theta_form
 from finitegeo.catalog import small_group_catalog
 from finitegeo.connection import Connection
@@ -75,8 +75,6 @@ def _inputs(cal, seed):
 
 def _snapshot(obj):
     """A result with every tensor replaced by its coeffs."""
-    if isinstance(obj, TwoForm):
-        return _snapshot(obj.rep)
     if isinstance(obj, Tensor):
         return dict(obj.coeffs)
     if isinstance(obj, dict):
@@ -110,9 +108,7 @@ def _results(cal, gammas, tensor, metric):
 
 def _stored(obj):
     """Every stored coefficient inside a result, however it is nested."""
-    if isinstance(obj, TwoForm):
-        yield from _stored(obj.rep)
-    elif isinstance(obj, Tensor):
+    if isinstance(obj, Tensor):
         yield from obj.terms.values()
     elif isinstance(obj, dict):
         for v in obj.values():

@@ -2,10 +2,11 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from finitegeo import cli
+from finitegeo import calculus, cli, connection, groups, gset, invariants
 from finitegeo.errors import UsageError
 
 
@@ -462,3 +463,93 @@ def test_main_plain_rendering_lists_rows(capsys):
     assert status == 0
     out = capsys.readouterr().out
     assert "- p0  p1  p2  p3  p4" in out
+
+
+# ---------------------------------------------------------------------------
+# DOT files, and the command paths checked against the library calls.
+
+
+def _split_dot(out):
+    """The JSON payload and the DOT text that follows it on stdout."""
+    start = out.index("digraph")
+    return json.loads(out[:start]), out[start:]
+
+
+def test_dot_files_hold_the_library_graphs(tmp_path, capsys):
+    s3 = groups.symmetric(3)
+    cal = calculus.from_hatG(s3, cli.parse_hatg(s3, "class:(12)"))
+    path = tmp_path / "calculus.dot"
+    argv = ["calculus", "show", "--group", "S3", "--hatg", "class:(12)", "--dot", str(path)]
+    assert cli.main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hatG"] == ["b", "a", "c"]
+    assert path.read_text(encoding="utf-8") == calculus.export_dot(cal)
+    gs = gset.gset_from_permutations([(1, 0, 2)], size=3)
+    path = tmp_path / "action.dot"
+    argv = ["action", "calculi", "--set", "3", "--group-generators", "(12)",
+            "--irreducible", "--dot", str(path)]
+    assert cli.main(argv) == 0
+    assert "count: 3" in capsys.readouterr().out
+    expected = [gset.gset_dot(gs, edges) for edges in gset.irreducible_calculi(gs)]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected)
+
+
+def test_dot_to_stdout_follows_the_payload(capsys):
+    argv = ["calculus", "show", "--group", "Z3", "--hatg", "a", "--json", "--dot", "-"]
+    assert cli.main(argv) == 0
+    payload, dot = _split_dot(capsys.readouterr().out)
+    assert payload["hatG"] == ["a"]
+    z3 = groups.cyclic(3)
+    assert dot == calculus.export_dot(calculus.from_hatG(z3, [1])) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["calculus", "show", "--group", "Z3", "--hatg", "a"],
+    ["action", "calculi", "--set", "3", "--group-generators", "(12)"],
+], ids=["calculus-show", "action-calculi"])
+def test_dot_to_a_directory_is_a_usage_error(tmp_path, capsys, command):
+    """An unwritable DOT path exits 2 with the error alone: JSON on stdout
+    with --json, `error: ...` on stderr without; no payload is printed
+    before it."""
+    argv = command + ["--dot", str(tmp_path)]
+    assert cli.main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert list(json.loads(captured.out)) == ["error"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_tensors_invariant_defaults_to_bi_invariant():
+    result = cli.run(["tensors", "invariant", "--group", "S3", "--hatg", "all"])
+    assert result.status == 0
+    space = invariants.solve_bi_invariant(calculus.universal(groups.symmetric(3)))
+    assert result.payload == {"schema": 1, "kind": "bi_invariant", "dimension": space.dimension}
+
+
+def test_action_calculi_lists_every_covariant_calculus():
+    result = cli.run(["action", "calculi", "--set", "4", "--group-generators", "(1234),(13)"])
+    assert result.status == 0
+    gs = gset.gset_from_permutations([(1, 2, 3, 0), (2, 1, 0, 3)], size=4)
+    found = gset.covariant_calculi(gs)
+    assert result.payload == {
+        "schema": 1,
+        "set": 4,
+        "count": len(found),
+        "calculi": [[[x + 1, y + 1] for x, y in edges] for edges in found],
+    }
+
+
+def test_connection_named_sigma_inverse():
+    result = cli.run(["connection", "named", "--group", "S3", "--hatg", "all",
+                      "--name", "sigma-inverse"])
+    assert result.status == 0
+    s3 = groups.symmetric(3)
+    conn = connection.nabla_sigma_inverse(calculus.universal(s3))
+    assert conn != connection.nabla_sigma(conn.calculus)
+    name = s3.name
+    assert result.payload["gamma"] == {
+        f"{name(h)}|{name(g)}|{name(gp)}": str(Fraction(c))
+        for (h, g, gp), c in conn.terms.items()
+    }

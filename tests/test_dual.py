@@ -22,7 +22,6 @@ from finitegeo.dual import (
     metric_symmetry,
     pair,
     sigma_prime,
-    sigma_prime_connection,
     sigma_x,
     sigma_x_apply,
     sigma_x_order,
@@ -197,23 +196,6 @@ def test_compatibility_routes_agree_for_family_member(
     member = sigma_family(cal, [1, -2, 0])
     report = metric_compatibility(m, route="both", connection=member)
     assert report["routes_agree"]
-
-
-def test_sigma_prime_connection_matches_dual_of_braid(
-    s3_transposition_calculus,
-):
-    cal = s3_transposition_calculus
-    s3 = cal.group
-    prime = sigma_prime_connection(cal)
-    dual = dual_connection(nabla_sigma(cal))
-    x = VectorField(
-        cal,
-        {
-            cal.hatG[0]: funcs.from_values(s3, [1, 1, 0, 2, 0, 0]),
-            cal.hatG[2]: funcs.delta(s3, 5),
-        },
-    )
-    assert prime.apply(x) == dual.apply(x)
 
 
 def test_canonical_form_torsion_matches_connection_torsion(

@@ -16,7 +16,6 @@ from finitegeo import calculus, connection, dual, funcs
 from finitegeo.braid import (
     Rank3Field,
     TensorField,
-    TwoForm,
     d_rep,
     tensor_product,
 )
@@ -68,8 +67,6 @@ def _values(obj):
     """Every coefficient value inside a result, however it is nested."""
     if isinstance(obj, funcs.GroupFunction):
         yield from obj.values
-    elif isinstance(obj, TwoForm):
-        yield from _values(obj.rep)
     elif isinstance(obj, (TensorField, Rank3Field, OneForm)):
         yield from _values(obj.coeffs)
     elif isinstance(obj, dict):

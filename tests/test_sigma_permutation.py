@@ -21,8 +21,20 @@ from finitegeo.linalg import solve_differences
 from elimination import image_basis, kernel_basis, solve_affine
 
 
+def _sigma_matrix(sig):
+    """sigma's permutation matrix on coefficient vectors, lexicographic
+    pair order."""
+    pairs = sig.calculus.pairs()
+    index = {p: i for i, p in enumerate(pairs)}
+    m = len(pairs)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for p in pairs:
+        rows[index[sig.perm[p]]][index[p]] = Fraction(1)
+    return rows
+
+
 def _dense_decomposition(sig):
-    P = sig.matrix()
+    P = _sigma_matrix(sig)
     m = len(P)
     half = Fraction(1, 2)
     A = [[half * ((i == j) - P[i][j]) for j in range(m)] for i in range(m)]
