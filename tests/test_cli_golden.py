@@ -4,8 +4,10 @@ golden/cli/commands.json lists the commands: `connection analyze`,
 `connection named` and `metric check` on the universal calculus and on
 one smaller calculus of S3, D4, Q8, A4, Z12 and an @file group table,
 with constant and function-valued metrics and connection documents from
-golden/cli/inputs.  golden/cli/out holds each command's stdout and exit
-status.  `{inputs}` in an argument stands for the inputs directory.
+golden/cli/inputs.  It also lists `braid decompose` and `tensors
+invariant --pattern` for all five kinds, in hatG's order, a shuffled
+order and a reversed one, on S3, D4, A4 and the @file group.
+golden/cli/out holds each command's stdout and exit status.  `{inputs}` in an argument stands for the inputs directory.
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
