@@ -4,19 +4,23 @@ For a bicovariant calculus sigma permutes basis tensors,
 sigma(theta^g (x) theta^g') = theta^{ad(g^-1)g'} (x) theta^g, and left
 coefficients ride along unchanged.  Powers, order and symmetrizers follow
 from the permutation, and so does the decomposition of the fiber under
-A = (1 - sigma)/2 and S = (1 + sigma)/2.  Index the pairs
-lexicographically; for a cycle C of sigma with largest index top,
+A = (1 - sigma)/2 and S = (1 + sigma)/2.  Given an order of the pairs,
+take top as the last index of a cycle C of sigma in that order and k as
+the steps from top along C:
 
   ker A: the indicator of C;
   im A:  e_a - e_top for each a in C other than top;
   ker S: for even |C|, the vector alternating along C, 1 at top;
   im S:  for odd |C|, e_a for each a in C; for even |C|,
-         e_a - (-1)^k e_top for each a other than top, k steps from it.
+         e_a - (-1)^k e_top for each a other than top.
 
-Sorted by top, resp. a, these are the reduced echelon bases of dense
-elimination: a cycle's only relation among the columns of A or S uses
-all of them, so top is the free column.  A 2-form is a tensor modulo
-ker A, a TwoForm holding its representative pi(t) = A t in im A.
+These are the rows of the reduced echelon basis in that order, up to
+the sign of a ker S row: a cycle's only relation among the columns of
+A or S uses all of them, so top is the free column.  echelon_rows gives
+them for one cycle, or an adjoint orbit for ker A, in any order; the
+parts of decompose keep them sparse in lexicographic order (Part).  A
+2-form is a tensor modulo ker A, a TwoForm holding its representative
+pi(t) = A t in im A.
 
 Membership is read off the cycles too.  A vector lies in ker A when it
 is constant along every cycle, and in ker S when it changes sign at each
@@ -157,46 +161,23 @@ class SigmaOperator:
     def decompose(self):
         if self._decomposition is None:
             m = len(self.perm)
-            one = Fraction(1)
-
-            def vector(entries):
-                vec = [Fraction(0)] * m
-                for a, x in entries:
-                    vec[a] = x
-                return vec
-
-            ker_a, im_a, ker_s, im_s = {}, {}, {}, {}
-            for cycle in self.cycles():
-                top = max(cycle)
-                t = cycle.index(top)
-                even = len(cycle) % 2 == 0
-                sign = {a: (-one) ** (k - t) for k, a in enumerate(cycle)}
-                ker_a[top] = vector((a, one) for a in cycle)
-                if even:
-                    ker_s[top] = vector(sign.items())
-                else:
-                    im_s[top] = vector([(top, one)])
-                for a in cycle:
-                    if a != top:
-                        im_a[a] = vector([(a, one), (top, -one)])
-                        tail = [(top, -sign[a])] if even else []
-                        im_s[a] = vector([(a, one)] + tail)
+            parts = ([r for c in self.cycles() for r in echelon_rows(p, c)] for p in PARTS)
             self._decomposition = DecompositionReport(
-                self.calculus.pairs(),
-                *([d[k] for k in sorted(d)] for d in (ker_a, im_a, ker_s, im_s)),
+                self.calculus.pairs(), *(Part(sorted(rows), m) for rows in parts)
             )
         return self._decomposition
 
-    def in_part(self, part, vec):
+    def in_part(self, part, vec, blocks=None):
         """Whether a vector over calculus.pairs() of canonical coefficients,
-        exact scalars or GroupFunctions (funcs.canonical), lies in "ker_a", "im_a",
-        "ker_s" or "im_s", by the cycle conditions of the module docstring;
-        a vector of functions does when every fiber does."""
-        if part not in ("ker_a", "im_a", "ker_s", "im_s"):
+        exact scalars or GroupFunctions (funcs.canonical), lies in part, one
+        of PARTS, by the cycle conditions of the module docstring on blocks,
+        sigma's cycles by default (for "ker_a" any blocks); a vector of
+        functions does when every fiber does."""
+        if part not in PARTS:
             raise ValueError(f"unknown part {part!r}")
         group = self.calculus.group
-        for cycle in self.cycles():
-            vals = [vec[a] for a in cycle]
+        for block in self.cycles() if blocks is None else blocks:
+            vals = [vec[a] for a in block]
             if part == "ker_a":
                 ok = all(x == vals[0] for x in vals)
             elif part == "ker_s":
@@ -210,13 +191,58 @@ class SigmaOperator:
         return True
 
 
+PARTS = ("ker_a", "im_a", "ker_s", "im_s")
+_SIGNS = (Fraction(1), Fraction(-1))
+
+
+def echelon_rows(part, block, key=None):
+    """The rows of part, one of PARTS, on one sigma-cycle in sigma's order
+    (on any block for "ker_a"), as in the module docstring with top the
+    last index under key (a column position; the index by default).  A
+    row is a list of (index, value) pairs led by (top, 1) for a kernel
+    row, by (a, 1) for an image row, so sorted rows run by top, resp. a."""
+    t = block.index(max(block, key=key))
+    ring = block[t:] + block[:t]
+    top, even, (one, minus) = ring[0], len(ring) % 2 == 0, _SIGNS
+    if part == "ker_a":
+        return [[(a, one) for a in ring]]
+    if part == "ker_s":
+        return [[(a, _SIGNS[k % 2]) for k, a in enumerate(ring)]] if even else []
+    if part == "im_a":
+        return [[(a, one), (top, minus)] for a in ring[1:]]
+    if part != "im_s":
+        raise ValueError(f"unknown part {part!r}")
+    if even:
+        return [[(a, one), (top, _SIGNS[1 - k % 2])] for k, a in enumerate(ring) if k]
+    return [[(a, one)] for a in ring]
+
+
+class Part:
+    """A read-only sequence of vectors over the pairs kept as sparse rows;
+    item i is built densely when read, a slice is a Part of the rows."""
+
+    def __init__(self, rows, size):
+        self.rows = rows
+        self.size = size
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Part(self.rows[i], self.size)
+        vec = [Fraction(0)] * self.size
+        for a, x in self.rows[i]:  # past the end, IndexError ends iteration
+            vec[a] = x
+        return vec
+
+
 class DecompositionReport:
+    """ker A, im A, ker S and im S of the fiber, each a Part."""
+
     def __init__(self, pairs, ker_a, im_a, ker_s, im_s):
         self.pairs = pairs
-        self.ker_a = ker_a
-        self.im_a = im_a
-        self.ker_s = ker_s
-        self.im_s = im_s
+        self.ker_a, self.im_a, self.ker_s, self.im_s = ker_a, im_a, ker_s, im_s
 
     @property
     def dims(self):

@@ -435,15 +435,6 @@ class Tensor:
             return NotImplemented
         return self._space() == other._space() and self.terms == other.terms
 
-    def fiber(self, h):
-        """Coefficient vector at group point h, lexicographic key order."""
-        return [c(h) for c in self.coeffs.values()]
-
-    def constant_vector(self):
-        if not self.is_constant():
-            raise ValueError("tensor has non-constant coefficients")
-        return [self.terms.get(k, 0) for k in self._keys()]
-
 
 class OneForm(Tensor):
     """phi = phi_g theta^g with coefficients on the left (or the omega basis)."""

@@ -594,13 +594,11 @@ def _cmd_tensors_invariant(args):
         "dimension": space.dimension,
     }
     if args.pattern:
-        order = None
-        if args.order:
-            order = [
-                cal.group.element_index(tok.strip())
-                for tok in args.order.split(",")
-            ]
-        pat = invariants_mod.pattern_matrix(space, order=order)
+        order = args.order and [cal.group.element_index(t.strip()) for t in args.order.split(",")]
+        try:
+            pat = invariants_mod.pattern_matrix(space, order=order)
+        except ValueError as exc:  # an order that is not a permutation of hatG
+            raise UsageError(str(exc)) from None
         payload["pattern"] = {
             "order": [cal.group.name(g) for g in pat["order"]],
             "matrix": pat["strings"],
@@ -726,12 +724,11 @@ def run(argv):
         for path in [p for p in result.dots if p != "-"]:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(result.dots.pop(path))
-    except UsageError as exc:
-        result = CommandResult(2, {"error": str(exc)})
+    except (UsageError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
+        # str() of a KeyError quotes its message
+        result = CommandResult(2, {"error": str(exc.args[0] if isinstance(exc, KeyError) else exc)})
     except FiniteGeoError as exc:
         result = CommandResult(1, {"error": str(exc)})
-    except (OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
-        result = CommandResult(2, {"error": str(exc)})
     result.quiet = getattr(args, "quiet", False)
     result.as_json = getattr(args, "json", False)
     return result

@@ -6,34 +6,47 @@ of tensor squares.  Strong (anti)symmetry is a kernel condition, weak
 coefficients along the orbits of the diagonal adjoint action.  Solutions
 with function coefficients are spanned by the constant fiber solutions
 with free function multipliers, so the spaces below store constant
-basis tensors.
+basis tensors, block by block from braid.echelon_rows.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from itertools import product
 
-from .braid import sigma_for, tensor_from_vector
+from .braid import Part, echelon_rows, sigma_for, tensor_from_vector
 from .groups import orbits as group_orbits
 
 
 class SolutionSpace:
     """An exact solution space of constant tensor fields.
 
-    The basis is echelonized over the fiber coordinates; every member of
-    the space with function coefficients is a combination of the basis
-    with arbitrary function multipliers.
+    kind names the condition and part the braid part it reads, "ker_a"
+    for bi_invariant; blocks are the pair-index lists (calculus.pairs()
+    order) that the part's condition runs along: sigma's cycles, or the
+    adjoint orbits for bi_invariant.  vectors is the echelon basis over
+    the fiber coordinates, a braid.Part that builds each dense vector
+    when it is read, and basis yields the same vectors as constant
+    tensor fields.  Every member of the space with function coefficients
+    is a combination of the basis with arbitrary function multipliers.
     """
 
-    def __init__(self, calculus, kind, vectors, orbit_classes=None):
+    def __init__(self, calculus, kind, blocks, vectors):
         self.calculus = calculus
         self.kind = kind
-        self.vectors = [list(v) for v in vectors]
-        self.orbit_classes = orbit_classes
+        # bi_invariant asks for a constant on each orbit, as ker A on each cycle
+        self.part = _KIND_TO_PART.get(kind, "ker_a")
+        self.blocks = blocks
+        self.vectors = vectors
 
-    @cached_property
+    @property
     def basis(self):
-        """The basis vectors as constant tensor fields, built on first use."""
-        return [tensor_from_vector(self.calculus, v) for v in self.vectors]
+        """The basis vectors as constant tensor fields, built as iterated."""
+        return (tensor_from_vector(self.calculus, v) for v in self.vectors)
+
+    @property
+    def orbit_classes(self):
+        """bi_invariant's adjoint orbits on pairs, as lists of pairs."""
+        pairs = self.calculus.pairs()
+        return [[pairs[a] for a in b] for b in self.blocks] if self.kind == "bi_invariant" else None
 
     @property
     def dimension(self):
@@ -45,16 +58,8 @@ class SolutionSpace:
 
     def contains_vector(self, vec):
         """Whether a constant fiber vector (lexicographic pairs) meets the
-        kind's defining condition: constant on each orbit class for
-        bi_invariant, the sigma-cycle condition of its part otherwise."""
-        if self.kind == "bi_invariant":
-            index = {p: i for i, p in enumerate(self.calculus.pairs())}
-            return all(
-                len({vec[index[p]] for p in orb}) == 1 for orb in self.orbit_classes
-            )
-        if self.kind not in _KIND_TO_PART:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        return sigma_for(self.calculus).in_part(_KIND_TO_PART[self.kind], vec)
+        kind's defining condition on every block (SigmaOperator.in_part)."""
+        return sigma_for(self.calculus).in_part(self.part, vec, self.blocks)
 
     def __repr__(self):
         return (
@@ -82,16 +87,16 @@ def solve_symmetry(calculus, kind):
             f"kind must be one of {sorted(_KIND_TO_PART)}, got {kind!r}"
         )
     sig = sigma_for(calculus)
-    report = sig.decompose()
-    vectors = getattr(report, _KIND_TO_PART[kind])
-    return SolutionSpace(calculus, kind, vectors)
+    vectors = getattr(sig.decompose(), _KIND_TO_PART[kind])
+    return SolutionSpace(calculus, kind, sig.cycles(), vectors)
 
 
 def solve_bi_invariant(calculus):
     """Solve the bi-invariance condition on the constant tensor fiber.
 
     Constant coefficients must agree along the orbits of the diagonal
-    adjoint action on pairs; the space has one free constant per orbit.
+    adjoint action on pairs; the space has one free constant per orbit,
+    its indicator, in the order the orbits are found.
     """
     calculus.require_bicovariant()
     group = calculus.group
@@ -101,14 +106,9 @@ def solve_bi_invariant(calculus):
     def act(a, p):
         return (group.adjoint(a, p[0]), group.adjoint(a, p[1]))
 
-    orbs = group_orbits(pairs, act, group)
-    vectors = []
-    for orb in orbs:
-        vec = [Fraction(0)] * len(pairs)
-        for p in orb:
-            vec[index[p]] = Fraction(1)
-        vectors.append(vec)
-    return SolutionSpace(calculus, "bi_invariant", vectors, orbit_classes=orbs)
+    blocks = [[index[p] for p in orb] for orb in group_orbits(pairs, act, group)]
+    rows = [row for block in blocks for row in echelon_rows("ker_a", block)]
+    return SolutionSpace(calculus, "bi_invariant", blocks, Part(rows, len(pairs)))
 
 
 def pattern_matrix(space, order=None):
@@ -119,40 +119,39 @@ def pattern_matrix(space, order=None):
     string matrix.  Parameters are canonicalized by first occurrence in
     row-major order, so comparisons should use the equality classes and
     linear relations rather than parameter names.
-    """
-    from .linalg import rref
 
+    The parameters are the reduced echelon basis over the cells: each
+    block's braid.echelon_rows, sorted by pivot and scaled to 1 there, so
+    every entry is 1 or -1.  Raises ValueError unless order lists each
+    element of hatG once.
+    """
     cal = space.calculus
-    if order is None:
-        order = list(cal.hatG)
-    pairs = cal.pairs()
-    index = {p: i for i, p in enumerate(pairs)}
-    cells = [(g, gp) for g in order for gp in order]
-    cols = [index[c] for c in cells]
-    rows = [[v[j] for j in cols] for v in space.vectors]
-    if rows:
-        reduced, _, rank = rref(rows)
-        reduced = reduced[:rank]
-    else:
-        reduced = []
+    order = list(cal.hatG) if order is None else list(order)
+    if sorted(order) != sorted(cal.hatG):
+        missing = [g for g in cal.hatG if g not in order]
+        extra = [g for g in dict.fromkeys(order) if order.count(g) > (g in cal.hatG)]
+        found = [label + " " + ", ".join(map(cal.group.name, gs))
+                 for label, gs in (("missing", missing), ("extra", extra)) if gs]
+        raise ValueError("order must list each element of hatG once: " + "; ".join(found))
     n = len(order)
-    coeff_cells = {}
-    strings = [["0"] * n for _ in range(n)]
-    for ci, cell in enumerate(cells):
-        coeffs = tuple(row[ci] for row in reduced)
-        coeff_cells[cell] = coeffs
-        terms = []
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            name = f"p{k}"
-            if c == 1:
-                terms.append(f"+{name}" if terms else name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                sign = "+" if c > 0 and terms else ""
-                terms.append(f"{sign}{c}*{name}")
-        text = "".join(terms) if terms else "0"
-        strings[ci // n][ci % n] = text
-    return {"order": list(order), "cells": coeff_cells, "strings": strings}
+    where = {g: i for i, g in enumerate(order)}
+    cell = [where[g] * n + where[gp] for g, gp in cal.pairs()]
+    rows = []
+    for block in space.blocks:
+        for row in echelon_rows(space.part, block, cell.__getitem__):
+            row = sorted((cell[a], x) for a, x in row)
+            rows.append([(c, x / row[0][1]) for c, x in row])  # 1 at the pivot
+    rows.sort()
+    by_cell = [[] for _ in range(n * n)]
+    for k, row in enumerate(rows):
+        for c, x in row:
+            by_cell[c].append((k, x))
+    zero, coeff_cells, strings = Fraction(0), {}, [[] for _ in order]
+    for c, ((g, gp), entries) in enumerate(zip(product(order, order), by_cell)):
+        coeffs = [zero] * len(rows)
+        for k, x in entries:
+            coeffs[k] = x
+        coeff_cells[(g, gp)] = tuple(coeffs)
+        terms = [("-" if x < 0 else "+" if j else "") + f"p{k}" for j, (k, x) in enumerate(entries)]
+        strings[c // n].append("".join(terms) or "0")
+    return {"order": order, "cells": coeff_cells, "strings": strings}

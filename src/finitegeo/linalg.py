@@ -1,10 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, row major.  rref is plain dense
-Gaussian elimination (pattern_matrix echelonizes a solution space with
-it); solve_differences solves the systems of two-variable equations
-x_u - x_v = c by union-find; matmul and identity_matrix serve the
-transport matrices of a connection.
+Matrices are lists of lists of Fraction, row major.  solve_differences
+solves the systems of two-variable equations x_u - x_v = c by
+union-find; matmul and identity_matrix serve the transport matrices of
+a connection.
 """
 
 from fractions import Fraction
@@ -13,45 +12,6 @@ from .errors import Infeasible
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def _as_fraction_rows(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows) -> tuple[Matrix, list[int], int]:
-    """Reduced row echelon form.
-
-    Returns (R, pivots, rank) where pivots[i] is the column of the
-    leading 1 in row i of R.
-    """
-    m = _as_fraction_rows(rows)
-    if not m:
-        return [], [], 0
-    nrows = len(m)
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots, r
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -25,9 +25,12 @@ they were read off sigma: sigma' by the adjoint formula, the order of
 sigma_X by counting its own cycles, and the sigma'-connection as
 ell_g (x) dX^g.  The last keeps braid.classify as it was before it read
 sigma's cycles on the coefficients: the strong flags from comparing t
-with sigma(t), the weak ones from every fiber of t.  pytest does not
-collect this module; test modules import it by name from the tests
-directory.
+with sigma(t), the weak ones from every fiber of t, read by fiber, which
+with constant_vector was a Tensor method.  The last section keeps the
+dense parts of sigma and the solution spaces as they were built before
+braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
+orbit indicators and pattern_matrix by rref.  pytest does not collect
+this module; test modules import it by name from the tests directory.
 """
 
 import contextlib
@@ -49,7 +52,9 @@ from finitegeo.connection import Connection, extensibility_analysis
 from finitegeo.dual import sigma_x
 from finitegeo.errors import CalculusMismatch, NotExtensible, NotInHatG
 from finitegeo.funcs import constant, ell, right_translate, zero
-from finitegeo.groups import cycles
+from finitegeo.groups import cycles, orbits
+
+from elimination import rref
 
 
 def nabla_theta(conn, h):
@@ -860,7 +865,7 @@ def classify(t, sigma):
     """Strong and weak (anti)symmetry flags for a tensor."""
     s_symmetric = antisymmetrize(t, sigma).is_zero()
     s_antisymmetric = symmetrize(t, sigma).is_zero()
-    fibers = [t.fiber(h) for h in range(sigma.calculus.group.order)]
+    fibers = [fiber(t, h) for h in range(sigma.calculus.group.order)]
     w_symmetric = all(fiber_in_part(sigma, "im_s", f) for f in fibers)
     w_antisymmetric = all(fiber_in_part(sigma, "im_a", f) for f in fibers)
     return {
@@ -869,3 +874,108 @@ def classify(t, sigma):
         "w_symmetric": w_symmetric,
         "w_antisymmetric": w_antisymmetric,
     }
+
+
+def fiber(t, h):
+    """A tensor's coefficient vector at group point h, lexicographic key order."""
+    return [c(h) for c in t.coeffs.values()]
+
+
+def constant_vector(t):
+    """A constant tensor's coefficients over every key, lexicographic order."""
+    if not t.is_constant():
+        raise ValueError("tensor has non-constant coefficients")
+    return [t.terms.get(k, 0) for k in t._keys()]
+
+
+# ---------------------------------------------------------------------------
+# Dense sigma parts and solution spaces.  decompose, solve_bi_invariant and
+# pattern_matrix read braid.echelon_rows; these built every vector densely
+# and echelonized the pattern by Gaussian elimination.
+
+
+def dense_decompose(sigma):
+    """(ker_a, im_a, ker_s, im_s) as the dense Fraction vectors of the
+    module docstring of braid, sorted by top, resp. a."""
+    m = len(sigma.perm)
+    one = Fraction(1)
+
+    def vector(entries):
+        vec = [Fraction(0)] * m
+        for a, x in entries:
+            vec[a] = x
+        return vec
+
+    ker_a, im_a, ker_s, im_s = {}, {}, {}, {}
+    for cycle in sigma.cycles():
+        top = max(cycle)
+        t = cycle.index(top)
+        even = len(cycle) % 2 == 0
+        sign = {a: (-one) ** (k - t) for k, a in enumerate(cycle)}
+        ker_a[top] = vector((a, one) for a in cycle)
+        if even:
+            ker_s[top] = vector(sign.items())
+        else:
+            im_s[top] = vector([(top, one)])
+        for a in cycle:
+            if a != top:
+                im_a[a] = vector([(a, one), (top, -one)])
+                tail = [(top, -sign[a])] if even else []
+                im_s[a] = vector([(a, one)] + tail)
+    return tuple([d[k] for k in sorted(d)] for d in (ker_a, im_a, ker_s, im_s))
+
+
+def dense_bi_invariant_vectors(calculus):
+    """The indicator vector of each adjoint orbit on pairs, in orbit order."""
+    group = calculus.group
+    pairs = calculus.pairs()
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def act(a, p):
+        return (group.adjoint(a, p[0]), group.adjoint(a, p[1]))
+
+    vectors = []
+    for orb in orbits(pairs, act, group):
+        vec = [Fraction(0)] * len(pairs)
+        for p in orb:
+            vec[index[p]] = Fraction(1)
+        vectors.append(vec)
+    return vectors
+
+
+def dense_pattern_matrix(space, order=None):
+    """pattern_matrix by rref of the space's dense vectors, columns in order."""
+    cal = space.calculus
+    if order is None:
+        order = list(cal.hatG)
+    pairs = cal.pairs()
+    index = {p: i for i, p in enumerate(pairs)}
+    cells = [(g, gp) for g in order for gp in order]
+    cols = [index[c] for c in cells]
+    rows = [[v[j] for j in cols] for v in space.vectors]
+    if rows:
+        reduced, _, rank = rref(rows)
+        reduced = reduced[:rank]
+    else:
+        reduced = []
+    n = len(order)
+    coeff_cells = {}
+    strings = [["0"] * n for _ in range(n)]
+    for ci, cell in enumerate(cells):
+        coeffs = tuple(row[ci] for row in reduced)
+        coeff_cells[cell] = coeffs
+        terms = []
+        for k, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            name = f"p{k}"
+            if c == 1:
+                terms.append(f"+{name}" if terms else name)
+            elif c == -1:
+                terms.append(f"-{name}")
+            else:
+                sign = "+" if c > 0 and terms else ""
+                terms.append(f"{sign}{c}*{name}")
+        text = "".join(terms) if terms else "0"
+        strings[ci // n][ci % n] = text
+    return {"order": list(order), "cells": coeff_cells, "strings": strings}

@@ -4,7 +4,8 @@ The package tests membership by each space's defining condition: σ-cycle
 sums for im A and im S, the kind's condition for a solution space, the
 union-find roots for a torsion-free family and A₃ for the degree-3 ideal.
 The elimination routines those tests replaced live here, unchanged, so
-the tests can compare the two answers.  pytest does not collect this
+the tests can compare the two answers; rref also checks the echelon
+bases that braid.echelon_rows writes down in closed form.  pytest does not collect this
 module; test modules import it by name from the tests directory.
 """
 
@@ -13,7 +14,46 @@ from fractions import Fraction
 from finitegeo.braid import d_rep, tensor_from_vector
 from finitegeo.errors import Infeasible
 from finitegeo.funcs import _exact
-from finitegeo.linalg import Matrix, Vector, _as_fraction_rows, rref
+from finitegeo.linalg import Matrix, Vector
+
+
+def _as_fraction_rows(rows) -> Matrix:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def rref(rows) -> tuple[Matrix, list[int], int]:
+    """Reduced row echelon form.
+
+    Returns (R, pivots, rank) where pivots[i] is the column of the
+    leading 1 in row i of R.
+    """
+    m = _as_fraction_rows(rows)
+    if not m:
+        return [], [], 0
+    nrows = len(m)
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, r
 
 
 def kernel_basis(rows) -> list[Vector]:

@@ -553,3 +553,30 @@ def test_connection_named_sigma_inverse():
         f"{name(h)}|{name(g)}|{name(gp)}": str(Fraction(c))
         for (h, g, gp), c in conn.terms.items()
     }
+
+
+@pytest.mark.parametrize("hatg,order,message", [
+    ("all", "a,b", "missing ab, ba, c"),
+    ("all", "a,a,b,ab,ba", "missing c; extra a"),
+    ("a,b,c", "e,a,b", "missing c; extra e"),
+])
+def test_pattern_order_must_be_a_permutation_of_hatg(capsys, hatg, order, message):
+    """An --order that leaves out, repeats or adds an element is a usage
+    error naming them, on stdout as JSON with --json, on stderr without."""
+    argv = ["tensors", "invariant", "--group", "S3", "--hatg", hatg, "--kind", "s-sym",
+            "--pattern", "--order", order]
+    want = f"order must list each element of hatG once: {message}"
+    assert cli.main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert (json.loads(captured.out), captured.err) == ({"error": want}, "")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {want}\n")
+
+
+def test_unknown_element_message_is_not_quoted_twice(capsys):
+    argv = ["braid", "order", "--group", "S3", "--hatg", "zz"]
+    assert cli.main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "unknown element 'zz' of S3"}
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown element 'zz' of S3\n"

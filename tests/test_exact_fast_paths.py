@@ -22,9 +22,8 @@ from finitegeo.braid import (
 from finitegeo.calculus import OneForm, theta_form
 from finitegeo.catalog import small_group_catalog
 from finitegeo.errors import CalculusMismatch
-from finitegeo.linalg import rref
 
-from elimination import SubspaceReducer
+from elimination import SubspaceReducer, rref
 
 CATALOG = small_group_catalog()
 

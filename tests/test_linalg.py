@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
-from finitegeo.linalg import identity_matrix, matmul, rref
+from finitegeo.linalg import identity_matrix, matmul
 
 from elimination import (
+    rref,
     SubspaceReducer,
     image_basis,
     kernel_basis,

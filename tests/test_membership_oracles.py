@@ -22,6 +22,7 @@ from finitegeo.dual import canonical_form_and_torsion
 from finitegeo.errors import Infeasible
 from finitegeo.invariants import solve_bi_invariant, solve_symmetry
 
+from dense_paths import constant_vector
 from elimination import DegreeThreeIdeal, SubspaceReducer, kernel_basis, solve_affine
 
 KINDS = ("s_sym", "s_antisym", "w_sym", "w_antisym", "bi_invariant")
@@ -57,7 +58,7 @@ def test_ker_a3_equals_the_eliminated_ideal(label, cal):
     # Column t of A_3 is A_3 applied to the basis triple t.
     a3 = [[0] * len(triples) for _ in triples]
     for j, t in enumerate(triples):
-        column = apply_a3(Rank3Field(cal, {t: 1}), sig).constant_vector()
+        column = constant_vector(apply_a3(Rank3Field(cal, {t: 1}), sig))
         for i, x in enumerate(column):
             a3[i][j] = x
     kernel = kernel_basis(a3)
