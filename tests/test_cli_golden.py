@@ -8,6 +8,8 @@ golden/cli/inputs.  It also lists `braid decompose` and `tensors
 invariant --pattern` for all five kinds, in hatG's order, a shuffled
 order and a reversed one, on S3, D4, A4 and the @file group.
 golden/cli/out holds each command's stdout and exit status.  `{inputs}` in an argument stands for the inputs directory.
+golden/cli/help holds the --help text of the top level, of each command
+and of each subcommand, rendered at COLUMNS=80.
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -30,6 +32,14 @@ INPUTS = os.path.join(GOLDEN, "inputs")
 with open(os.path.join(GOLDEN, "commands.json"), encoding="utf-8") as _fh:
     COMMANDS = json.load(_fh)
 
+LEAVES = [
+    "group info", "calculi list", "calculus show", "braid order", "braid check",
+    "braid decompose", "connection solve", "connection analyze", "connection named",
+    "tensors invariant", "metric check", "action orbits", "action calculi",
+]
+HELP = [[], *([c] for c in dict.fromkeys(leaf.split()[0] for leaf in LEAVES))]
+HELP += [leaf.split() for leaf in LEAVES]
+
 
 def _run(argv):
     """Exit status and stdout bytes of one command."""
@@ -44,6 +54,10 @@ def _out_path(name):
     return os.path.join(GOLDEN, "out", f"{name}.json")
 
 
+def _help_path(argv):
+    return os.path.join(GOLDEN, "help", f"{'-'.join(argv) or 'finitegeo'}.txt")
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=[c["name"] for c in COMMANDS])
 def test_json_output_is_byte_identical(command):
     status, stdout = _run(command["argv"])
@@ -52,7 +66,20 @@ def test_json_output_is_byte_identical(command):
     assert (status, stdout) == (command["status"], want)
 
 
+@pytest.mark.parametrize("argv", HELP, ids=[" ".join(a) or "finitegeo" for a in HELP])
+def test_help_text_is_byte_identical(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(_help_path(argv), "rb") as fh:
+        want = fh.read()
+    assert _run([*argv, "--help"]) == (0, want)
+
+
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    os.makedirs(os.path.join(GOLDEN, "help"), exist_ok=True)
+    for argv in HELP:
+        with open(_help_path(argv), "wb") as fh:
+            fh.write(_run([*argv, "--help"])[1])
     os.makedirs(os.path.join(GOLDEN, "out"), exist_ok=True)
     for command in COMMANDS:
         command["status"], stdout = _run(command["argv"])
