@@ -2,9 +2,13 @@
 
 Subcommands cover group inspection, calculus enumeration, braid
 operators, connections, invariant tensors, metrics, and group actions
-on finite sets.  Output is deterministic: JSON payloads carry a schema
-marker, dictionary keys are sorted, and rational numbers render as
-"p/q" strings that the parsers accept back.
+on finite sets.  _build_parser declares each subcommand once, in one
+table: a leaf call gives its name, help, options and handler, bound with
+set_defaults, so run calls args.handler(args).  A handler returns its
+payload, or (payload, DOT text) on a leaf with --dot; run adds the
+schema marker, writes DOT files and maps errors to exit statuses.
+Output is deterministic: dictionary keys are sorted, and rational
+numbers render as "p/q" strings that the parsers accept back.
 """
 
 import argparse
@@ -50,8 +54,8 @@ def parse_group(spec):
     spec = spec.strip()
     if spec.startswith("@"):
         doc = _load_json(spec[1:])
-        if not isinstance(doc, dict):
-            raise UsageError("a group file must hold a JSON object")
+        if not isinstance(doc, dict) or "table" not in doc:
+            raise UsageError('a group file must hold a JSON object with a "table"')
         table = doc["table"]
         if not (isinstance(table, list) and all(isinstance(row, list) for row in table)):
             raise UsageError("a group table must be a list of lists of integers")
@@ -226,13 +230,14 @@ def connection_to_json(conn):
     }
 
 
-def _document_entries(calculus, doc, field):
-    """The (key, value) pairs of a connection or metric document's
-    coefficient object, field "gamma" or "coeffs".
+def _document_terms(calculus, doc, field, rank):
+    """The coefficients of a connection document (field "gamma", rank 3)
+    or a metric document ("coeffs", rank 2), keyed by tuples of elements.
 
-    A document written for another calculus is refused: the schema,
-    group and hatG fields are optional, and when present they must match
-    the calculus the document is applied to.
+    Each key names rank elements of hatG joined by "|".  A document
+    written for another calculus is refused: the schema, group and hatG
+    fields are optional, and when present they must match the calculus
+    the document is applied to.
     """
     if not isinstance(doc, dict):
         raise UsageError("a connection or metric document must be a JSON object")
@@ -253,41 +258,37 @@ def _document_entries(calculus, doc, field):
     entries = doc.get(field, {})
     if not isinstance(entries, dict):
         raise UsageError(f"the document's {field!r} must be a JSON object")
-    return entries.items()
+    hat, terms = set(calculus.hatG), {}
+    for key, value in entries.items():
+        parts = key.split("|")
+        if len(parts) != rank:
+            raise UsageError(f"bad coefficient key {key!r}: expected {rank} names joined by |")
+        legs = tuple(group.element_index(p) for p in parts)
+        if not hat.issuperset(legs):
+            raise UsageError(f"coefficient key {key!r} names an element outside hatG")
+        terms[legs] = _function_from_json(group, value)
+    return terms
 
 
 def connection_from_json(calculus, doc):
-    group = calculus.group
-    gamma = {}
-    for key, value in _document_entries(calculus, doc, "gamma"):
-        parts = key.split("|")
-        if len(parts) != 3:
-            raise UsageError(f"bad coefficient key {key!r}")
-        h, g, gp = (group.element_index(p) for p in parts)
-        gamma[(h, g, gp)] = _function_from_json(group, value)
-    return connection_mod.Connection(calculus, gamma)
+    return connection_mod.Connection(calculus, _document_terms(calculus, doc, "gamma", 3))
 
 
 def metric_from_json(calculus, doc):
-    group = calculus.group
-    coeffs = {}
-    for key, value in _document_entries(calculus, doc, "coeffs"):
-        parts = key.split("|")
-        if len(parts) != 2:
-            raise UsageError(f"bad metric key {key!r}")
-        g, gp = (group.element_index(p) for p in parts)
-        coeffs[(g, gp)] = _function_from_json(group, value)
-    return dual_mod.Metric(calculus, coeffs)
+    return dual_mod.Metric(calculus, _document_terms(calculus, doc, "coeffs", 2))
 
 
 class CommandResult:
     """Status, JSON payload and optional DOT documents of one run, keyed by
-    path; run writes the files, so only the one for "-" is left to print."""
+    path, with the run's --quiet and --json flags; run writes the files,
+    so only the one for "-" is left to print."""
 
-    def __init__(self, status=0, payload=None, dots=None):
+    def __init__(self, status=0, payload=None, dots=None, quiet=False, as_json=False):
         self.status = status
         self.payload = payload if payload is not None else {}
         self.dots = dots if dots is not None else {}
+        self.quiet = quiet
+        self.as_json = as_json
 
 
 def _load_json(path):
@@ -313,12 +314,10 @@ def _named_connection(calculus, name, lambdas=None):
 
 
 def _resolve_connection(calculus, args):
-    doc = getattr(args, "connection", None)
-    name = getattr(args, "name", None)
-    if doc is not None:
-        return connection_from_json(calculus, _load_json(doc))
-    if name is not None:
-        return _named_connection(calculus, name, getattr(args, "lambdas", None))
+    if args.connection is not None:
+        return connection_from_json(calculus, _load_json(args.connection))
+    if args.name is not None:
+        return _named_connection(calculus, args.name, args.lambdas)
     raise UsageError("provide --connection FILE or --name NAME")
 
 
@@ -333,132 +332,109 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+_COMMANDS = {
+    "group": "inspect groups",
+    "calculi": "enumerate calculi on a group",
+    "calculus": "inspect one calculus",
+    "braid": "braid operator of a calculus",
+    "connection": "linear connections",
+    "tensors": "invariant tensor spaces",
+    "metric": "metrics and compatibility",
+    "action": "group actions on finite sets",
+}
+
+
 def _build_parser():
+    """The argparse tree, one leaf call per subcommand.  leaf adds the
+    command's parser on first use, --group and --hatg as the subcommand
+    takes them, and binds the handler; the subcommand's own options
+    follow, and --json, --quiet and, where the leaf writes DOT, --dot
+    come last, so every help text lists them in that order."""
     parser = _Parser(
         prog="finitegeo",
         description="Exact differential geometry on finite groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions, leaves = {}, []
 
-    def add_common(p, dot=False):
+    def leaf(path, help, handler, group=True, hatg=True, dot=False):
+        command, action = path.split()
+        if command not in actions:
+            p = commands.add_parser(command, help=_COMMANDS[command])
+            actions[command] = p.add_subparsers(dest="action", required=True)
+        p = actions[command].add_parser(action, help=help)
+        p.set_defaults(handler=handler)
+        if group:
+            p.add_argument("--group", help="group spec (Z3, S3, Z2xZ2, @file.json)")
+        if group and hatg:
+            p.add_argument("--hatg", help="reduced set: all, name list, or class:NAME selectors")
+        leaves.append((p, dot))
+        return p
+
+    leaf("group info", "order, classes, center", _cmd_group_info, group=False).add_argument(
+        "spec", help="group spec"
+    )
+    leaf("calculi list", "list covariant calculi", _cmd_calculi_list, hatg=False).add_argument(
+        "--bicovariant", action="store_true", help="only bicovariant ones"
+    )
+    leaf("calculus show", "reduced set, edges, covariance", _cmd_calculus_show, dot=True)
+    leaf("braid order", "order of the braid operator", _cmd_braid)
+    leaf("braid check", "verify the braid equation", _cmd_braid)
+    leaf("braid decompose", "kernel and image dimensions", _cmd_braid)
+
+    p = leaf("connection solve", "solve invariance + torsion conditions", _cmd_connection_solve)
+    p.add_argument("--torsion-free", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--bi-invariant", action="store_true")
+    mode.add_argument("--left-invariant", action="store_true")
+    p.add_argument("--params", help="emit the member at these parameters")
+    p = leaf("connection analyze", "torsion, curvature, extensibility", _cmd_connection_analyze)
+    p.add_argument("--connection", metavar="FILE", help="connection JSON")
+    p.add_argument("--name", help="named connection (c, sigma, ...)")
+    p.add_argument("--lambdas", help="family parameters")
+    p = leaf("connection named", "emit a named connection", _cmd_connection_named)
+    p.add_argument("--name", required=True, help="c, sigma, sigma-inverse, transport, family")
+    p.add_argument("--lambdas", help="family parameters")
+
+    p = leaf("tensors invariant", "solve a symmetry condition", _cmd_tensors_invariant)
+    p.add_argument("--kind", default="bi", help="bi, s-sym, s-antisym, w-sym, w-antisym")
+    p.add_argument("--pattern", action="store_true", help="show pattern matrix")
+    p.add_argument("--order", help="element order for the pattern rows")
+
+    p = leaf("metric check", "compatibility along a connection", _cmd_metric_check)
+    p.add_argument("--metric", required=True, metavar="FILE")
+    p.add_argument("--connection", metavar="FILE")
+    p.add_argument("--name", help="named connection")
+    p.add_argument("--lambdas", help="family parameters")
+
+    p = leaf("action orbits", "orbits on off-diagonal pairs", _cmd_action_orbits, group=False)
+    p.add_argument("--set", type=int, required=True, metavar="N")
+    p.add_argument(
+        "--group-generators", required=True, help="comma list of cycles, e.g. (12),(13)"
+    )
+    p = leaf("action calculi", "covariant calculi on the set", _cmd_action_calculi, group=False,
+             dot=True)
+    p.add_argument("--set", type=int, required=True, metavar="N")
+    p.add_argument("--group-generators", required=True)
+    p.add_argument("--irreducible", action="store_true")
+
+    for p, dot in leaves:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--quiet", action="store_true", help="suppress output")
         if dot:
             p.add_argument("--dot", metavar="FILE", help="write DOT graph")
-
-    def add_group(p, hatg=True):
-        p.add_argument("--group", help="group spec (Z3, S3, Z2xZ2, @file.json)")
-        if hatg:
-            p.add_argument(
-                "--hatg",
-                help="reduced set: all, name list, or class:NAME selectors",
-            )
-
-    p = sub.add_parser("group", help="inspect groups")
-    gsub = p.add_subparsers(dest="action", required=True)
-    gi = gsub.add_parser("info", help="order, classes, center")
-    gi.add_argument("spec", help="group spec")
-    add_common(gi)
-
-    p = sub.add_parser("calculi", help="enumerate calculi on a group")
-    csub = p.add_subparsers(dest="action", required=True)
-    cl = csub.add_parser("list", help="list covariant calculi")
-    add_group(cl, hatg=False)
-    cl.add_argument(
-        "--bicovariant", action="store_true", help="only bicovariant ones"
-    )
-    add_common(cl)
-
-    p = sub.add_parser("calculus", help="inspect one calculus")
-    ksub = p.add_subparsers(dest="action", required=True)
-    ks = ksub.add_parser("show", help="reduced set, edges, covariance")
-    add_group(ks)
-    add_common(ks, dot=True)
-
-    p = sub.add_parser("braid", help="braid operator of a calculus")
-    bsub = p.add_subparsers(dest="action", required=True)
-    for act, desc in (
-        ("order", "order of the braid operator"),
-        ("check", "verify the braid equation"),
-        ("decompose", "kernel and image dimensions"),
-    ):
-        bp = bsub.add_parser(act, help=desc)
-        add_group(bp)
-        add_common(bp)
-
-    p = sub.add_parser("connection", help="linear connections")
-    nsub = p.add_subparsers(dest="action", required=True)
-    ns = nsub.add_parser("solve", help="solve invariance + torsion conditions")
-    add_group(ns)
-    ns.add_argument("--torsion-free", action="store_true")
-    group_mode = ns.add_mutually_exclusive_group()
-    group_mode.add_argument("--bi-invariant", action="store_true")
-    group_mode.add_argument("--left-invariant", action="store_true")
-    ns.add_argument("--params", help="emit the member at these parameters")
-    add_common(ns)
-    na = nsub.add_parser("analyze", help="torsion, curvature, extensibility")
-    add_group(na)
-    na.add_argument("--connection", metavar="FILE", help="connection JSON")
-    na.add_argument("--name", help="named connection (c, sigma, ...)")
-    na.add_argument("--lambdas", help="family parameters")
-    add_common(na)
-    nn = nsub.add_parser("named", help="emit a named connection")
-    add_group(nn)
-    nn.add_argument("--name", required=True,
-                    help="c, sigma, sigma-inverse, transport, family")
-    nn.add_argument("--lambdas", help="family parameters")
-    add_common(nn)
-
-    p = sub.add_parser("tensors", help="invariant tensor spaces")
-    tsub = p.add_subparsers(dest="action", required=True)
-    ti = tsub.add_parser("invariant", help="solve a symmetry condition")
-    add_group(ti)
-    ti.add_argument(
-        "--kind",
-        default="bi",
-        help="bi, s-sym, s-antisym, w-sym, w-antisym",
-    )
-    ti.add_argument("--pattern", action="store_true", help="show pattern matrix")
-    ti.add_argument("--order", help="element order for the pattern rows")
-    add_common(ti)
-
-    p = sub.add_parser("metric", help="metrics and compatibility")
-    msub = p.add_subparsers(dest="action", required=True)
-    mc = msub.add_parser("check", help="compatibility along a connection")
-    add_group(mc)
-    mc.add_argument("--metric", required=True, metavar="FILE")
-    mc.add_argument("--connection", metavar="FILE")
-    mc.add_argument("--name", help="named connection")
-    mc.add_argument("--lambdas", help="family parameters")
-    add_common(mc)
-
-    p = sub.add_parser("action", help="group actions on finite sets")
-    asub = p.add_subparsers(dest="action", required=True)
-    ao = asub.add_parser("orbits", help="orbits on off-diagonal pairs")
-    ao.add_argument("--set", type=int, required=True, metavar="N")
-    ao.add_argument(
-        "--group-generators", required=True,
-        help="comma list of cycles, e.g. (12),(13)",
-    )
-    add_common(ao)
-    ac = asub.add_parser("calculi", help="covariant calculi on the set")
-    ac.add_argument("--set", type=int, required=True, metavar="N")
-    ac.add_argument("--group-generators", required=True)
-    ac.add_argument("--irreducible", action="store_true")
-    add_common(ac, dot=True)
     return parser
 
 
 def _make_calculus(args):
     group = parse_group(args.group)
-    hatg = parse_hatg(group, getattr(args, "hatg", None))
+    hatg = parse_hatg(group, args.hatg)
     return calculus_mod.from_hatG(group, hatg)
 
 
 def _cmd_group_info(args):
     group = parse_group(args.spec)
-    payload = {
-        "schema": 1,
+    return {
         "label": group.label,
         "order": group.order,
         "abelian": group.is_abelian(),
@@ -468,7 +444,6 @@ def _cmd_group_info(args):
         ],
         "center": [group.name(g) for g in group.center()],
     }
-    return CommandResult(0, payload)
 
 
 def _cmd_calculi_list(args):
@@ -477,8 +452,7 @@ def _cmd_calculi_list(args):
         found = calculus_mod.enumerate_bicovariant(group)
     else:
         found = calculus_mod.enumerate_left_covariant(group)
-    payload = {
-        "schema": 1,
+    return {
         "group": group.label,
         "count": len(found),
         "calculi": [
@@ -489,14 +463,12 @@ def _cmd_calculi_list(args):
             for cal in found
         ],
     }
-    return CommandResult(0, payload)
 
 
 def _cmd_calculus_show(args):
     cal = _make_calculus(args)
     group = cal.group
     payload = {
-        "schema": 1,
         "group": group.label,
         "hatG": [group.name(g) for g in cal.hatG],
         "edges": sorted(
@@ -505,23 +477,17 @@ def _cmd_calculus_show(args):
         "left_covariant": cal.left_covariant,
         "bicovariant": cal.bicovariant,
     }
-    dots = {}
-    if getattr(args, "dot", None):
-        dots[args.dot] = calculus_mod.export_dot(cal)
-    return CommandResult(0, payload, dots)
+    return payload, calculus_mod.export_dot(cal) if args.dot else None
 
 
 def _cmd_braid(args):
     cal = _make_calculus(args)
     sig = connection_mod.sigma_for(cal)
     if args.action == "order":
-        payload = {"schema": 1, "order": sig.order()}
-    elif args.action == "check":
-        payload = {"schema": 1, "braid_equation": braid_mod.braid_check(sig)}
-    else:
-        dims = sig.decompose().dims
-        payload = {"schema": 1, "dims": dims}
-    return CommandResult(0, payload)
+        return {"order": sig.order()}
+    if args.action == "check":
+        return {"braid_equation": braid_mod.braid_check(sig)}
+    return {"dims": sig.decompose().dims}
 
 
 def _cmd_connection_solve(args):
@@ -532,7 +498,6 @@ def _cmd_connection_solve(args):
     family = connection_mod.solve_torsion_free(cal, mode=mode)
     group = cal.group
     payload = {
-        "schema": 1,
         "group": group.label,
         "hatG": [group.name(g) for g in cal.hatG],
         "mode": mode,
@@ -543,7 +508,7 @@ def _cmd_connection_solve(args):
         params = [_parse_fraction(p) for p in args.params.split(",")]
         member = family.member(params)
         payload["member"] = connection_to_json(member)
-    return CommandResult(0, payload)
+    return payload
 
 
 def _cmd_connection_analyze(args):
@@ -551,7 +516,6 @@ def _cmd_connection_analyze(args):
     conn = _resolve_connection(cal, args)
     report = connection_mod.extensibility_analysis(conn)
     payload = {
-        "schema": 1,
         "left_invariant": conn.is_left_invariant(),
         "torsion_free": conn.is_torsion_free(),
         "curvature_zero": conn.curvature_is_zero(),
@@ -561,13 +525,13 @@ def _cmd_connection_analyze(args):
     if conn.is_left_invariant() and cal.bicovariant:
         info = connection_mod.invariance_constraints(cal, "bi")
         payload["bi_invariant"] = info["satisfies"](conn)
-    return CommandResult(0, payload)
+    return payload
 
 
 def _cmd_connection_named(args):
     cal = _make_calculus(args)
     conn = _named_connection(cal, args.name, args.lambdas)
-    return CommandResult(0, connection_to_json(conn))
+    return connection_to_json(conn)
 
 
 _KIND_ALIASES = {
@@ -589,7 +553,6 @@ def _cmd_tensors_invariant(args):
     else:
         space = invariants_mod.solve_symmetry(cal, kind)
     payload = {
-        "schema": 1,
         "kind": space.kind,
         "dimension": space.dimension,
     }
@@ -603,26 +566,21 @@ def _cmd_tensors_invariant(args):
             "order": [cal.group.name(g) for g in pat["order"]],
             "matrix": pat["strings"],
         }
-    return CommandResult(0, payload)
+    return payload
 
 
 def _cmd_metric_check(args):
     cal = _make_calculus(args)
     metric = metric_from_json(cal, _load_json(args.metric))
-    if getattr(args, "connection", None) or getattr(args, "name", None):
-        conn = _resolve_connection(cal, args)
-    else:
-        conn = None
+    conn = _resolve_connection(cal, args) if args.connection or args.name else None
     report = dual_mod.metric_compatibility(metric, "both", conn)
     flags = dual_mod.metric_symmetry(metric)
-    payload = {
-        "schema": 1,
+    return {
         "compatible": report["compatible"],
         "routes_agree": report["routes_agree"],
         "s_symmetric": flags["s_symmetric"],
         "left_invariant": flags["left_invariant"],
     }
-    return CommandResult(0, payload)
 
 
 def _action_gset(args):
@@ -637,15 +595,13 @@ def _action_gset(args):
 def _cmd_action_orbits(args):
     gs = _action_gset(args)
     orbs = gset_mod.pair_orbits(gs)
-    payload = {
-        "schema": 1,
+    return {
         "set": gs.size,
         "group_order": gs.group.order,
         "orbits": [
             [[x + 1, y + 1] for (x, y) in orb] for orb in orbs
         ],
     }
-    return CommandResult(0, payload)
 
 
 def _cmd_action_calculi(args):
@@ -655,35 +611,14 @@ def _cmd_action_calculi(args):
     else:
         found = gset_mod.covariant_calculi(gs)
     payload = {
-        "schema": 1,
         "set": gs.size,
         "count": len(found),
         "calculi": [
             [[x + 1, y + 1] for (x, y) in edges] for edges in found
         ],
     }
-    dots = {}
-    if getattr(args, "dot", None):
-        parts = [gset_mod.gset_dot(gs, edges) for edges in found]
-        dots[args.dot] = "\n".join(parts)
-    return CommandResult(0, payload, dots)
-
-
-_DISPATCH = {
-    ("group", "info"): _cmd_group_info,
-    ("calculi", "list"): _cmd_calculi_list,
-    ("calculus", "show"): _cmd_calculus_show,
-    ("braid", "order"): _cmd_braid,
-    ("braid", "check"): _cmd_braid,
-    ("braid", "decompose"): _cmd_braid,
-    ("connection", "solve"): _cmd_connection_solve,
-    ("connection", "analyze"): _cmd_connection_analyze,
-    ("connection", "named"): _cmd_connection_named,
-    ("tensors", "invariant"): _cmd_tensors_invariant,
-    ("metric", "check"): _cmd_metric_check,
-    ("action", "orbits"): _cmd_action_orbits,
-    ("action", "calculi"): _cmd_action_calculi,
-}
+    dot = "\n".join(gset_mod.gset_dot(gs, edges) for edges in found) if args.dot else None
+    return payload, dot
 
 
 def _glue_list_values(argv):
@@ -713,25 +648,22 @@ def run(argv):
         if "--json" not in argv:
             sys.stderr.write(exc.usage)
             return CommandResult(2)
-        result = CommandResult(2, {"error": str(exc)})
-        result.as_json = True
-        return result
-    handler = _DISPATCH.get((args.command, args.action))
-    if handler is None:
-        return CommandResult(2, {"error": "unknown command"})
+        return CommandResult(2, {"error": str(exc)}, as_json=True)
+    flags = {"quiet": args.quiet, "as_json": args.json}
     try:
-        result = handler(args)
-        for path in [p for p in result.dots if p != "-"]:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(result.dots.pop(path))
+        out = args.handler(args)
+        payload, dot = out if isinstance(out, tuple) else (out, None)
+        if dot is not None and args.dot != "-":
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        dots = {} if dot is None or args.dot != "-" else {"-": dot}
+        return CommandResult(0, {"schema": 1, **payload}, dots, **flags)
     except (UsageError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
         # str() of a KeyError quotes its message
-        result = CommandResult(2, {"error": str(exc.args[0] if isinstance(exc, KeyError) else exc)})
+        error = str(exc.args[0] if isinstance(exc, KeyError) else exc)
+        return CommandResult(2, {"error": error}, **flags)
     except FiniteGeoError as exc:
-        result = CommandResult(1, {"error": str(exc)})
-    result.quiet = getattr(args, "quiet", False)
-    result.as_json = getattr(args, "json", False)
-    return result
+        return CommandResult(1, {"error": str(exc)}, **flags)
 
 
 def _render_plain(payload, indent=0):
@@ -765,13 +697,11 @@ def main(argv=None):
     `error: ...`, or to stdout as JSON with --json; --quiet hides only
     the payload of a command that succeeded."""
     result = run(sys.argv[1:] if argv is None else argv)
-    quiet = getattr(result, "quiet", False)
-    as_json = getattr(result, "as_json", False)
     failed = result.status != 0 and "error" in result.payload
-    if failed and not as_json:
+    if failed and not result.as_json:
         print(f"error: {result.payload['error']}", file=sys.stderr)
-    elif result.payload and (failed or not quiet):
-        if as_json:
+    elif result.payload and (failed or not result.quiet):
+        if result.as_json:
             print(json.dumps(result.payload, sort_keys=True, indent=2))
         else:
             print("\n".join(_render_plain(result.payload)))

@@ -16,9 +16,7 @@ from .braid import (
     Rank3Field,
     TensorField,
     basis_tensor,
-    d_one_form,
     d_rep,
-    d_theta,
     project_two_form,
     sigma_for,
     tensor_product,
@@ -39,6 +37,7 @@ from .errors import (
     UsageError,
 )
 from .funcs import GroupFunction, _exact, as_function, right_translate
+from .groups import generators
 from .groups import orbits as group_orbits
 from .linalg import identity_matrix, matmul, solve_differences
 
@@ -251,7 +250,11 @@ def flatness_representation_check(conn):
 
     The matrices are U_g[h'][h] = delta^h_h' + Gamma^h_{h',g} for g in
     the reduced set, extended by U_e = id.  Returns True when they form
-    a representation of the group.  The outcome is compared against the
+    a representation of the group.  U_g U_s = U_gs is checked for every g but
+    only for s among the generators (groups.generators), which implies it
+    for all pairs by induction on the length of a word h = h's in them:
+    U_g U_h = U_g U_h' U_s = U_gh' U_s = U_gh, starting from U_e = id.
+    This is the argument behind Light's test.  The outcome is compared against the
     direct curvature computation; a mismatch between the two notions is
     flagged by raising InternalInconsistency rather than silently preferring
     either answer.
@@ -268,11 +271,8 @@ def flatness_representation_check(conn):
     mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
     for (h, hp, g), c in conn.terms.items():
         mats[g][idx[hp]][idx[h]] += c
-    is_rep = all(
-        matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
-        for g in mats
-        for gp in mats
-    )
+    gens = generators(group.table)
+    is_rep = all(matmul(mats[g], mats[s]) == mats[group.mul(g, s)] for g in mats for s in gens)
     flat = conn.curvature_is_zero()
     if is_rep != flat:
         raise InternalInconsistency(
@@ -406,8 +406,12 @@ def solve_torsion_free(calculus, mode="bi"):
     variables.  Union-find with potentials (linalg.solve_differences)
     solves it: the potential of each orbit relative to the largest orbit
     it is tied to is the particular solution, and each tied set gives one
-    free parameter.  Returns a TorsionFreeFamily.
+    free parameter.  Returns a TorsionFreeFamily.  Torsion is a 2-form,
+    and 2-forms are built through sigma, so the calculus must be
+    bicovariant in either mode (NotBicovariant otherwise); on such a
+    calculus ad(g)g' stays in the reduced set.
     """
+    calculus.require_bicovariant()
     info = invariance_constraints(calculus, mode)
     orbits = info["orbits"]
     var_of = {t: i for i, orb in enumerate(orbits) for t in orb}
@@ -666,33 +670,24 @@ def two_sided_square(ts, phi):
     mapping the middle label to a 2-form (forms on the left), a rank 3
     field (the mixed component), and a dict mapping the middle label to
     a 2-form (forms on the right).  Zero components are omitted from
-    the dicts.
+    the dicts.  The calculus is inner, d = [rho, .}, so the left one of
+    column col_v is d col_v - col_v ^ rho = rho ^ col_v, and the right
+    one of row_u = sum_v R_u(c_uv) theta^v is row_u ^ rho, as
+    d theta^v - rho ^ theta^v = theta^v ^ rho.
     """
     cal = ts.calculus
     sig = sigma_for(cal)
     r = ts.rho
     left_part, right_part = ts.apply(phi)
-    two_left = {}
-    for v in cal.hatG:
-        col = OneForm(cal, {u: c for (u, w), c in left_part.terms.items() if w == v})
-        if col.is_zero():
-            continue
-        tf = d_one_form(col, sig) - wedge(col, r, sig)
-        if not tf.is_zero():
-            two_left[v] = tf
+    two_left, two_right = {}, {}
+    for g in cal.hatG:
+        col = OneForm(cal, {u: c for (u, w), c in left_part.terms.items() if w == g})
+        row = OneForm(cal, {v: right_translate(g, c) for (u, v), c in right_part.terms.items()
+                            if u == g})
+        for out, form in ((two_left, wedge(r, col, sig)), (two_right, wedge(row, r, sig))):
+            if not form.is_zero():
+                out[g] = form
     mixed_field = tensor_product(left_part, r) + tensor_product(r, right_part)
-    two_right = {}
-    for u in cal.hatG:
-        acc = None
-        for v in cal.hatG:
-            c = right_part.terms.get((u, v))
-            if c is None:
-                continue
-            base = d_theta(cal, sig, v) - wedge(r, theta_form(cal, v), sig)
-            piece = base.left_mul(right_translate(u, c))
-            acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
-            two_right[u] = acc
     return two_left, mixed_field, two_right
 
 

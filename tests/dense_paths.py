@@ -26,11 +26,16 @@ sigma_X by counting its own cycles, and the sigma'-connection as
 ell_g (x) dX^g.  The last keeps braid.classify as it was before it read
 sigma's cycles on the coefficients: the strong flags from comparing t
 with sigma(t), the weak ones from every fiber of t, read by fiber, which
-with constant_vector was a Tensor method.  The last section keeps the
+with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
-orbit indicators and pattern_matrix by rref.  pytest does not collect
-this module; test modules import it by name from the tests directory.
+orbit indicators and pattern_matrix by rref.  The last section keeps
+two connection checks as they were: the transport-matrix test of
+flatness over all |G|^2 pairs, before it ran over the generators only,
+and the square of the two-sided connection through d and the
+Maurer-Cartan forms d theta^v, before it was read off rho.  pytest does
+not collect this module; test modules import it by name from the tests
+directory.
 """
 
 import contextlib
@@ -44,15 +49,28 @@ from finitegeo.braid import (
     Rank3Field,
     TensorField,
     antisymmetrize,
+    d_one_form,
     project_two_form,
+    sigma_for,
     symmetrize,
+    tensor_product,
+    wedge,
 )
 from finitegeo.calculus import OneForm, StructureConstants, Tensor, differential, theta_form
 from finitegeo.connection import Connection, extensibility_analysis
 from finitegeo.dual import sigma_x
-from finitegeo.errors import CalculusMismatch, NotExtensible, NotInHatG
+from finitegeo.errors import (
+    CalculusMismatch,
+    InternalInconsistency,
+    NotExtensible,
+    NotInHatG,
+    NotUniversal,
+    UsageError,
+)
 from finitegeo.funcs import constant, ell, right_translate, zero
 from finitegeo.groups import cycles, orbits
+
+from finitegeo.linalg import identity_matrix, matmul
 
 from elimination import rref
 
@@ -979,3 +997,66 @@ def dense_pattern_matrix(space, order=None):
         text = "".join(terms) if terms else "0"
         strings[ci // n][ci % n] = text
     return {"order": list(order), "cells": coeff_cells, "strings": strings}
+
+
+# ---------------------------------------------------------------------------
+# Connection checks before they were shortened.
+
+
+def flatness_representation_check(conn):
+    """Test U_g U_g' = U_gg' for every pair of group elements."""
+    cal = conn.calculus
+    group = cal.group
+    if len(cal.hatG) != group.order - 1:
+        raise NotUniversal(
+            "transport matrices need the universal calculus"
+        )
+    if not conn.is_left_invariant():
+        raise UsageError("transport matrices need constant coefficients")
+    idx = {g: i for i, g in enumerate(cal.hatG)}
+    mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
+    for (h, hp, g), c in conn.terms.items():
+        mats[g][idx[hp]][idx[h]] += c
+    is_rep = all(
+        matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
+        for g in mats
+        for gp in mats
+    )
+    flat = conn.curvature_is_zero()
+    if is_rep != flat:
+        raise InternalInconsistency(
+            "transport representation property and zero curvature disagree "
+            f"(representation={is_rep}, flat={flat})"
+        )
+    return is_rep
+
+
+def two_sided_square(ts, phi):
+    """The square of a two-sided connection: the left components as
+    d col - col ^ rho, the right ones from d theta^v - rho ^ theta^v."""
+    cal = ts.calculus
+    sig = sigma_for(cal)
+    r = ts.rho
+    left_part, right_part = ts.apply(phi)
+    two_left = {}
+    for v in cal.hatG:
+        col = OneForm(cal, {u: c for (u, w), c in left_part.terms.items() if w == v})
+        if col.is_zero():
+            continue
+        tf = d_one_form(col, sig) - wedge(col, r, sig)
+        if not tf.is_zero():
+            two_left[v] = tf
+    mixed_field = tensor_product(left_part, r) + tensor_product(r, right_part)
+    two_right = {}
+    for u in cal.hatG:
+        acc = None
+        for v in cal.hatG:
+            c = right_part.terms.get((u, v))
+            if c is None:
+                continue
+            base = d_one_form(theta_form(cal, v), sig) - wedge(r, theta_form(cal, v), sig)
+            piece = base.left_mul(right_translate(u, c))
+            acc = piece if acc is None else acc + piece
+        if acc is not None and not acc.is_zero():
+            two_right[u] = acc
+    return two_left, mixed_field, two_right

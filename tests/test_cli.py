@@ -580,3 +580,48 @@ def test_unknown_element_message_is_not_quoted_twice(capsys):
     assert json.loads(capsys.readouterr().out) == {"error": "unknown element 'zz' of S3"}
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: unknown element 'zz' of S3\n"
+
+
+def test_connection_solve_refuses_a_calculus_that_is_not_bicovariant(capsys):
+    """Torsion-free solving needs sigma, so a left-invariant solve on a
+    reduced set of S3 that is no union of classes exits 1, with and
+    without --json."""
+    message = "operation needs a bicovariant calculus"
+    for hatg in ("a,b", "a"):
+        argv = ["connection", "solve", "--group", "S3", "--hatg", hatg,
+                "--torsion-free", "--left-invariant"]
+        assert cli.main(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out), captured.err) == ({"error": message}, "")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_bad_documents_get_clear_usage_errors(capsys, tmp_path):
+    """A group file without "table", and a connection or metric key with
+    a leg outside hatG, are usage errors whose message names the problem;
+    an unknown element name already was one."""
+    docs = {
+        "group": {"names": ["e"]},
+        "metric": {"coeffs": {"a|a2": "1"}},
+        "connection": {"gamma": {"a|a|a2": "1"}},
+        "unknown": {"coeffs": {"a|zz": "1"}},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    calc = ["--group", "Z3", "--hatg", "a"]
+    cases = [
+        (["group", "info", f"@{tmp_path / 'group.json'}"],
+         'a group file must hold a JSON object with a "table"'),
+        (["metric", "check", *calc, "--metric", str(tmp_path / "metric.json")],
+         "coefficient key 'a|a2' names an element outside hatG"),
+        (["connection", "analyze", *calc, "--connection", str(tmp_path / "connection.json")],
+         "coefficient key 'a|a|a2' names an element outside hatG"),
+        (["metric", "check", *calc, "--metric", str(tmp_path / "unknown.json")],
+         "unknown element 'zz' of Z3"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

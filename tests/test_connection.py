@@ -31,6 +31,7 @@ from finitegeo.dual import Metric, metric_compatibility
 from finitegeo.errors import (
     BadLambdaLength,
     InternalInconsistency,
+    NotBicovariant,
     NotExtensible,
     NotInHatG,
     NotUniversal,
@@ -149,6 +150,17 @@ def test_torsion_free_bi_invariant_family(s3_transposition_calculus):
         lhs = member.gamma_value(a, b, a)
         assert lhs == member.gamma_value(a, a, b)
         assert lhs.values[0] == member.gamma_value(a, b, c).values[0] - 1
+
+
+def test_torsion_solve_needs_a_bicovariant_calculus(s3):
+    """On hatG {a, b} of S3, ad(a)b = c leaves hatG, so the torsion
+    equations name triples no variable stands for; on hatG {a} they close,
+    but a 2-form needs sigma.  Both modes refuse both calculi."""
+    for names in (("a", "b"), ("a",)):
+        cal = calculus.from_hatG(s3, [s3.element_index(n) for n in names])
+        for mode in ("left", "bi"):
+            with pytest.raises(NotBicovariant):
+                solve_torsion_free(cal, mode)
 
 
 def test_flatness_representation_for_structure_coefficients(s3_universal):
