@@ -653,10 +653,10 @@ def run(argv):
     try:
         out = args.handler(args)
         payload, dot = out if isinstance(out, tuple) else (out, None)
-        if dot is not None and args.dot != "-":
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot)
-        dots = {} if dot is None or args.dot != "-" else {"-": dot}
+        dots = {} if dot is None else {args.dot: dot}
+        for path in [p for p in dots if p != "-"]:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dots.pop(path))
         return CommandResult(0, {"schema": 1, **payload}, dots, **flags)
     except (UsageError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
         # str() of a KeyError quotes its message

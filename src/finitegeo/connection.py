@@ -250,13 +250,13 @@ def flatness_representation_check(conn):
 
     The matrices are U_g[h'][h] = delta^h_h' + Gamma^h_{h',g} for g in
     the reduced set, extended by U_e = id.  Returns True when they form
-    a representation of the group.  U_g U_s = U_gs is checked for every g but
-    only for s among the generators (groups.generators), which implies it
-    for all pairs by induction on the length of a word h = h's in them:
-    U_g U_h = U_g U_h' U_s = U_gh' U_s = U_gh, starting from U_e = id.
-    This is the argument behind Light's test.  The outcome is compared against the
-    direct curvature computation; a mismatch between the two notions is
-    flagged by raising InternalInconsistency rather than silently preferring
+    a representation of the group.  U_g U_s = U_gs is checked for every
+    g but only for the generators s (groups.generators).  That implies it
+    for all pairs, by induction on the length of a word h = h's in them:
+    U_g U_h = U_g U_h' U_s = U_gh' U_s = U_gh, from U_e = id; the argument
+    behind Light's test.  The outcome is compared against the direct
+    curvature computation; a mismatch between the two notions is flagged
+    by raising InternalInconsistency rather than silently preferring
     either answer.
     """
     cal = conn.calculus

@@ -1054,7 +1054,7 @@ def two_sided_square(ts, phi):
             c = right_part.terms.get((u, v))
             if c is None:
                 continue
-            base = d_one_form(theta_form(cal, v), sig) - wedge(r, theta_form(cal, v), sig)
+            base = d_theta(cal, sig, v) - wedge(r, theta_form(cal, v), sig)
             piece = base.left_mul(right_translate(u, c))
             acc = piece if acc is None else acc + piece
         if acc is not None and not acc.is_zero():

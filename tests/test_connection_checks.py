@@ -5,7 +5,9 @@ generators s only; dense_paths.flatness_representation_check runs over
 every pair.  two_sided_square reads its 2-form components off rho, since
 the calculus is inner, d = [rho, .}; dense_paths.two_sided_square builds
 them with d and the Maurer-Cartan forms.  The commutator form of d is
-checked on its own on seeded function-valued 1-forms.
+checked on its own on seeded function-valued 1-forms.  The flatness
+check runs on the universal calculus of every catalog group, the others
+on test_echelon_rows' sample of up to four bicovariant calculi a group.
 """
 
 import random
@@ -13,29 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-import dense_paths
 from finitegeo import calculus, connection, funcs
 from finitegeo.braid import d_one_form, project_two_form, sigma_for, tensor_product
 from finitegeo.calculus import OneForm, rho
 from finitegeo.catalog import small_group_catalog
 from finitegeo.errors import InternalInconsistency
+from finitegeo.groups import generators
+from finitegeo.linalg import identity_matrix, matmul
+
+import dense_paths
+from test_echelon_rows import IDS, SAMPLE
 
 CATALOG = small_group_catalog()
-
-
-def _sample():
-    """Up to four non-empty bicovariant calculi per catalog group, spread
-    over the enumeration (which runs by size)."""
-    cases = []
-    for name, group in CATALOG.items():
-        found = [c for c in calculus.enumerate_bicovariant(group) if c.hatG]
-        step = max(1, len(found) // 4)
-        cases.extend((f"{name}:{c.hatG}", c) for c in found[::step][:4])
-    return cases
-
-
-SAMPLE = _sample()
-IDS = [label for label, _ in SAMPLE]
 
 
 def _seeded_form(cal, rng):
@@ -58,6 +49,30 @@ def _seeded_constant(cal, seed):
     return connection.Connection(cal, {t: rng.choice((-2, -1, 1, 3)) for t in picked})
 
 
+def _transport_along_one_generator(cal, seed):
+    """A connection whose transport matrices satisfy U_g U_s = U_gs for
+    every g, but as a rule only for the first generator s: U_s permutes
+    the basis by conjugation with s, and U_rs^k = U_r U_s^k along each
+    coset r<s>, from a U_r that differs from the identity in one seeded
+    entry.  A check that stopped at the first generator would call it a
+    representation."""
+    group, hatg = cal.group, cal.hatG
+    rng = random.Random(seed)
+    s = generators(group.table)[0]
+    u_s = [[int(group.adjoint(s, h) == hp) for hp in hatg] for h in hatg]
+    mats = {}
+    for r in range(group.order):
+        u = identity_matrix(len(hatg))
+        if r and r not in mats:
+            u[rng.randrange(len(hatg))][rng.randrange(len(hatg))] += rng.choice((-1, 1, 2))
+        while r not in mats:
+            mats[r] = u
+            u, r = matmul(u, u_s), group.mul(r, s)
+    gamma = {(h, hp, g): mats[g][i][j] - (i == j) for g in hatg
+             for i, hp in enumerate(hatg) for j, h in enumerate(hatg)}
+    return connection.Connection(cal, {key: c for key, c in gamma.items() if c})
+
+
 def _outcome(check, conn):
     try:
         return check(conn)
@@ -70,6 +85,9 @@ def test_flatness_on_generators_matches_all_pairs(name):
     cal = calculus.universal(CATALOG[name])
     conns = [connection.c_connection(cal), connection.nabla_sigma(cal),
              connection.canonical_connection(cal), _seeded_constant(cal, 1)]
+    several = len(generators(cal.group.table)) > 1
+    if several:
+        conns.append(_transport_along_one_generator(cal, 2))
     outcomes = []
     for conn in conns:
         got = _outcome(connection.flatness_representation_check, conn)
@@ -79,6 +97,8 @@ def test_flatness_on_generators_matches_all_pairs(name):
         assert outcomes[:2] == [True, True]
         assert isinstance(outcomes[2], str)  # flat, not a representation
         assert outcomes[3] is False
+    if several:
+        assert outcomes[4] is not True
 
 
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
