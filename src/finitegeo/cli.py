@@ -477,7 +477,7 @@ def _cmd_calculus_show(args):
         "left_covariant": cal.left_covariant,
         "bicovariant": cal.bicovariant,
     }
-    return payload, calculus_mod.export_dot(cal) if args.dot else None
+    return payload, calculus_mod.export_dot(cal) if args.dot is not None else None
 
 
 def _cmd_braid(args):
@@ -617,8 +617,9 @@ def _cmd_action_calculi(args):
             [[x + 1, y + 1] for (x, y) in edges] for edges in found
         ],
     }
-    dot = "\n".join(gset_mod.gset_dot(gs, edges) for edges in found) if args.dot else None
-    return payload, dot
+    if args.dot is None:
+        return payload
+    return payload, "\n".join(gset_mod.gset_dot(gs, edges) for edges in found)
 
 
 def _glue_list_values(argv):

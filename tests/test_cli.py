@@ -521,6 +521,23 @@ def test_dot_to_a_directory_is_a_usage_error(tmp_path, capsys, command):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["calculus", "show", "--group", "Z3", "--hatg", "a"],
+    ["action", "calculi", "--set", "3", "--group-generators", "(12)"],
+], ids=["calculus-show", "action-calculi"])
+def test_empty_dot_path_is_a_usage_error(capsys, command):
+    """--dot "" names no file: it exits 2 like any unwritable path."""
+    argv = command + ["--dot", ""]
+    assert cli.main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert list(json.loads(captured.out)) == ["error"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_tensors_invariant_defaults_to_bi_invariant():
     result = cli.run(["tensors", "invariant", "--group", "S3", "--hatg", "all"])
     assert result.status == 0
