@@ -35,8 +35,8 @@ from .calculus import (
     export_dot,
     from_edges,
     from_hatG,
+    omega_coefficients,
     omega_form,
-    omega_theta_convert,
     rho,
     theta_commute,
     theta_form,

@@ -63,7 +63,7 @@ tests, not proven here.
 from fractions import Fraction
 from math import lcm
 
-from .calculus import OneForm, Tensor, theta_form
+from .calculus import Tensor, theta_form
 from .errors import CalculusMismatch, InternalInconsistency
 from .funcs import GroupFunction, combination, ell
 from .groups import cycles
@@ -343,8 +343,6 @@ def d_theta(calculus, sigma, h):
 def d_rep(t):
     """Representative of d of a 1-form (rank 2) or of a represented 2-form
     (rank 3), by the graded Leibniz rule of the module docstring."""
-    if isinstance(t, OneForm) and t.basis != "theta":
-        raise ValueError("differential implemented in the theta basis")
     kind = {1: TensorField, 2: Rank3Field}.get(t.rank)
     if kind is None or t.side != "left":
         raise ValueError("d_rep takes a left tensor of rank 1 or 2")

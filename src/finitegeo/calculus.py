@@ -16,9 +16,9 @@ coefficients in the canonical form of funcs.canonical, a scalar when
 constant; its coeffs list every key of hatG^rank as a GroupFunction,
 zero where no term is stored.  Its side says where the coefficients
 sit: left of the basis for 1-forms and their tensor powers, right of it
-for vector fields and metrics.  A factor multiplied on the coefficient side multiplies the
-coefficients.  A factor on the other side crosses the basis legs,
-nearest first, and each crossing translates it: theta^k f =
+for vector fields and metrics.  A factor multiplied on the coefficient
+side multiplies the coefficients.  A factor on the other side crosses
+the basis legs, nearest first, and each crossing translates it: theta^k f =
 (R_{k^-1} f) theta^k and f ell_k = ell_k (R_{k^-1} f).  After crossing
 c_1, ..., c_n it is R_{(c_1 ... c_n)^-1} f, so a left tensor times f
 has the coefficient t_k R_{(k_rank ... k_1)^-1} f at the key
@@ -26,7 +26,10 @@ k = (k_1, ..., k_rank).  The tensor product of left tensors follows the
 same rule: in a (x) b each coefficient of b crosses the legs of a, so
 (a (x) b)_{K,L} = a_K R_{(k_rank ... k_1)^-1} b_L (braid.tensor_product).
 OneForm here, TensorField, TwoForm (in im A) and Rank3Field in braid,
-VectorField and Metric in dual only fix rank and side.
+VectorField and Metric in dual only fix rank and side.  A OneForm always
+holds theta-basis coefficients; on a bicovariant calculus omega_form
+writes the right-invariant omega^g in that basis, and omega_coefficients
+reads a form's coefficients with respect to the omega^g.
 """
 
 from fractions import Fraction
@@ -313,19 +316,15 @@ class Tensor:
         return _Coeffs(self)
 
     def _like(self, terms=()):
-        """A tensor of the same kind, calculus and basis holding terms."""
+        """A tensor of the same kind and calculus holding terms."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         out.terms = dict(terms)
         return out
 
-    def _space(self):
-        """What two tensors must share to be added or compared."""
-        return (type(self), self.calculus)
-
     def _check(self, other):
-        if self._space() != other._space():
-            raise CalculusMismatch("tensors live on different calculi, kinds or bases")
+        if type(self) is not type(other) or self.calculus != other.calculus:
+            raise CalculusMismatch("tensors live on different calculi or kinds")
 
     def _keys(self):
         """Every key of hatG^rank, lexicographic."""
@@ -433,30 +432,17 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms
+        return (type(self) is type(other) and self.calculus == other.calculus
+                and self.terms == other.terms)
 
 
 class OneForm(Tensor):
-    """phi = phi_g theta^g with coefficients on the left (or the omega basis)."""
-
-    def __init__(self, calculus, coeffs, basis="theta"):
-        self.basis = basis
-        super().__init__(calculus, coeffs)
-
-    def _space(self):
-        return super()._space() + (self.basis,)
-
-    def right_mul(self, f):
-        """phi * f: the coefficient picks up a translated factor."""
-        if self.basis != "theta":
-            raise ValueError("right multiplication implemented in the theta basis")
-        return super().right_mul(f)
+    """phi = phi_g theta^g with coefficients on the left."""
 
     def __repr__(self):
-        sym = "theta" if self.basis == "theta" else "omega"
         parts = [
             f"({'+'.join(funcs.as_function(self.calculus.group, c).as_strings())}) "
-            f"{sym}^{self.calculus.group.name(g)}"
+            f"theta^{self.calculus.group.name(g)}"
             for g, c in sorted(self.terms.items())
         ]
         return " + ".join(parts) if parts else "0"
@@ -505,25 +491,19 @@ def theta_commute(calculus, f, g):
     return funcs.right_translate(g, f)
 
 
-def omega_theta_convert(form):
-    """Re-express a 1-form in the other basis: a theta-basis form in the
-    omega basis, an omega-basis form in the theta basis.
-
-    theta to omega: psi_k(h) = phi_{ad(h^-1)k}(h)
-    omega to theta: phi_k(h) = psi_{ad(h)k}(h)
-    """
+def omega_coefficients(form):
+    """The psi_k with form = sum_k psi_k omega^k, as GroupFunctions keyed by
+    k in hatG: psi_k(h) = phi_{ad(h^-1)k}(h).  The form is the sum over k
+    of omega_form(calculus, k).left_mul(psi_k)."""
     calculus = form.calculus
     calculus.require_bicovariant()
     grp = calculus.group
-    to_omega = form.basis == "theta"
-    coeffs = {}
-    for k in calculus.hatG:
-        values = []
-        for h in range(grp.order):
-            conj = grp.inverse(h) if to_omega else h
-            values.append(form.coeff(grp.adjoint(conj, k))(h))
-        coeffs[k] = funcs.GroupFunction(grp, tuple(values))
-    return OneForm(calculus, coeffs, basis="omega" if to_omega else "theta")
+    phi = {g: form.coeff(g).values for g in calculus.hatG}
+    return {
+        k: funcs.GroupFunction(grp, tuple(phi[grp.adjoint(grp.inverse(h), k)][h]
+                                          for h in range(grp.order)))
+        for k in calculus.hatG
+    }
 
 
 def to_edge_coeffs(form):

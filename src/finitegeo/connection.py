@@ -39,7 +39,7 @@ from .errors import (
 from .funcs import GroupFunction, _exact, as_function, right_translate
 from .groups import generators
 from .groups import orbits as group_orbits
-from .linalg import identity_matrix, matmul, solve_differences
+from .linalg import solve_differences
 
 
 class Connection:
@@ -100,7 +100,7 @@ class Connection:
         return out
 
     def apply(self, phi):
-        """Covariant derivative of a 1-form in the theta basis.
+        """Covariant derivative of a 1-form.
 
         The coefficient of the result at (g, g') is
         R_{g^-1} phi_{g'} - phi_{g'} - sum_h phi_h Gamma^h_{g',g}.
@@ -108,8 +108,6 @@ class Connection:
         cal = self.calculus
         if phi.calculus != cal:
             raise CalculusMismatch("form lives on a different calculus")
-        if phi.basis != "theta":
-            raise CalculusMismatch("covariant derivative expects theta basis")
         out = TensorField(cal)
         for gp, f in phi.terms.items():
             for g, e in differential(cal, f).terms.items():
@@ -249,15 +247,17 @@ def flatness_representation_check(conn):
     on the universal calculus.
 
     The matrices are U_g[h'][h] = delta^h_h' + Gamma^h_{h',g} for g in
-    the reduced set, extended by U_e = id.  Returns True when they form
-    a representation of the group.  U_g U_s = U_gs is checked for every
+    the reduced set, extended by U_e = id, held as sparse rows read off
+    the stored coefficients.  Returns True when they form a
+    representation of the group.  U_g U_s = U_gs is checked for every
     g but only for the generators s (groups.generators).  That implies it
     for all pairs, by induction on the length of a word h = h's in them:
     U_g U_h = U_g U_h' U_s = U_gh' U_s = U_gh, from U_e = id; the argument
-    behind Light's test.  The outcome is compared against the direct
-    curvature computation; a mismatch between the two notions is flagged
-    by raising InternalInconsistency rather than silently preferring
-    either answer.
+    behind Light's test.  A representation gives a flat connection, so
+    a representation whose curvature is not zero raises
+    InternalInconsistency.  The converse fails for 2-forms taken modulo
+    ker A: canonical_connection has U_g = 0 for g != e, yet its
+    curvature -rho ^ rho vanishes because rho (x) rho is sigma-invariant.
     """
     cal = conn.calculus
     group = cal.group
@@ -267,19 +267,30 @@ def flatness_representation_check(conn):
         )
     if not conn.is_left_invariant():
         raise UsageError("transport matrices need constant coefficients")
-    idx = {g: i for i, g in enumerate(cal.hatG)}
-    mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
+    rows = {g: {h: {h: 1} for h in cal.hatG} for g in (0,) + cal.hatG}
     for (h, hp, g), c in conn.terms.items():
-        mats[g][idx[hp]][idx[h]] += c
+        row = rows[g][hp]
+        c += row.pop(h, 0)
+        if c:
+            row[h] = c
     gens = generators(group.table)
-    is_rep = all(matmul(mats[g], mats[s]) == mats[group.mul(g, s)] for g in mats for s in gens)
-    flat = conn.curvature_is_zero()
-    if is_rep != flat:
-        raise InternalInconsistency(
-            "transport representation property and zero curvature disagree "
-            f"(representation={is_rep}, flat={flat})"
-        )
+    is_rep = all(_times(rows[g], rows[s]) == rows[group.mul(g, s)] for g in rows for s in gens)
+    if is_rep and not conn.curvature_is_zero():
+        raise InternalInconsistency("the transport is a representation, "
+                                    "but the curvature is not zero")
     return is_rep
+
+
+def _times(a, b):
+    """The product of two matrices held as sparse rows, zeros dropped."""
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out[i] = {j: c for j, c in acc.items() if c}
+    return out
 
 
 def invariance_constraints(calculus, mode="bi"):

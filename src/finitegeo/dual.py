@@ -67,8 +67,6 @@ def pair(t, x):
     cal = t.calculus
     if cal != x.calculus:
         raise CalculusMismatch("tensor and field on different calculi")
-    if isinstance(t, OneForm) and t.basis != "theta":
-        raise CalculusMismatch("pairing expects the theta basis")
     lead = t.rank - x.rank
     if t.side != "left" or x.side != "right" or lead not in (0, 1):
         raise ValueError("pair takes a left tensor with at most one leg more than the right one")

@@ -1,37 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, row major.  solve_differences
-solves the systems of two-variable equations x_u - x_v = c by
-union-find; matmul and identity_matrix serve the transport matrices of
-a connection.
+solve_differences solves the systems of two-variable equations
+x_u - x_v = c by union-find.  The package builds no dense matrix; the
+dense elimination it replaced is kept in tests/elimination.py.
 """
 
 from fractions import Fraction
 
 from .errors import Infeasible
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    ncols = len(b[0])
-    bt = [[b[k][j] for k in range(len(b))] for j in range(ncols)]
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
-        for row in a
-    ]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-
-def solve_differences(nvars, equations) -> tuple[Vector, list[list[int]]]:
+def solve_differences(nvars, equations) -> tuple[list[Fraction], list[list[int]]]:
     """Solve the equations x_u - x_v = c, given as triples (u, v, c).
 
     Union-find with potentials, pot[i] = x_i - x_parent(i), rooting each

@@ -30,12 +30,12 @@ with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
 orbit indicators and pattern_matrix by rref.  The last section keeps
-two connection checks as they were: the transport-matrix test of
-flatness over all |G|^2 pairs, before it ran over the generators only,
-and the square of the two-sided connection through d and the
-Maurer-Cartan forms d theta^v, before it was read off rho.  pytest does
-not collect this module; test modules import it by name from the tests
-directory.
+two connection checks: the transport-matrix test over all |G|^2 pairs
+with dense matrices, before it ran over the generators only on sparse
+rows, without its curvature cross-check; and the square of the
+two-sided connection through d and the Maurer-Cartan forms d theta^v,
+before it was read off rho.  pytest does not collect this module; test
+modules import it by name from the tests directory.
 """
 
 import contextlib
@@ -61,7 +61,6 @@ from finitegeo.connection import Connection, extensibility_analysis
 from finitegeo.dual import sigma_x
 from finitegeo.errors import (
     CalculusMismatch,
-    InternalInconsistency,
     NotExtensible,
     NotInHatG,
     NotUniversal,
@@ -70,9 +69,7 @@ from finitegeo.errors import (
 from finitegeo.funcs import constant, ell, right_translate, zero
 from finitegeo.groups import cycles, orbits
 
-from finitegeo.linalg import identity_matrix, matmul
-
-from elimination import rref
+from elimination import identity_matrix, matmul, rref
 
 
 def nabla_theta(conn, h):
@@ -99,8 +96,6 @@ def apply(conn, phi):
     cal = conn.calculus
     if phi.calculus != cal:
         raise CalculusMismatch("form lives on a different calculus")
-    if phi.basis != "theta":
-        raise CalculusMismatch("covariant derivative expects theta basis")
     group = cal.group
     gamma = conn.gamma
     out = TensorField(cal)
@@ -187,8 +182,6 @@ def d_theta(calculus, sigma, h):
 def d_one_form_rep(phi):
     """Representative tensor of d(f theta^g) = df (x) theta^g + f d theta^g."""
     calculus = phi.calculus
-    if phi.basis != "theta":
-        raise ValueError("differential implemented in the theta basis")
     sc = StructureConstants(calculus)
     out = TensorField(calculus)
     for g, f in phi.terms.items():
@@ -293,8 +286,6 @@ def two_rep_times_one_form(t, psi):
 def sparse_d_one_form_rep(phi):
     """Representative tensor of d(f theta^g) = df (x) theta^g + f d theta^g."""
     calculus = phi.calculus
-    if phi.basis != "theta":
-        raise ValueError("differential implemented in the theta basis")
     sc = StructureConstants(calculus)
     out = TensorField(calculus)
     for g, f in phi.terms.items():
@@ -395,8 +386,6 @@ def pair(phi, x):
     """Duality contraction <phi, X> = phi_g X^g."""
     if phi.calculus != x.calculus:
         raise CalculusMismatch("form and field on different calculi")
-    if phi.basis != "theta":
-        raise CalculusMismatch("pairing expects the theta basis")
     acc = zero(phi.calculus.group)
     for g, c in phi.terms.items():
         xg = x.terms.get(g)
@@ -1003,8 +992,9 @@ def dense_pattern_matrix(space, order=None):
 # Connection checks before they were shortened.
 
 
-def flatness_representation_check(conn):
-    """Test U_g U_g' = U_gg' for every pair of group elements."""
+def transport_is_representation(conn):
+    """Test U_g U_g' = U_gg' for every pair of group elements, with dense
+    Fraction matrices."""
     cal = conn.calculus
     group = cal.group
     if len(cal.hatG) != group.order - 1:
@@ -1017,18 +1007,11 @@ def flatness_representation_check(conn):
     mats = {g: identity_matrix(len(cal.hatG)) for g in (0,) + cal.hatG}
     for (h, hp, g), c in conn.terms.items():
         mats[g][idx[hp]][idx[h]] += c
-    is_rep = all(
+    return all(
         matmul(mats[g], mats[gp]) == mats[group.mul(g, gp)]
         for g in mats
         for gp in mats
     )
-    flat = conn.curvature_is_zero()
-    if is_rep != flat:
-        raise InternalInconsistency(
-            "transport representation property and zero curvature disagree "
-            f"(representation={is_rep}, flat={flat})"
-        )
-    return is_rep
 
 
 def two_sided_square(ts, phi):

@@ -5,8 +5,11 @@ sums for im A and im S, the kind's condition for a solution space, the
 union-find roots for a torsion-free family and A₃ for the degree-3 ideal.
 The elimination routines those tests replaced live here, unchanged, so
 the tests can compare the two answers; rref also checks the echelon
-bases that braid.echelon_rows writes down in closed form.  pytest does not collect this
-module; test modules import it by name from the tests directory.
+bases that braid.echelon_rows writes down in closed form.  matmul and
+identity_matrix built the dense transport matrices of a connection
+before flatness_representation_check read sparse rows off Gamma.
+pytest does not collect this module; test modules import it by name
+from the tests directory.
 """
 
 from fractions import Fraction
@@ -14,7 +17,26 @@ from fractions import Fraction
 from finitegeo.braid import d_rep, tensor_from_vector
 from finitegeo.errors import Infeasible
 from finitegeo.funcs import _exact
-from finitegeo.linalg import Matrix, Vector
+
+Matrix = list[list[Fraction]]
+Vector = list[Fraction]
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if not a or not b:
+        return []
+    ncols = len(b[0])
+    bt = [[b[k][j] for k in range(len(b))] for j in range(ncols)]
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
+        for row in a
+    ]
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [
+        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
+    ]
 
 
 def _as_fraction_rows(rows) -> Matrix:

@@ -1,17 +1,19 @@
 """First order differential calculi: graphs, 1-forms and the differential."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from finitegeo import calculus, funcs
 from finitegeo.calculus import (
+    OneForm,
     StructureConstants,
     differential,
     from_edge_coeffs,
     from_hatG,
+    omega_coefficients,
     omega_form,
-    omega_theta_convert,
     rho,
     theta_commute,
     theta_form,
@@ -19,6 +21,9 @@ from finitegeo.calculus import (
 )
 from finitegeo.errors import IdentityInHatG, NotBicovariant, NotLeftCovariant, TooLarge
 from finitegeo.groups import cyclic
+
+from test_connection_checks import _seeded_form
+from test_echelon_rows import IDS, SAMPLE
 
 
 def test_edges_encode_right_difference(s3):
@@ -160,13 +165,25 @@ def test_edge_coefficients_round_trip(s3_universal):
     assert back == phi
 
 
+def _from_omega(cal, psi):
+    """sum_k psi_k omega^k in the theta basis."""
+    return sum((omega_form(cal, k).left_mul(f) for k, f in psi.items()), OneForm(cal, {}))
+
+
 def test_omega_theta_conversion_round_trip(s3_cycle_calculus):
     s3 = s3_cycle_calculus.group
     phi = theta_form(s3_cycle_calculus, s3.element_index("ab"), coeff=2)
-    psi = omega_theta_convert(phi)
-    assert psi.basis == "omega"
-    back = omega_theta_convert(psi)
-    assert back == phi
+    assert _from_omega(s3_cycle_calculus, omega_coefficients(phi)) == phi
+
+
+@pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
+def test_omega_coefficients_rebuild_the_form(label, cal):
+    rng = random.Random(label)
+    for _ in range(2):
+        phi = _seeded_form(cal, rng)
+        psi = omega_coefficients(phi)
+        assert list(psi) == list(cal.hatG)
+        assert _from_omega(cal, psi) == phi
 
 
 def test_omega_form_of_central_free_group_twists(s3_transposition_calculus):
@@ -180,9 +197,9 @@ def test_omega_form_of_central_free_group_twists(s3_transposition_calculus):
 
 
 def test_rho_is_invariant_under_both_bases(s3_universal):
-    r = rho(s3_universal)
-    conv = omega_theta_convert(r)
-    assert all(c == funcs.one(s3_universal.group) for c in conv.coeffs.values())
+    psi = omega_coefficients(rho(s3_universal))
+    assert list(psi) == list(s3_universal.hatG)
+    assert all(c == funcs.one(s3_universal.group) for c in psi.values())
 
 
 def test_dot_export_is_deterministic(s3_universal):

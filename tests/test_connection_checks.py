@@ -1,13 +1,16 @@
 """Connection checks that take a shortcut, against the paths they replaced.
 
 flatness_representation_check compares U_g U_s = U_gs for the
-generators s only; dense_paths.flatness_representation_check runs over
-every pair.  two_sided_square reads its 2-form components off rho, since
-the calculus is inner, d = [rho, .}; dense_paths.two_sided_square builds
-them with d and the Maurer-Cartan forms.  The commutator form of d is
-checked on its own on seeded function-valued 1-forms.  The flatness
-check runs on the universal calculus of every catalog group, the others
-on test_echelon_rows' sample of up to four bicovariant calculi a group.
+generators s only, on sparse rows; dense_paths.transport_is_representation
+runs over every pair with dense matrices.  two_sided_square reads its
+2-form components off rho, since the calculus is inner, d = [rho, .};
+dense_paths.two_sided_square builds them with d and the Maurer-Cartan
+forms.  The commutator form of d is checked on its own on seeded
+function-valued 1-forms, and so is the form it gives every extensible
+connection: nabla = rho (x) . - Psi(. (x) rho) + alpha with alpha a
+bimodule map.  The flatness check runs on the universal calculus of
+every catalog group, the others on test_echelon_rows' sample of up to
+four bicovariant calculi a group.
 """
 
 import random
@@ -21,23 +24,23 @@ from finitegeo.calculus import OneForm, rho
 from finitegeo.catalog import small_group_catalog
 from finitegeo.errors import InternalInconsistency
 from finitegeo.groups import generators
-from finitegeo.linalg import identity_matrix, matmul
 
 import dense_paths
+from elimination import identity_matrix, matmul
 from test_echelon_rows import IDS, SAMPLE
 
 CATALOG = small_group_catalog()
 
 
+def _seeded_function(group, rng):
+    return funcs.from_values(group, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                     for _ in group.elements()])
+
+
 def _seeded_form(cal, rng):
     """A 1-form with seeded function coefficients on a seeded part of hatG."""
-    group = cal.group
     legs = rng.sample(cal.hatG, max(1, len(cal.hatG) // 2))
-    return OneForm(cal, {
-        g: funcs.from_values(group, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-                                     for _ in group.elements()])
-        for g in legs
-    })
+    return OneForm(cal, {g: _seeded_function(cal.group, rng) for g in legs})
 
 
 def _seeded_constant(cal, seed):
@@ -73,13 +76,6 @@ def _transport_along_one_generator(cal, seed):
     return connection.Connection(cal, {key: c for key, c in gamma.items() if c})
 
 
-def _outcome(check, conn):
-    try:
-        return check(conn)
-    except InternalInconsistency as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_flatness_on_generators_matches_all_pairs(name):
     cal = calculus.universal(CATALOG[name])
@@ -90,15 +86,22 @@ def test_flatness_on_generators_matches_all_pairs(name):
         conns.append(_transport_along_one_generator(cal, 2))
     outcomes = []
     for conn in conns:
-        got = _outcome(connection.flatness_representation_check, conn)
-        assert got == _outcome(dense_paths.flatness_representation_check, conn)
+        got = connection.flatness_representation_check(conn)
+        assert got is dense_paths.transport_is_representation(conn)
         outcomes.append(got)
     if cal.group.order >= 5:
-        assert outcomes[:2] == [True, True]
-        assert isinstance(outcomes[2], str)  # flat, not a representation
-        assert outcomes[3] is False
+        assert outcomes[:4] == [True, True, False, False]
+        assert conns[2].curvature_is_zero()  # flat, not a representation
     if several:
-        assert outcomes[4] is not True
+        assert outcomes[4] is False
+
+
+def test_a_representation_that_is_not_flat_raises(monkeypatch):
+    conn = connection.c_connection(calculus.universal(CATALOG["S3"]))
+    assert connection.flatness_representation_check(conn) is True
+    monkeypatch.setattr(conn, "curvature_is_zero", lambda: False)
+    with pytest.raises(InternalInconsistency):
+        connection.flatness_representation_check(conn)
 
 
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
@@ -118,3 +121,44 @@ def test_d_is_the_graded_commutator_with_rho(label, cal):
         phi = _seeded_form(cal, rng)
         commutator = tensor_product(r, phi) + tensor_product(phi, r)
         assert d_one_form(phi, sig) == project_two_form(commutator, sig)
+
+
+def _seeded_extensible(cal, rng):
+    """A connection with seeded function-valued Gamma^g_{h,h'} on a seeded
+    part of the slots with h h' g^-1 in hatG or e, where an extensible
+    connection may be nonzero."""
+    group = cal.group
+    allowed = set(cal.hatG) | {0}
+    slots = [(g, h, hp) for g in cal.hatG for h, hp in cal.pairs()
+             if group.mul(group.mul(h, hp), group.inverse(g)) in allowed]
+    picked = rng.sample(slots, max(1, len(slots) // 4))
+    return connection.Connection(cal, {t: _seeded_function(group, rng) for t in picked})
+
+
+BIMODULE_SAMPLE = SAMPLE[::3] + [
+    (f"{name}:universal", calculus.universal(group))
+    for name, group in CATALOG.items() if 1 < group.order <= 8
+]
+
+
+@pytest.mark.parametrize("label,cal", BIMODULE_SAMPLE, ids=[label for label, _ in BIMODULE_SAMPLE])
+def test_extensible_connections_are_bimodule_connections(label, cal):
+    """alpha(phi) = nabla phi - rho (x) phi + Psi(phi (x) rho), with Psi
+    from extensibility_analysis, is a bimodule map: alpha(f phi) =
+    f alpha(phi) and alpha(phi f) = alpha(phi) f."""
+    rng = random.Random(label)
+    r = rho(cal)
+    conns = [connection.c_connection(cal), connection.nabla_sigma(cal),
+             connection.canonical_connection(cal), _seeded_extensible(cal, rng)]
+    for conn in conns:
+        report = connection.extensibility_analysis(conn)
+        assert report.extensible
+
+        def alpha(phi):
+            return (conn.apply(phi) - tensor_product(r, phi)
+                    + report.psi_apply(tensor_product(phi, r)))
+
+        phi, f = _seeded_form(cal, rng), _seeded_function(cal.group, rng)
+        a = alpha(phi)
+        assert alpha(phi.left_mul(f)) == a.left_mul(f)
+        assert alpha(phi.right_mul(f)) == a.right_mul(f)

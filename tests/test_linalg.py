@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from finitegeo.linalg import identity_matrix, matmul
-
 from elimination import (
     rref,
     SubspaceReducer,
+    identity_matrix,
     image_basis,
     kernel_basis,
+    matmul,
     matvec,
     solve_affine,
     span_basis,

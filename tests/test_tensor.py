@@ -203,20 +203,6 @@ def test_mixing_calculi_raises(s3_universal, s3_cycle_calculus, kind):
     assert a != b
 
 
-def test_mixing_one_form_bases_raises(s3_cycle_calculus):
-    g = s3_cycle_calculus.hatG[0]
-    theta = OneForm(s3_cycle_calculus, {g: 1})
-    omega = OneForm(s3_cycle_calculus, {g: 1}, basis="omega")
-    with pytest.raises(CalculusMismatch):
-        theta + omega
-    with pytest.raises(CalculusMismatch):
-        omega - theta
-    assert theta != omega
-    assert omega.left_mul(2).basis == "omega"
-    with pytest.raises(ValueError):
-        omega.right_mul(2)
-
-
 def test_mixing_kinds_raises(s3_universal):
     pair = (1, 2)
     with pytest.raises(CalculusMismatch):
