@@ -234,13 +234,17 @@ def _document_terms(calculus, doc, field, rank):
     """The coefficients of a connection document (field "gamma", rank 3)
     or a metric document ("coeffs", rank 2), keyed by tuples of elements.
 
-    Each key names rank elements of hatG joined by "|".  A document
-    written for another calculus is refused: the schema, group and hatG
-    fields are optional, and when present they must match the calculus
-    the document is applied to.
+    Each key names rank elements of hatG joined by "|".  The field is
+    required, and no other key is accepted.  A document written for
+    another calculus is refused: the schema, group and hatG fields are
+    optional, and when present they must match the calculus the document
+    is applied to.
     """
     if not isinstance(doc, dict):
         raise UsageError("a connection or metric document must be a JSON object")
+    if field not in doc or not {"schema", "group", "hatG", field}.issuperset(doc):
+        raise UsageError(f"a document needs a {field!r} field and no other than schema, "
+                         f"group and hatG; it has {sorted(doc)}")
     group = calculus.group
     if "schema" in doc and doc["schema"] != 1:
         raise UsageError(f"unsupported document schema {doc['schema']!r}")
@@ -255,7 +259,7 @@ def _document_terms(calculus, doc, field, rank):
             raise UsageError(
                 f"document hatG {names!r} differs from the reduced set {want}"
             )
-    entries = doc.get(field, {})
+    entries = doc[field]
     if not isinstance(entries, dict):
         raise UsageError(f"the document's {field!r} must be a JSON object")
     hat, terms = set(calculus.hatG), {}

@@ -37,8 +37,7 @@ from .errors import (
     UsageError,
 )
 from .funcs import GroupFunction, _exact, as_function, right_translate
-from .groups import generators
-from .groups import orbits as group_orbits
+from .groups import adjoint_orbits, generators
 from .linalg import solve_differences
 
 
@@ -299,19 +298,17 @@ def invariance_constraints(calculus, mode="bi"):
     Left invariance forces the coefficients to be constants; in mode
     "left" each coefficient triple is then a free parameter.  Mode "bi"
     adds right covariance, identifying coefficients along the orbits of
-    the diagonal adjoint action on triples.  Returns a dict with the
+    the diagonal adjoint action on triples, read off the group's one
+    conjugation table by groups.adjoint_orbits.  Returns a dict with the
     orbit list and a predicate testing a given connection.
     """
     calculus.require_left_covariant()
-    group, hatG = calculus.group, calculus.hatG
-    triples = [(h, g, gp) for h in hatG for g in hatG for gp in hatG]
+    hatG = calculus.hatG
     if mode == "left":
-        orbits = [(t,) for t in triples]
+        orbits = [((h, g, gp),) for h in hatG for g in hatG for gp in hatG]
     elif mode == "bi":
         calculus.require_bicovariant()
-        orbits = group_orbits(
-            triples, lambda a, t: tuple(group.adjoint(a, x) for x in t), group
-        )
+        orbits = adjoint_orbits(calculus.group, hatG, 3)
     else:
         raise ValueError(f"unknown invariance mode {mode!r}")
 
@@ -344,8 +341,7 @@ class TorsionFreeFamily:
     Members are parametrized by the free orbit variables; the family
     records a particular solution and, per free parameter, the support
     of one union-find set of orbits (its orbit indices, ascending, so the
-    set's root comes last).  The particular solution reads 0 at each
-    root.  basis gives the same sets as dense indicator vectors.
+    set's root comes last), at whose root the particular solution reads 0.
     """
 
     def __init__(self, calculus, mode, orbits, particular, supports):
@@ -358,12 +354,6 @@ class TorsionFreeFamily:
     @property
     def dimension(self):
         return len(self.supports)
-
-    @property
-    def basis(self):
-        """The homogeneous solutions: one indicator vector per set."""
-        n = len(self.orbits)
-        return [[Fraction(int(i in s)) for i in range(n)] for s in map(set, self.supports)]
 
     def _vector(self, params):
         """particular + sum_j params[j] * (indicator of set j), one value
@@ -414,26 +404,24 @@ def solve_torsion_free(calculus, mode="bi"):
             = -delta^h_{g'} + delta^h_{ad(g)g'}
 
     for all h, g, g' in the reduced set: a difference of two orbit
-    variables.  Union-find with potentials (linalg.solve_differences)
-    solves it: the potential of each orbit relative to the largest orbit
-    it is tied to is the particular solution, and each tied set gives one
-    free parameter.  Returns a TorsionFreeFamily.  Torsion is a 2-form,
-    and 2-forms are built through sigma, so the calculus must be
-    bicovariant in either mode (NotBicovariant otherwise); on such a
-    calculus ad(g)g' stays in the reduced set.
+    variables.  At ad(a)(h, g, g') it ties the same two orbits with the
+    same right side, so it is written once per orbit, at its first triple.
+    Union-find with potentials (linalg.solve_differences) solves it: the
+    potential of each orbit relative to the largest orbit it is tied to
+    is the particular solution, and each tied set gives one free
+    parameter.  Returns a TorsionFreeFamily.  Torsion is a 2-form, and
+    2-forms are built through sigma, so the calculus must be bicovariant
+    in either mode (NotBicovariant otherwise); on such a calculus ad(g)g'
+    stays in the reduced set.
     """
     calculus.require_bicovariant()
-    info = invariance_constraints(calculus, mode)
-    orbits = info["orbits"]
+    orbits = invariance_constraints(calculus, mode)["orbits"]
     var_of = {t: i for i, orb in enumerate(orbits) for t in orb}
-    group = calculus.group
+    conj = calculus.group.conjugates
     equations = []
-    for h in calculus.hatG:
-        for g in calculus.hatG:
-            for gp in calculus.hatG:
-                adg = group.adjoint(g, gp)
-                b = (h == adg) - (h == gp)
-                equations.append((var_of[(h, g, gp)], var_of[(h, adg, g)], b))
+    for i, (h, g, gp) in enumerate(orb[0] for orb in orbits):
+        adg = conj[gp][g]
+        equations.append((i, var_of[(h, adg, g)], (h == adg) - (h == gp)))
     particular, supports = solve_differences(len(orbits), equations)
     return TorsionFreeFamily(calculus, mode, orbits, particular, supports)
 

@@ -1,10 +1,11 @@
 """Finite groups as indexed Cayley tables.
 
 Elements are integers 0..order-1 with the identity always at index 0.
-Constructors relabel if needed.  orbits is the one orbit routine: the
+Constructors relabel if needed.  orbits is the orbit routine: the
 conjugacy classes are the orbits of the adjoint action, computed lazily
 and cached, the center is the singleton classes, and a group is abelian
-when every class is a singleton.  cycles is the one cycle routine: cycle
+when every class is a singleton; adjoint_orbits reads the orbits on
+hatG^k off the conjugation table.  cycles is the one cycle routine: cycle
 names and parities of permutations and sigma's cycles in braid read it.
 """
 
@@ -49,6 +50,12 @@ class FiniteGroup:
     def columns(self):
         """The columns of the Cayley table: columns[g][h] = h g."""
         return tuple(zip(*self.table))
+
+    @cached_property
+    def conjugates(self):
+        """The conjugation table: conjugates[x][a] = a x a^-1."""
+        table, inv = self.table, self.inv
+        return tuple(tuple(table[ax][ai] for ax, ai in zip(col, inv)) for col in self.columns)
 
     def adjoint(self, h, x):
         """Conjugation h x h^-1."""
@@ -460,4 +467,19 @@ def orbits(points, act, group):
             raise NotAnAction(f"orbits are not disjoint at {sorted(missing)!r}")
         remaining -= orbit
         result.append(tuple(sorted(orbit)))
+    return sorted(result)
+
+
+def adjoint_orbits(group, hatG, k):
+    """Orbits of the diagonal adjoint action on hatG^k, a conjugation-closed
+    hatG, as orbits returns them; the orbit of p is one zip of its legs'
+    rows of the conjugation table."""
+    conj = group.conjugates
+    seen = set()
+    result = []
+    for p in itertools.product(hatG, repeat=k):
+        if p not in seen:
+            orbit = set(zip(*(conj[x] for x in p)))
+            seen |= orbit
+            result.append(tuple(sorted(orbit)))
     return sorted(result)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .braid import Part, echelon_rows, sigma_for, tensor_from_vector
-from .groups import orbits as group_orbits
+from .groups import adjoint_orbits
 
 
 class SolutionSpace:
@@ -95,18 +95,14 @@ def solve_bi_invariant(calculus):
     """Solve the bi-invariance condition on the constant tensor fiber.
 
     Constant coefficients must agree along the orbits of the diagonal
-    adjoint action on pairs; the space has one free constant per orbit,
+    adjoint action on pairs, read off the group's one conjugation table
+    by groups.adjoint_orbits; the space has one free constant per orbit,
     its indicator, in the order the orbits are found.
     """
     calculus.require_bicovariant()
-    group = calculus.group
     pairs = calculus.pairs()
     index = {p: i for i, p in enumerate(pairs)}
-
-    def act(a, p):
-        return (group.adjoint(a, p[0]), group.adjoint(a, p[1]))
-
-    blocks = [[index[p] for p in orb] for orb in group_orbits(pairs, act, group)]
+    blocks = [[index[p] for p in orb] for orb in adjoint_orbits(calculus.group, calculus.hatG, 2)]
     rows = [row for block in blocks for row in echelon_rows("ker_a", block)]
     return SolutionSpace(calculus, "bi_invariant", blocks, Part(rows, len(pairs)))
 

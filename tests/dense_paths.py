@@ -29,8 +29,11 @@ with sigma(t), the weak ones from every fiber of t, read by fiber, which
 with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
-orbit indicators and pattern_matrix by rref.  The last section keeps
-two connection checks: the transport-matrix test over all |G|^2 pairs
+orbit indicators and pattern_matrix by rref.  The next keeps the adjoint
+orbits by one groups.orbits call per orbit and the torsion equation at
+every triple, before the conjugation table, and the dense indicator
+vectors of a torsion-free family.  The last section keeps two connection
+checks: the transport-matrix test over all |G|^2 pairs
 with dense matrices, before it ran over the generators only on sparse
 rows, without its curvature cross-check; and the square of the
 two-sided connection through d and the Maurer-Cartan forms d theta^v,
@@ -68,6 +71,7 @@ from finitegeo.errors import (
 )
 from finitegeo.funcs import constant, ell, right_translate, zero
 from finitegeo.groups import cycles, orbits
+from finitegeo.linalg import solve_differences
 
 from elimination import identity_matrix, matmul, rref
 
@@ -934,15 +938,10 @@ def dense_decompose(sigma):
 
 def dense_bi_invariant_vectors(calculus):
     """The indicator vector of each adjoint orbit on pairs, in orbit order."""
-    group = calculus.group
     pairs = calculus.pairs()
     index = {p: i for i, p in enumerate(pairs)}
-
-    def act(a, p):
-        return (group.adjoint(a, p[0]), group.adjoint(a, p[1]))
-
     vectors = []
-    for orb in orbits(pairs, act, group):
+    for orb in adjoint_orbits(calculus.group, calculus.hatG, 2):
         vec = [Fraction(0)] * len(pairs)
         for p in orb:
             vec[index[p]] = Fraction(1)
@@ -986,6 +985,43 @@ def dense_pattern_matrix(space, order=None):
         text = "".join(terms) if terms else "0"
         strings[ci // n][ci % n] = text
     return {"order": list(order), "cells": coeff_cells, "strings": strings}
+
+
+# ---------------------------------------------------------------------------
+# Adjoint orbits and torsion equations before the conjugation table.
+# groups.adjoint_orbits zips rows of group.conjugates and solve_torsion_free
+# writes one equation per orbit; these called groups.orbits with one adjoint
+# call per leg for every group element, and wrote the equation at every
+# triple.  family_basis is TorsionFreeFamily.basis, read only by tests.
+
+
+def adjoint_orbits(group, hatG, k):
+    """Orbits of the diagonal adjoint action on hatG^k by groups.orbits."""
+    points = list(product(hatG, repeat=k))
+    return orbits(points, lambda a, p: tuple(group.adjoint(a, x) for x in p), group)
+
+
+def torsion_free_all_triples(calculus, orbs):
+    """solve_torsion_free's particular solution and supports over the
+    given orbits of triples, with the equation at every triple."""
+    hatG = calculus.hatG
+    var_of = {t: i for i, orb in enumerate(orbs) for t in orb}
+    group = calculus.group
+    equations = []
+    for h in hatG:
+        for g in hatG:
+            for gp in hatG:
+                adg = group.adjoint(g, gp)
+                b = (h == adg) - (h == gp)
+                equations.append((var_of[(h, g, gp)], var_of[(h, adg, g)], b))
+    return solve_differences(len(orbs), equations)
+
+
+def family_basis(family):
+    """A TorsionFreeFamily's homogeneous solutions: the dense indicator
+    vector of each union-find set."""
+    n = len(family.orbits)
+    return [[Fraction(int(i in s)) for i in range(n)] for s in map(set, family.supports)]
 
 
 # ---------------------------------------------------------------------------

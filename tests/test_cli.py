@@ -615,14 +615,19 @@ def test_connection_solve_refuses_a_calculus_that_is_not_bicovariant(capsys):
 
 
 def test_bad_documents_get_clear_usage_errors(capsys, tmp_path):
-    """A group file without "table", and a connection or metric key with
-    a leg outside hatG, are usage errors whose message names the problem;
-    an unknown element name already was one."""
+    """A group file without "table", a connection or metric key with a
+    leg outside hatG, and a document whose coefficient field is missing
+    or misspelled, are usage errors whose message names the problem; an
+    unknown element name already was one.  A misspelled field once loaded
+    as the zero metric or connection."""
     docs = {
         "group": {"names": ["e"]},
         "metric": {"coeffs": {"a|a2": "1"}},
         "connection": {"gamma": {"a|a|a2": "1"}},
         "unknown": {"coeffs": {"a|zz": "1"}},
+        "misspelled": {"schema": 1, "group": "Z3", "metrc": {"a|a": "1"}},
+        "no-gamma": {"schema": 1, "group": "Z3", "hatG": ["a"]},
+        "extra": {"gamma": {}, "label": "mine"},
     }
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -636,6 +641,15 @@ def test_bad_documents_get_clear_usage_errors(capsys, tmp_path):
          "coefficient key 'a|a|a2' names an element outside hatG"),
         (["metric", "check", *calc, "--metric", str(tmp_path / "unknown.json")],
          "unknown element 'zz' of Z3"),
+        (["metric", "check", *calc, "--metric", str(tmp_path / "misspelled.json")],
+         "a document needs a 'coeffs' field and no other than schema, group and hatG; "
+         "it has ['group', 'metrc', 'schema']"),
+        (["connection", "analyze", *calc, "--connection", str(tmp_path / "no-gamma.json")],
+         "a document needs a 'gamma' field and no other than schema, group and hatG; "
+         "it has ['group', 'hatG', 'schema']"),
+        (["connection", "analyze", *calc, "--connection", str(tmp_path / "extra.json")],
+         "a document needs a 'gamma' field and no other than schema, group and hatG; "
+         "it has ['gamma', 'label']"),
     ]
     for argv, message in cases:
         assert cli.main(argv + ["--json"]) == 2

@@ -22,7 +22,7 @@ from finitegeo.dual import canonical_form_and_torsion
 from finitegeo.errors import Infeasible
 from finitegeo.invariants import solve_bi_invariant, solve_symmetry
 
-from dense_paths import constant_vector
+from dense_paths import constant_vector, family_basis
 from elimination import DegreeThreeIdeal, SubspaceReducer, kernel_basis, solve_affine
 
 KINDS = ("s_sym", "s_antisym", "w_sym", "w_antisym", "bi_invariant")
@@ -103,7 +103,8 @@ def _contains_by_elimination(fam, conn):
         if len(vals) > 1:
             return None
         target.append(vals.pop())
-    rows = [[b[i] for b in fam.basis] for i in range(len(fam.orbits))]
+    basis = family_basis(fam)
+    rows = [[b[i] for b in basis] for i in range(len(fam.orbits))]
     rhs = [t - p for t, p in zip(target, fam.particular)]
     try:
         sol, _ = solve_affine(rows, rhs)
@@ -166,7 +167,7 @@ def test_a_shifted_orbit_leaves_the_torsion_free_family(s3_transposition_calculu
     params = [Fraction(1, 2), -1, 3]
     assert fam.contains(fam.member(params)) == params
     # Shifting an orbit alone in its union-find set only changes a parameter.
-    tied = [k for b in fam.basis if sum(b) > 1 for k, x in enumerate(b) if x]
+    tied = [k for b in family_basis(fam) if sum(b) > 1 for k, x in enumerate(b) if x]
     assert tied
     for k in tied:
         shifted = _shifted(fam, params, k)
