@@ -30,7 +30,7 @@ with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
 orbit indicators and pattern_matrix by rref.  The next keeps the adjoint
-orbits by one groups.orbits call per orbit and the torsion equation at
+orbits by the per-element groups.orbits call and the torsion equation at
 every triple, before the conjugation table, and the dense indicator
 vectors of a torsion-free family.  The last section keeps two connection
 checks: the transport-matrix test over all |G|^2 pairs
