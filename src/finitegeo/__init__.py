@@ -16,7 +16,6 @@ from .braid import (
     braid_check,
     classify,
     d_one_form,
-    d_theta,
     project_two_form,
     sigma_build,
     sigma_for,
@@ -38,7 +37,6 @@ from .calculus import (
     omega_coefficients,
     omega_form,
     rho,
-    theta_commute,
     theta_form,
     trivial,
     universal,
@@ -64,7 +62,6 @@ from .connection import (
     solve_torsion_free,
     two_sided_connection,
     two_sided_space,
-    verify_invariance_transport,
 )
 from .dual import (
     DualConnection,
@@ -80,7 +77,6 @@ from .dual import (
     sigma_x,
     sigma_x_apply,
     vector_field_basis,
-    verify_dual_invariance,
 )
 from .errors import FiniteGeoError, InternalInconsistency
 from .funcs import GroupFunction, delta, ell, left_translate, right_translate

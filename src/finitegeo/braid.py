@@ -63,7 +63,7 @@ tests, not proven here.
 from fractions import Fraction
 from math import lcm
 
-from .calculus import Tensor, theta_form
+from .calculus import Tensor
 from .errors import CalculusMismatch, InternalInconsistency
 from .funcs import GroupFunction, combination, ell
 from .groups import cycles
@@ -333,11 +333,6 @@ def project_two_form(t, sigma):
 
 def wedge(phi, psi, sigma):
     return project_two_form(tensor_product(phi, psi), sigma)
-
-
-def d_theta(calculus, sigma, h):
-    """Maurer-Cartan: d theta^h = -C^h_{g,g'} theta^{g'} theta^g."""
-    return d_one_form(theta_form(calculus, h), sigma)
 
 
 def d_rep(t):

@@ -7,8 +7,8 @@ theta^g collects the edges {(hg, h) : h in G}.  A left-covariant
 calculus is its hatG, and edges are derived: from_hatG stores hatG, and
 the edge set is built from the Cayley table when first read.  It is
 bicovariant exactly when hatG is a union of conjugacy classes.
-Edge-basis and theta-basis descriptions convert via
-e_{x,y} = e_x theta^{y^-1 x}.
+The edge basis element e_{x,y} is e_x theta^{y^-1 x}, so a 1-form's
+coefficient on the edge (x, y) is its theta^{y^-1 x} coefficient at x.
 
 Tensor is the one tensor type of the package: a sparse map from
 hatG^rank to functions on the group.  Its terms hold only the nonzero
@@ -32,7 +32,6 @@ writes the right-invariant omega^g in that basis, and omega_coefficients
 reads a form's coefficients with respect to the omega^g.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -248,16 +247,6 @@ class StructureConstants:
             out.extend((g, gp, c) for gp, c in sorted(ends))
         self._nonzero[h] = out
         return out
-
-    def C(self, h, g, gp):
-        val = 0
-        if h == g:
-            val -= 1
-        if h == gp:
-            val -= 1
-        if h == self.group.mul(g, gp):
-            val += 1
-        return val
 
 
 class _Coeffs(dict):
@@ -485,12 +474,6 @@ def differential(calculus, f):
     return out
 
 
-def theta_commute(calculus, f, g):
-    """Move f across theta^g: f theta^g = theta^g (R_g f); returns R_g f."""
-    calculus.hat_index(g)
-    return funcs.right_translate(g, f)
-
-
 def omega_coefficients(form):
     """The psi_k with form = sum_k psi_k omega^k, as GroupFunctions keyed by
     k in hatG: psi_k(h) = phi_{ad(h^-1)k}(h).  The form is the sum over k
@@ -504,33 +487,6 @@ def omega_coefficients(form):
                                           for h in range(grp.order)))
         for k in calculus.hatG
     }
-
-
-def to_edge_coeffs(form):
-    """theta-basis 1-form -> per-edge scalars via e_{x,y} = e_x theta^{y^-1 x}."""
-    grp = form.calculus.group
-    out = {}
-    for g, c in form.terms.items():
-        ginv = grp.inverse(g)
-        for x, v in enumerate(funcs.as_function(grp, c).values):
-            if v != 0:
-                out[(x, grp.mul(x, ginv))] = v
-    return out
-
-
-def from_edge_coeffs(calculus, edge_coeffs):
-    """Per-edge scalars -> theta-basis 1-form."""
-    calculus.require_left_covariant()
-    grp = calculus.group
-    values = {g: [0] * grp.order for g in calculus.hatG}
-    for (x, y), v in edge_coeffs.items():
-        if (x, y) not in calculus.edges:
-            raise ValueError(f"({x},{y}) is not an edge of the calculus")
-        g = grp.mul(grp.inverse(y), x)
-        values[g][x] += Fraction(v)
-    return OneForm(
-        calculus, {g: funcs.from_values(grp, vals) for g, vals in values.items()}
-    )
 
 
 def export_dot(calculus):

@@ -192,8 +192,13 @@ def _fraction_str(x):
 
 
 def _parse_fraction(text):
+    """An integer, p/q or plain decimal; exponent notation is refused,
+    since Fraction would build the full power of ten of 1e999999999."""
+    text = str(text)
+    if re.search(r"[0-9.][eE]", text):
+        raise UsageError(f"rational {text!r} is in exponent notation; write it as p/q or a decimal")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse rational {text!r}")
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .braid import (
     Rank3Field,
     TensorField,
-    basis_tensor,
     d_rep,
     project_two_form,
     sigma_for,
@@ -47,8 +46,8 @@ class Connection:
     The connection is stored through its coefficients Gamma^h_{g,g'}:
     terms holds them as Rank3Field(calculus, gamma) stores them: the
     nonzero ones in canonical form (funcs.canonical), a scalar when
-    constant, keyed (h, g, g'); gamma and gamma_value read them back as
-    GroupFunctions.  The action on a basis form is
+    constant, keyed (h, g, g'); gamma reads them back as GroupFunctions.
+    The action on a basis form is
 
         nabla theta^h = -Gamma^h_{g,g'} theta^{g'} (x) theta^g,
 
@@ -66,10 +65,6 @@ class Connection:
         group = self.calculus.group
         return {key: as_function(group, c) for key, c in self.terms.items()}
 
-    def gamma_value(self, h, g, gp):
-        """Coefficient Gamma^h_{g,g'} as a group function."""
-        return as_function(self.calculus.group, self.terms.get((h, g, gp), 0))
-
     def is_left_invariant(self):
         return not any(isinstance(c, GroupFunction) for c in self.terms.values())
 
@@ -84,10 +79,6 @@ class Connection:
 
     def sigma(self):
         return sigma_for(self.calculus)
-
-    def nabla_theta(self, h):
-        """nabla theta^h as a tensor field."""
-        return self.apply(theta_form(self.calculus, h))
 
     def connection_one_forms(self):
         """Matrix of 1-forms omega^i_j = Gamma^i_{j,k} theta^k with
@@ -618,24 +609,6 @@ class TwoSidedConnection:
     def apply(self, phi):
         return tensor_product(self.rho, phi), tensor_product(phi, self.rho).scale(Fraction(-1))
 
-    def check_leibniz(self, f, phi, fp):
-        """Verify the two-sided Leibniz rule on the triple (f, phi, f')."""
-        cal = self.calculus
-        middle = phi.left_mul(f).right_mul(fp)
-        lhs_l, lhs_r = self.apply(middle)
-        nl, nr = self.apply(phi)
-        df = differential(cal, f)
-        dfp = differential(cal, fp)
-        left_expected = nl.left_mul(f).right_mul(fp) + tensor_product(
-            df, phi.right_mul(fp)
-        )
-        right_expected = nr.left_mul(f).right_mul(fp) + tensor_product(
-            phi.left_mul(f), dfp
-        )
-        return (lhs_l - left_expected).is_zero() and (
-            lhs_r - right_expected
-        ).is_zero()
-
 
 def two_sided_connection(calculus):
     """The basic two-sided connection phi -> (rho (x) phi, -phi (x) rho)."""
@@ -688,29 +661,3 @@ def two_sided_square(ts, phi):
                 out[g] = form
     mixed_field = tensor_product(left_part, r) + tensor_product(r, right_part)
     return two_left, mixed_field, two_right
-
-
-def verify_invariance_transport(conn):
-    """Check that the twist, the tensor extension and the dual transport
-    of a left-invariant extensible connection keep coefficients constant.
-
-    Returns a dict of booleans.  Raises NotExtensible when the
-    connection has no twist map.
-    """
-    report = _extensible_report(conn)
-    cal = conn.calculus
-    ok_psi = all(
-        report.psi_apply(basis_tensor(cal, g, gp)).is_constant()
-        for g in cal.hatG
-        for gp in cal.hatG
-    )
-    ok_tensor = all(r3.is_constant() for _, r3 in extend_on_basis_pairs(report))
-    from .dual import dual_connection, vector_field_basis
-
-    star = dual_connection(conn)
-    ok_dual = not any(
-        isinstance(c, GroupFunction)
-        for g in cal.hatG
-        for c in star.apply(vector_field_basis(cal, g)).values()
-    )
-    return {"psi": ok_psi, "tensor": ok_tensor, "dual": ok_dual}

@@ -167,12 +167,6 @@ def sigma_x(calculus, g, gp):
     return (calculus.group.adjoint(g, gp), g)
 
 
-def sigma_x_order(calculus):
-    """Order of the doubled-field braid transpose tau sigma^-1 tau,
-    which is sigma's order."""
-    return sigma_for(calculus).order()
-
-
 class Metric(Tensor):
     """A doubled vector field g = ell_g (x) ell_g' g^{g,g'}."""
 
@@ -308,9 +302,3 @@ def canonical_form_and_torsion(conn):
                 tensor_product(crep, theta_form(cal, gp, -1), difference)
         bianchi[g] = {"holds": apply_a3(difference, sig).is_zero(), "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}
-
-
-def verify_dual_invariance(conn):
-    """Check that the dual connection of a left-invariant connection has
-    constant connection-form coefficients."""
-    return all(form.is_constant() for form in conn.connection_one_forms().values())

@@ -15,8 +15,7 @@ object or a scalar, which acts as the constant function.
 Tensor and connection coefficients have one canonical form (canonical):
 an exact scalar when constant, a GroupFunction only when its values
 differ.  as_function turns either back into a GroupFunction, as the read
-surfaces Tensor.coeffs, Tensor.coeff, Connection.gamma and
-Connection.gamma_value do.
+surfaces Tensor.coeffs, Tensor.coeff and Connection.gamma do.
 
 combination sums (scalar, coefficient) terms in one pass and puts the
 total in canonical form once, where adding term by term would build

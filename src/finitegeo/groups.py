@@ -69,13 +69,6 @@ class FiniteGroup:
             acc = self.table[acc][x]
         return acc
 
-    def element_order(self, x):
-        acc, k = x, 1
-        while acc != 0:
-            acc = self.table[acc][x]
-            k += 1
-        return k
-
     def elements(self):
         return range(self.order)
 

@@ -43,12 +43,6 @@ class SolutionSpace:
         return (tensor_from_vector(self.calculus, v) for v in self.vectors)
 
     @property
-    def orbit_classes(self):
-        """bi_invariant's adjoint orbits on pairs, as lists of pairs."""
-        pairs = self.calculus.pairs()
-        return [[pairs[a] for a in b] for b in self.blocks] if self.kind == "bi_invariant" else None
-
-    @property
     def dimension(self):
         return len(self.vectors)
 

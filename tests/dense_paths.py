@@ -2,10 +2,10 @@
 
 The package reads C^h_{g,g'} through StructureConstants.nonzero and the
 connection coefficients Gamma through their stored entries.  The loops
-they replaced, which visit every pair or triple of hatG and call
-StructureConstants.C or probe gamma per key, live here unchanged (methods
-written as functions of the connection), so the tests can compare the two
-answers.  braid_check and apply_a3 reach sigma_12 and sigma_23 through
+they replaced, which visit every pair or triple of hatG and evaluate
+C^h_{g,g'} by its formula (structure_constant) or probe gamma per key,
+live here unchanged (methods written as functions of the connection), so
+the tests can compare the two answers.  braid_check and apply_a3 reach sigma_12 and sigma_23 through
 the triple maps on_first and on_last, which SigmaOperator had, and are
 what braid.braid_check and braid.apply_a3 are compared with; perm_table the composition of
 every pair of permutations that the tables built from generator words
@@ -23,7 +23,7 @@ tensor and connection coefficient as a GroupFunction.  The next keeps
 the braid transposes of the dual module as they were written before
 they were read off sigma: sigma' by the adjoint formula, the order of
 sigma_X by counting its own cycles, and the sigma'-connection as
-ell_g (x) dX^g.  The last keeps braid.classify as it was before it read
+ell_g (x) dX^g.  The next keeps braid.classify as it was before it read
 sigma's cycles on the coefficients: the strong flags from comparing t
 with sigma(t), the weak ones from every fiber of t, read by fiber, which
 with constant_vector was a Tensor method.  The next keeps the
@@ -32,13 +32,17 @@ braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
 orbit indicators and pattern_matrix by rref.  The next keeps the adjoint
 orbits by the per-element groups.orbits call and the torsion equation at
 every triple, before the conjugation table, and the dense indicator
-vectors of a torsion-free family.  The last section keeps two connection
+vectors of a torsion-free family.  The next keeps two connection
 checks: the transport-matrix test over all |G|^2 pairs
 with dense matrices, before it ran over the generators only on sparse
 rows, without its curvature cross-check; and the square of the
 two-sided connection through d and the Maurer-Cartan forms d theta^v,
-before it was read off rho.  pytest does not collect this module; test
-modules import it by name from the tests directory.
+before it was read off rho.  The last section keeps the read helpers
+that left the package because only tests called them: the edge-basis
+conversions of 1-forms, C^h_{g,g'} by its formula, one connection
+coefficient as a group function, an element's order and the adjoint
+orbit classes of a bi-invariant solution space.  pytest does not collect
+this module; test modules import it by name from the tests directory.
 """
 
 import contextlib
@@ -118,12 +122,11 @@ def apply(conn, phi):
 def torsion_raw_theta(conn, h):
     cal = conn.calculus
     group = cal.group
-    sc = StructureConstants(cal)
     out = TensorField(cal)
     for u in cal.hatG:
         for v in cal.hatG:
-            acc = conn.gamma_value(h, v, u)
-            c = sc.C(h, v, u)
+            acc = gamma_value(conn, h, v, u)
+            c = structure_constant(group, h, v, u)
             if c:
                 acc = acc - constant(group, Fraction(c))
             out.accumulate((u, v), acc)
@@ -136,7 +139,6 @@ def curvature_raw(conn, h, gp):
     projection."""
     cal = conn.calculus
     group = cal.group
-    sc = StructureConstants(cal)
     gamma = conn.gamma
     rep = TensorField(cal)
     for u in cal.hatG:
@@ -151,7 +153,7 @@ def curvature_raw(conn, h, gp):
                 b = gamma.get((k, gp, v))
                 if a is not None and b is not None:
                     acc = acc + a * right_translate(uinv, b)
-                c = sc.C(k, v, u)
+                c = structure_constant(group, k, v, u)
                 if c:
                     gk = gamma.get((h, gp, k))
                     if gk is not None:
@@ -163,12 +165,11 @@ def curvature_raw(conn, h, gp):
 def c_connection(calculus):
     """The connection whose coefficients are the structure constants."""
     calculus.require_left_covariant()
-    sc = StructureConstants(calculus)
     gamma = {}
     for h in calculus.hatG:
         for g in calculus.hatG:
             for gp in calculus.hatG:
-                c = sc.C(h, g, gp)
+                c = structure_constant(calculus.group, h, g, gp)
                 if c:
                     gamma[(h, g, gp)] = c
     return Connection(calculus, gamma)
@@ -176,23 +177,21 @@ def c_connection(calculus):
 
 def d_theta(calculus, sigma, h):
     """Maurer-Cartan: d theta^h = -C^h_{g,g'} theta^{g'} theta^g."""
-    sc = StructureConstants(calculus)
     coeffs = {}
     for u, v in calculus.pairs():
-        coeffs[(u, v)] = -sc.C(h, v, u)
+        coeffs[(u, v)] = -structure_constant(calculus.group, h, v, u)
     return project_two_form(TensorField(calculus, coeffs), sigma)
 
 
 def d_one_form_rep(phi):
     """Representative tensor of d(f theta^g) = df (x) theta^g + f d theta^g."""
     calculus = phi.calculus
-    sc = StructureConstants(calculus)
     out = TensorField(calculus)
     for g, f in phi.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g), funcs.ell(h, f))
         for u, v in calculus.pairs():
-            cval = sc.C(g, v, u)
+            cval = structure_constant(calculus.group, g, v, u)
             if cval:
                 out.accumulate((u, v), -cval * f)
     return out
@@ -201,17 +200,16 @@ def d_one_form_rep(phi):
 def d_two_rep(t):
     """d of a represented 2-form, as a rank-3 coefficient array."""
     calculus = t.calculus
-    sc = StructureConstants(calculus)
     out = Rank3Field(calculus)
     for (g, gp), c in t.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g, gp), funcs.ell(h, c))
         for u in calculus.hatG:
             for v in calculus.hatG:
-                c1 = sc.C(g, u, v)
+                c1 = structure_constant(calculus.group, g, u, v)
                 if c1:
                     out.accumulate((v, u, gp), c * (-c1))
-                c2 = sc.C(gp, u, v)
+                c2 = structure_constant(calculus.group, gp, u, v)
                 if c2:
                     out.accumulate((g, v, u), c * c2)
     return out
@@ -818,8 +816,8 @@ def function_valued():
 
 # ---------------------------------------------------------------------------
 # Braid transposes written out.  dual.sigma_prime reads sigma's table,
-# dual.sigma_x_order is sigma's order and dual.sigma_prime_connection is
-# the dual of the braid connection; these are the formulas they replaced.
+# sigma_X has sigma's order and dual.sigma_prime_connection is the dual of
+# the braid connection; these are the formulas they replaced.
 
 
 def sigma_prime(calculus, h, g):
@@ -1079,3 +1077,68 @@ def two_sided_square(ts, phi):
         if acc is not None and not acc.is_zero():
             two_right[u] = acc
     return two_left, mixed_field, two_right
+
+
+# ---------------------------------------------------------------------------
+# Read helpers that only tests called, as the package had them:
+# calculus.to_edge_coeffs and from_edge_coeffs, StructureConstants.C,
+# Connection.gamma_value, FiniteGroup.element_order and
+# SolutionSpace.orbit_classes, each written as a function of its object.
+
+
+def to_edge_coeffs(form):
+    """theta-basis 1-form -> per-edge scalars via e_{x,y} = e_x theta^{y^-1 x}."""
+    grp = form.calculus.group
+    out = {}
+    for g, c in form.terms.items():
+        ginv = grp.inverse(g)
+        for x, v in enumerate(funcs.as_function(grp, c).values):
+            if v != 0:
+                out[(x, grp.mul(x, ginv))] = v
+    return out
+
+
+def from_edge_coeffs(calculus, edge_coeffs):
+    """Per-edge scalars -> theta-basis 1-form."""
+    calculus.require_left_covariant()
+    grp = calculus.group
+    values = {g: [0] * grp.order for g in calculus.hatG}
+    for (x, y), v in edge_coeffs.items():
+        if (x, y) not in calculus.edges:
+            raise ValueError(f"({x},{y}) is not an edge of the calculus")
+        g = grp.mul(grp.inverse(y), x)
+        values[g][x] += Fraction(v)
+    return OneForm(
+        calculus, {g: funcs.from_values(grp, vals) for g, vals in values.items()}
+    )
+
+
+def structure_constant(group, h, g, gp):
+    """C^h_{g,g'} = -delta^h_g - delta^h_{g'} + delta^h_{g g'}."""
+    val = 0
+    if h == g:
+        val -= 1
+    if h == gp:
+        val -= 1
+    if h == group.mul(g, gp):
+        val += 1
+    return val
+
+
+def gamma_value(conn, h, g, gp):
+    """Coefficient Gamma^h_{g,g'} as a group function."""
+    return funcs.as_function(conn.calculus.group, conn.terms.get((h, g, gp), 0))
+
+
+def element_order(group, x):
+    acc, k = x, 1
+    while acc != 0:
+        acc = group.table[acc][x]
+        k += 1
+    return k
+
+
+def orbit_classes(space):
+    """bi_invariant's adjoint orbits on pairs, as lists of pairs."""
+    pairs = space.calculus.pairs()
+    return [[pairs[a] for a in b] for b in space.blocks] if space.kind == "bi_invariant" else None

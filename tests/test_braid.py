@@ -14,7 +14,6 @@ from finitegeo.braid import (
     braid_check,
     classify,
     d_one_form,
-    d_theta,
     project_two_form,
     sigma_build,
     symmetric_universal_sigma_order,
@@ -22,9 +21,9 @@ from finitegeo.braid import (
     tensor_product,
     wedge,
 )
-from finitegeo.calculus import StructureConstants, rho, theta_form
+from finitegeo.calculus import rho, theta_form
 
-from dense_paths import constant_vector
+from dense_paths import constant_vector, d_theta, structure_constant
 from elimination import SubspaceReducer
 
 
@@ -221,16 +220,15 @@ def test_maurer_cartan_equation(s3_transposition_calculus):
     """d theta^h plus the structure constant double sum is zero."""
     cal = s3_transposition_calculus
     sig = sigma_build(cal)
-    sc = StructureConstants(cal)
     for h in cal.hatG:
         mc = TwoForm(cal)
         for g in cal.hatG:
             for gp in cal.hatG:
-                cval = sc.C(h, g, gp)
+                cval = structure_constant(cal.group, h, g, gp)
                 if cval:
                     term = wedge(theta_form(cal, gp), theta_form(cal, g), sig)
                     mc = mc - term.scale(cval)
-        assert d_theta(cal, sig, h) == mc
+        assert d_one_form(theta_form(cal, h), sig) == mc
 
 
 def test_d_one_form_on_basis_matches_d_theta(s3_universal):

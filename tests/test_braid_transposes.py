@@ -1,9 +1,9 @@
 """The braid transposes of the dual module against the formulas they replaced.
 
 dual.sigma_prime reads sigma(g, h) off sigma's table and swaps its legs
-(sigma' = tau sigma tau), dual.sigma_x_order is sigma's order
-(sigma_X = tau sigma^-1 tau), and dual.sigma_prime_connection is the dual
-of the braid connection.  Each must agree with the formula it replaced
+(sigma' = tau sigma tau), sigma_X = tau sigma^-1 tau has sigma's order
+(SigmaOperator.order), and dual.sigma_prime_connection is the dual of the
+braid connection.  Each must agree with the formula it replaced
 (dense_paths) on every calculus of the bicovariant catalog sample; the
 connection is compared on seeded function-valued vector fields.
 """
@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from finitegeo import calculus, funcs, groups
-from finitegeo.dual import VectorField, sigma_prime, sigma_prime_connection, sigma_x_order
+from finitegeo.braid import sigma_for
+from finitegeo.dual import VectorField, sigma_prime, sigma_prime_connection
 from finitegeo.errors import NotBicovariant, NotInHatG
 
 import dense_paths
@@ -35,7 +36,7 @@ def test_sigma_prime_is_sigma_with_its_legs_swapped(name, cal):
 
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_sigma_x_order_is_sigma_order(name, cal):
-    assert sigma_x_order(cal) == dense_paths.sigma_x_order(cal)
+    assert sigma_for(cal).order() == dense_paths.sigma_x_order(cal)
 
 
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
@@ -58,7 +59,7 @@ def test_transposes_need_a_bicovariant_calculus():
     cal = calculus.from_hatG(s3, [s3.element_index("a")])
     a = cal.hatG[0]
     for call in (lambda: sigma_prime(cal, a, a), lambda: dense_paths.sigma_prime(cal, a, a),
-                 lambda: sigma_x_order(cal), lambda: dense_paths.sigma_x_order(cal),
+                 lambda: sigma_for(cal).order(), lambda: dense_paths.sigma_x_order(cal),
                  lambda: sigma_prime_connection(cal)):
         with pytest.raises(NotBicovariant):
             call()

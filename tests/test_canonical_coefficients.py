@@ -89,7 +89,7 @@ def _results(cal, gammas, tensor, metric):
         got = {
             "torsion": conn.torsion(),
             "curvature": conn.curvature(),
-            "nabla_theta": {h: conn.nabla_theta(h) for h in cal.hatG},
+            "nabla_theta": {h: conn.apply(theta_form(cal, h)) for h in cal.hatG},
             "bianchi": dual.canonical_form_and_torsion(conn),
         }
         if connection.extensibility_analysis(conn).extensible:
@@ -186,8 +186,8 @@ def test_read_surfaces_return_functions(s3, s3_cycle_calculus):
     conn = Connection(cal, {(g, g, gp): 2, (g, gp, gp): f})
     assert conn.terms == {(g, g, gp): 2, (g, gp, gp): f}
     assert conn.gamma == {(g, g, gp): funcs.constant(s3, 2), (g, gp, gp): f}
-    assert conn.gamma_value(g, g, gp) == funcs.constant(s3, 2)
-    assert conn.gamma_value(g, g, g) == funcs.zero(s3)
+    assert dense_paths.gamma_value(conn, g, g, gp) == funcs.constant(s3, 2)
+    assert dense_paths.gamma_value(conn, g, g, g) == funcs.zero(s3)
 
 
 def test_integral_fraction_is_stored_as_int(s3_cycle_calculus):

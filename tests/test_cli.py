@@ -656,3 +656,31 @@ def test_bad_documents_get_clear_usage_errors(capsys, tmp_path):
         assert json.loads(capsys.readouterr().out) == {"error": message}
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_exponent_notation_is_a_usage_error(capsys, tmp_path):
+    """Fraction("1e5000") builds the power of ten in full, and the 5001
+    digits then broke rendering with a ValueError traceback; a document
+    value of 1e999999999 would build a billion-digit integer before any
+    check ran.  Every parsed rational
+    refuses exponent notation: family parameters, torsion-free member
+    parameters and document values.  Integers, p/q and plain decimals
+    still parse."""
+    doc = tmp_path / "metric.json"
+    doc.write_text(json.dumps({"schema": 1, "group": "S3", "coeffs": {"a|a": "1e5000"}}))
+    calc = ["--group", "S3", "--hatg", "class:a"]
+    message = "rational '1e5000' is in exponent notation; write it as p/q or a decimal"
+    for argv in (
+        ["connection", "named", *calc, "--name", "family", "--lambdas", "1e5000,0,0"],
+        ["connection", "solve", *calc, "--torsion-free", "--params", "1e5000,0,0"],
+        ["metric", "check", *calc, "--metric", str(doc)],
+    ):
+        assert cli.main(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    named = ["connection", "named", *calc, "--name", "family", "--json"]
+    assert cli.main(named + ["--lambdas", "1/2,0.25,-3"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main(named + ["--lambdas", "0.5,1/4,-3.0"]) == 0
+    assert json.loads(capsys.readouterr().out) == plain

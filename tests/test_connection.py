@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from finitegeo import calculus, connection, funcs, groups
-from finitegeo.braid import TensorField, basis_tensor, d_theta, sigma_build
+from finitegeo.braid import TensorField, basis_tensor, d_one_form, sigma_build
 from finitegeo.calculus import omega_form, theta_form
 from finitegeo.connection import (
     Connection,
@@ -25,7 +25,6 @@ from finitegeo.connection import (
     two_sided_connection,
     two_sided_space,
     two_sided_square,
-    verify_invariance_transport,
 )
 from finitegeo.dual import Metric, metric_compatibility
 from finitegeo.errors import (
@@ -36,6 +35,8 @@ from finitegeo.errors import (
     NotUniversal,
     UsageError,
 )
+
+import dense_paths
 
 
 def _sample_function(group, seed=1):
@@ -53,10 +54,10 @@ def test_c_connection_coefficients(s3_transposition_calculus):
     s3 = s3_transposition_calculus.group
     conn = c_connection(s3_transposition_calculus)
     a, b, c = (s3.element_index(x) for x in ("a", "b", "c"))
-    assert conn.gamma_value(a, a, a).values[0] == -2
-    assert conn.gamma_value(a, a, b).values[0] == -1
-    assert conn.gamma_value(a, b, b).is_zero()
-    assert conn.gamma_value(a, b, c).is_zero()
+    assert dense_paths.gamma_value(conn, a, a, a).values[0] == -2
+    assert dense_paths.gamma_value(conn, a, a, b).values[0] == -1
+    assert dense_paths.gamma_value(conn, a, b, b).is_zero()
+    assert dense_paths.gamma_value(conn, a, b, c).is_zero()
 
 
 def test_c_connection_is_torsion_free_and_bi_invariant(s3_transposition_calculus):
@@ -75,7 +76,7 @@ def test_c_connection_torsion_free_on_noncovariant_reduced_sets(z4):
 def test_braid_connection_annihilates_theta(s3_transposition_calculus):
     conn = nabla_sigma(s3_transposition_calculus)
     for h in s3_transposition_calculus.hatG:
-        assert conn.nabla_theta(h).is_zero()
+        assert conn.apply(theta_form(s3_transposition_calculus, h)).is_zero()
     assert conn.curvature_is_zero()
 
 
@@ -85,7 +86,7 @@ def test_braid_connection_torsion_is_d_theta(s3_transposition_calculus):
     conn = nabla_sigma(cal)
     for h in cal.hatG:
         t = conn.torsion(theta_form(cal, h))
-        assert t == d_theta(cal, sig, h)
+        assert t == d_one_form(theta_form(cal, h), sig)
 
 
 def test_inverse_braid_connection_annihilates_omega(s3_transposition_calculus):
@@ -143,12 +144,12 @@ def test_torsion_free_bi_invariant_family(s3_transposition_calculus):
         for x in (a, b, c):
             for y in (a, b, c):
                 for z in (a, b, c):
-                    assert member.gamma_value(x, y, z) == member.gamma_value(
-                        x, z, y
+                    assert dense_paths.gamma_value(member, x, y, z) == dense_paths.gamma_value(
+                        member, x, z, y
                     )
-        lhs = member.gamma_value(a, b, a)
-        assert lhs == member.gamma_value(a, a, b)
-        assert lhs.values[0] == member.gamma_value(a, b, c).values[0] - 1
+        lhs = dense_paths.gamma_value(member, a, b, a)
+        assert lhs == dense_paths.gamma_value(member, a, a, b)
+        assert lhs.values[0] == dense_paths.gamma_value(member, a, b, c).values[0] - 1
 
 
 def test_torsion_solve_needs_a_bicovariant_calculus(s3):
@@ -251,23 +252,17 @@ def test_two_sided_connection_unique_without_diagonal_maps(
     assert space4["dimension"] == 2 and not space4["unique"]
 
 
-def test_two_sided_leibniz_and_square(s3_transposition_calculus):
+def test_two_sided_square_vanishes(s3_transposition_calculus):
+    """The square of the basic two-sided connection vanishes on a basis
+    form with a delta coefficient."""
     cal = s3_transposition_calculus
     s3 = cal.group
     ts = two_sided_connection(cal)
-    f = _sample_function(s3, 1)
-    fp = _sample_function(s3, 3)
     phi = theta_form(cal, cal.hatG[1], coeff=funcs.delta(s3, 4))
-    assert ts.check_leibniz(f, phi, fp)
     left, mixed, right = two_sided_square(ts, phi)
     assert not left
     assert mixed.is_zero()
     assert not right
-
-
-def test_invariance_transport_for_braid_connection(s3_transposition_calculus):
-    flags = verify_invariance_transport(nabla_sigma(s3_transposition_calculus))
-    assert flags == {"psi": True, "tensor": True, "dual": True}
 
 
 def test_extension_entry_points_refuse_a_connection_without_twist(z4):
@@ -285,7 +280,6 @@ def test_extension_entry_points_refuse_a_connection_without_twist(z4):
         "extend_to_tensor on zero": lambda: extend_to_tensor(conn, TensorField(cal)),
         "extend_on_basis_pairs": lambda: next(extend_on_basis_pairs(report)),
         "psi_apply": lambda: report.psi_apply(t),
-        "verify_invariance_transport": lambda: verify_invariance_transport(conn),
     }
     for route in ("dual-extension", "tensor-dual", "both"):
         calls[route] = lambda route=route: metric_compatibility(m, route, conn)

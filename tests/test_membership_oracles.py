@@ -22,7 +22,7 @@ from finitegeo.dual import canonical_form_and_torsion
 from finitegeo.errors import Infeasible
 from finitegeo.invariants import solve_bi_invariant, solve_symmetry
 
-from dense_paths import constant_vector, family_basis
+from dense_paths import constant_vector, family_basis, gamma_value
 from elimination import DegreeThreeIdeal, SubspaceReducer, kernel_basis, solve_affine
 
 KINDS = ("s_sym", "s_antisym", "w_sym", "w_antisym", "bi_invariant")
@@ -99,7 +99,7 @@ def _contains_by_elimination(fam, conn):
     """TorsionFreeFamily.contains as solve_affine answered it."""
     target = []
     for orb in fam.orbits:
-        vals = {conn.gamma_value(*t).values[0] for t in orb}
+        vals = {gamma_value(conn, *t).values[0] for t in orb}
         if len(vals) > 1:
             return None
         target.append(vals.pop())

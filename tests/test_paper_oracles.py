@@ -1,0 +1,233 @@
+"""The paper's invariance theorems and the Bianchi identity as oracles.
+
+An invariant extensible connection passes its invariance on to its twist
+Psi, to its extension to the tensor square and to its dual connection,
+and the dual of a left-invariant connection has constant connection
+forms.  The basic two-sided connection phi -> (rho (x) phi, -phi (x) rho)
+obeys the two-sided Leibniz rule.  The Bianchi identity holds for every
+connection, function-valued ones included.  Each check runs on a fixed
+sample of catalog calculi, and each must say no on a seeded input that
+breaks it: a left-invariant connection with one coefficient made a
+function, a two-sided connection with rho doubled, and a Bianchi
+difference whose curvature term is doubled.
+"""
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+from finitegeo import calculus, funcs
+from finitegeo.braid import basis_tensor, tensor_product
+from finitegeo.calculus import OneForm, differential
+from finitegeo.catalog import small_group_catalog
+from finitegeo.connection import (
+    Connection,
+    c_connection,
+    canonical_connection,
+    extend_on_basis_pairs,
+    extensibility_analysis,
+    nabla_sigma,
+    two_sided_connection,
+)
+from finitegeo.dual import canonical_form_and_torsion, dual_connection, vector_field_basis
+
+CATALOG = small_group_catalog()
+
+
+def _sample():
+    """Every non-empty bicovariant calculus of S3, and up to two with
+    |hatG| <= 5 of every other catalog group, picked by a generator
+    seeded with the group's name."""
+    out = []
+    for name, group in CATALOG.items():
+        found = [c for c in calculus.enumerate_bicovariant(group) if 1 <= len(c.hatG) <= 5]
+        if name != "S3":
+            found = random.Random(name).sample(found, min(2, len(found)))
+        out += [(name, c) for c in found]
+    return out
+
+
+SAMPLE = _sample()
+IDS = [f"{name}-{'.'.join(map(str, cal.hatG))}" for name, cal in SAMPLE]
+
+
+def _seeded_function(group, rng):
+    return funcs.from_values(group, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                                     for _ in group.elements()])
+
+
+def _seeded_extensible(cal, rng):
+    """Seeded constants on about a third of the triples (g, h, h') with
+    h h' g^-1 in hatG or e: a left-invariant extensible connection.  No
+    value is -1, so no entry 1 + Gamma of the twist sigma - V vanishes."""
+    group = cal.group
+    allowed = set(cal.hatG) | {0}
+    triples = [(g, h, hp) for g in cal.hatG for h, hp in cal.pairs()
+               if group.mul(group.mul(h, hp), group.inverse(g)) in allowed]
+    picked = rng.sample(triples, max(1, len(triples) // 3))
+    return Connection(cal, {t: rng.choice((-2, Fraction(1, 2), 2, 3)) for t in picked})
+
+
+def _invariant_extensible(cal):
+    rng = random.Random(len(cal.hatG) * 41 + cal.group.order)
+    return {"c": c_connection(cal), "canonical": canonical_connection(cal),
+            "sigma": nabla_sigma(cal), "seeded": _seeded_extensible(cal, rng)}
+
+
+def _with_a_function_coefficient(conn, rng):
+    """conn with e_x added to one coefficient Gamma^g_{g,g'}.  Its slot
+    has g g' g^-1 in hatG, so the twist map carries the coefficient."""
+    cal = conn.calculus
+    g, gp = rng.choice(cal.pairs())
+    gamma = dict(conn.terms)
+    bump = funcs.delta(cal.group, rng.randrange(cal.group.order))
+    gamma[(g, g, gp)] = gamma.get((g, g, gp), 0) + bump
+    return Connection(cal, gamma)
+
+
+def _seeded_function_connection(cal, rng):
+    """Seeded non-constant coefficients on about a third of the triples."""
+    triples = [(h, g, gp) for h in cal.hatG for g, gp in cal.pairs()]
+    picked = rng.sample(triples, max(1, len(triples) // 3))
+    return Connection(cal, {t: _seeded_function(cal.group, rng) for t in picked})
+
+
+# ---------------------------------------------------------------------------
+# The checks.
+
+
+def _invariance_transport(conn):
+    """Whether the twist, the tensor extension and the dual transport of
+    a left-invariant extensible connection keep coefficients constant, as
+    a dict of booleans.  Raises NotExtensible when the connection has no
+    twist map."""
+    report = extensibility_analysis(conn)
+    cal = conn.calculus
+    ok_psi = all(
+        report.psi_apply(basis_tensor(cal, g, gp)).is_constant()
+        for g in cal.hatG
+        for gp in cal.hatG
+    )
+    ok_tensor = all(r3.is_constant() for _, r3 in extend_on_basis_pairs(report))
+    star = dual_connection(conn)
+    ok_dual = not any(
+        isinstance(c, funcs.GroupFunction)
+        for g in cal.hatG
+        for c in star.apply(vector_field_basis(cal, g)).values()
+    )
+    return {"psi": ok_psi, "tensor": ok_tensor, "dual": ok_dual}
+
+
+def _dual_is_invariant(conn):
+    """Whether the dual connection has constant connection-form
+    coefficients."""
+    return all(form.is_constant() for form in conn.connection_one_forms().values())
+
+
+def _two_sided_leibniz(ts, f, phi, fp):
+    """Whether nabla(f phi f') = df (x) phi f' + f phi (x) df'
+    + f (nabla phi) f' holds, component by component."""
+    cal = ts.calculus
+    middle = phi.left_mul(f).right_mul(fp)
+    lhs_l, lhs_r = ts.apply(middle)
+    nl, nr = ts.apply(phi)
+    df = differential(cal, f)
+    dfp = differential(cal, fp)
+    left_expected = nl.left_mul(f).right_mul(fp) + tensor_product(df, phi.right_mul(fp))
+    right_expected = nr.left_mul(f).right_mul(fp) + tensor_product(phi.left_mul(f), dfp)
+    return (lhs_l - left_expected).is_zero() and (lhs_r - right_expected).is_zero()
+
+
+def _bianchi_holds(conn):
+    return {g: entry["holds"] for g, entry in canonical_form_and_torsion(conn)["bianchi"].items()}
+
+
+# ---------------------------------------------------------------------------
+# The theorems hold on the sample.
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_invariance_passes_to_twist_extension_and_dual(name, cal):
+    for conn in _invariant_extensible(cal).values():
+        assert conn.is_left_invariant()
+        assert extensibility_analysis(conn).extensible
+        assert _invariance_transport(conn) == {"psi": True, "tensor": True, "dual": True}
+        assert _dual_is_invariant(conn)
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_two_sided_connection_obeys_the_two_sided_leibniz_rule(name, cal):
+    rng = random.Random(len(cal.hatG) * 43 + cal.group.order)
+    ts = two_sided_connection(cal)
+    for _ in range(2):
+        f, fp = _seeded_function(cal.group, rng), _seeded_function(cal.group, rng)
+        phi = OneForm(cal, {g: _seeded_function(cal.group, rng) for g in cal.hatG})
+        assert _two_sided_leibniz(ts, f, phi, fp)
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_bianchi_holds_for_function_coefficients(name, cal):
+    conn = _seeded_function_connection(cal, random.Random(len(cal.hatG) * 47 + cal.group.order))
+    assert not conn.is_left_invariant()
+    holds = _bianchi_holds(conn)
+    assert list(holds) == list(cal.hatG)
+    assert all(holds.values())
+
+
+# ---------------------------------------------------------------------------
+# Each check says no on an input that breaks it.
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_a_function_coefficient_breaks_every_invariance(name, cal):
+    rng = random.Random(len(cal.hatG) * 53 + cal.group.order)
+    for kind, conn in _invariant_extensible(cal).items():
+        broken = _with_a_function_coefficient(conn, rng)
+        assert extensibility_analysis(broken).extensible
+        flags = _invariance_transport(broken)
+        assert flags["psi"] is False and flags["dual"] is False
+        assert not _dual_is_invariant(broken)
+        # The extension is rho (x) theta^v (x) theta^w - Psi_12 Psi_23(theta^v (x)
+        # theta^w (x) rho), quadratic in the twist Psi.  canonical_connection's
+        # twist is zero, and one changed slot of it leaves the extension
+        # constant on this sample.  On Z2 with hatG = {a}, Gamma^a_{a,a} = y
+        # gives the one coefficient -y - (R_a y)(1 + y), which is symmetric in
+        # the two values of y, so every extension there is constant.
+        if kind != "canonical" and cal.group.order > 2:
+            assert flags["tensor"] is False
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_a_doubled_rho_breaks_the_two_sided_leibniz_rule(name, cal):
+    rng = random.Random(len(cal.hatG) * 59 + cal.group.order)
+    ts = two_sided_connection(cal)
+    ts.rho = ts.rho.scale(2)
+    f, fp = funcs.delta(cal.group, rng.randrange(cal.group.order)), funcs.constant(cal.group, 1)
+    phi = OneForm(cal, {g: 1 for g in cal.hatG})
+    assert not _two_sided_leibniz(ts, f, phi, fp)
+
+
+# Calculi whose degree-3 forms do not vanish (dims of Lambda^3: 4, 31 and 1),
+# so a wrong term in the Bianchi difference can show.
+DEGREE_THREE = {
+    "S3-transpositions": calculus.from_hatG(
+        CATALOG["S3"], [CATALOG["S3"].element_index(x) for x in ("a", "b", "c")]),
+    "S3-universal": calculus.universal(CATALOG["S3"]),
+    "Z4-universal": calculus.universal(CATALOG["Z4"]),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE_THREE))
+def test_a_doubled_curvature_breaks_bianchi(name):
+    cal = DEGREE_THREE[name]
+    conn = _seeded_function_connection(cal, random.Random(name))
+    assert all(_bianchi_holds(conn).values())
+    curvature_raw = Connection._curvature_raw
+
+    def doubled(self, h, gp):
+        return curvature_raw(self, h, gp).scale(2)
+
+    with mock.patch.object(Connection, "_curvature_raw", doubled):
+        assert not all(_bianchi_holds(conn).values())
