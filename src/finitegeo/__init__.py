@@ -7,12 +7,11 @@ finite group sets, all over exact rational arithmetic.
 
 from .braid import (
     DecompositionReport,
-    Rank3Field,
     SigmaOperator,
     TensorField,
     TwoForm,
     antisymmetrize,
-    apply_a3,
+    antisymmetrize_k,
     braid_check,
     classify,
     d_one_form,

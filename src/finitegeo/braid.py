@@ -33,31 +33,34 @@ zero.
 The exterior derivative starts from d theta^h = -C^h_{g,g'} theta^{g'}
 theta^g.  C^h_{g,g'} is nonzero only for h in {g, g', g g'}, so d reads
 the structure constants through StructureConstants.nonzero(h), at most
-3|hatG| pairs per label.  d_rep represents d of a 1-form or of a
-represented 2-form by the graded Leibniz rule, i counted from 0:
+3|hatG| pairs per label.  d_rep represents d of a left tensor of any
+rank by the graded Leibniz rule, i counted from 0:
 
   d(c theta^K) = dc (x) theta^K
                  + sum_i (-1)^i c theta^{k_0} ... d theta^{k_i} ...,
 
 so C^{k_i}_{u,v} enters at the slots (v, u) of leg i with the sign
--1 at the first leg and +1 at the second.  dc = (ell_h c) theta^h is
-zero for a constant c, and then ell_h is not evaluated.  d_rep collects
-the (scalar, coefficient) terms that land on each output key, the ell_h
-terms and those of the StructureConstants.nonzero lists, and stores
-each key once, summed by funcs.combination.
+(-1)^(i+1).  dc = (ell_h c) theta^h is zero for a constant c, and then
+ell_h is not evaluated.  d_rep collects the (scalar, coefficient) terms
+that land on each output key, the ell_h terms and those of the
+StructureConstants.nonzero lists, and stores each key once, summed by
+funcs.combination.
 
-In degree 3, sigma_12 and sigma_23 permute the triples,
-(u, v, w) -> (sigma(u, v), w) and (u, sigma(v, w)).  Following
-Woronowicz (Commun. Math. Phys. 122 (1989) 125, section 3), a rank-3
-field lies in the degree-3 part of the ideal generated by ker A when
-the antisymmetrizer
+In degree k, sigma_i acts on legs i and i + 1 (from 1).  Following
+Woronowicz (Commun. Math. Phys. 122 (1989) 125, section 3), k-forms are
+rank-k tensors modulo the kernel of the antisymmetrizer
+A_k = sum over pi in S_k of sgn(pi) sigma_pi, which factorises as
 
-  A_3 = 1 - sigma_12 - sigma_23 + sigma_12 sigma_23 + sigma_23 sigma_12
-          - sigma_12 sigma_23 sigma_12
+  A_k = (1 - sigma_1 + sigma_2 sigma_1 - ... +- sigma_{k-1} ... sigma_1)
+        (1 (x) A_{k-1}),
 
-annihilates it.  That the ideal equals ker A_3 is checked against
-elimination on the ideal's generators for a sample of calculi in the
-tests, not proven here.
+with A_1 = 1 and A_2 = 1 - sigma = 2A.  antisymmetrize_k applies it as
+k - 1 sweeps, from the last two legs outward; each sweep moves the lead
+leg of its block one step at a time, so it costs one term per step.  A
+rank-3 field lies in the degree-3 part of the ideal generated by ker A
+when A_3 annihilates it.  That the ideal equals ker A_3 is checked
+against elimination on the ideal's generators for a sample of calculi in
+the tests, not proven here.
 """
 
 from fractions import Fraction
@@ -70,40 +73,30 @@ from .groups import cycles
 
 
 class TensorField(Tensor):
-    """alpha = alpha_{g,g'} theta^g (x) theta^{g'} with left coefficients."""
+    """The left tensor of any rank, alpha_K theta^{k_1} (x) ... (x)
+    theta^{k_rank}; rank is held on the instance."""
 
-    rank = 2
-
-
-class Rank3Field(Tensor):
-    """Coefficients over hatG^3, theta^u (x) theta^v (x) theta^w, left placed."""
-
-    rank = 3
-
-
-def tensor_from_vector(calculus, vector):
-    pairs = calculus.pairs()
-    return TensorField(calculus, dict(zip(pairs, vector)))
-
-
-def basis_tensor(calculus, g, gp):
-    return TensorField(calculus, {(g, gp): 1})
+    def __init__(self, calculus, coeffs=None, rank=2):
+        if rank < 1:
+            raise ValueError(f"a TensorField has rank at least 1, not {rank}")
+        self.rank = rank
+        super().__init__(calculus, coeffs)
 
 
 def tensor_product(a, b, out=None):
-    """a (x)_A b of left tensors of total rank 2 or 3: each coefficient
-    of b crosses the legs of a (Tensor._crossing), so the coefficient at
-    K + L is a_K R_{(k_n ... k_1)^-1} b_L.  With out, a tensor of that
-    rank, the product is added into out, which is returned."""
+    """a (x)_A b of left tensors: each coefficient of b crosses the legs
+    of a (Tensor._crossing), so the coefficient at K + L is
+    a_K R_{(k_n ... k_1)^-1} b_L.  With out, a TensorField of rank
+    a.rank + b.rank, the product is added into out, which is returned."""
     if a.calculus != b.calculus:
         raise CalculusMismatch("tensors live on different calculi")
-    kind = {2: TensorField, 3: Rank3Field}.get(a.rank + b.rank)
-    if kind is None or a.side != "left" or b.side != "left":
-        raise ValueError("tensor_product takes left tensors of total rank 2 or 3")
+    if a.side != "left" or b.side != "left":
+        raise ValueError("tensor_product takes left tensors")
+    rank = a.rank + b.rank
     if out is None:
-        out = kind(a.calculus)
-    elif not isinstance(out, kind) or out.calculus != a.calculus:
-        raise CalculusMismatch(f"out must be a {kind.__name__} on the same calculus")
+        out = TensorField(a.calculus, rank=rank)
+    elif not isinstance(out, TensorField) or out.rank != rank or out.calculus != a.calculus:
+        raise CalculusMismatch(f"out must be a rank-{rank} TensorField on the same calculus")
     right = [(b._legs(key), a._crossing(d)) for key, d in b.terms.items()]
     for key_a, c in a.terms.items():
         legs = a._legs(key_a)
@@ -131,8 +124,8 @@ class SigmaOperator:
         return pair
 
     def apply(self, t):
-        """sigma on the first two legs of a rank-2 or rank-3 tensor;
-        coefficients and a third leg ride along."""
+        """sigma on the first two legs of a tensor of rank at least 2;
+        coefficients and further legs ride along."""
         out = t._like()
         for key, c in t.terms.items():
             out.accumulate(self.perm[key[:2]] + key[2:], c)
@@ -296,7 +289,24 @@ def symmetrize(t, sigma):
 
 
 def antisymmetrize(t, sigma):
-    return (t - sigma.apply(t)).scale(Fraction(1, 2))
+    """A t = (t - sigma(t))/2 of a rank-2 tensor."""
+    return antisymmetrize_k(t, sigma).scale(Fraction(1, 2))
+
+
+def antisymmetrize_k(t, sigma):
+    """A_k of a left tensor of rank k, unnormalised, by the factorisation
+    of the module docstring on t's stored terms; coefficients ride along
+    with their keys.  Each sweep adds to the running result the images
+    of the terms it started from, with alternating signs."""
+    perm, k = sigma.perm, t.rank
+    out = t._like(t.terms)
+    for s in range(k - 2, -1, -1):
+        moved = list(out.terms.items())
+        for p in range(s, k - 1):
+            moved = [(key[:p] + perm[key[p:p + 2]] + key[p + 2:], -c) for key, c in moved]
+            for key, c in moved:
+                out.accumulate(key, c)
+    return out
 
 
 def classify(t, sigma):
@@ -318,6 +328,9 @@ class TwoForm(TensorField):
     TwoForm(calculus) is zero.  A is a bimodule map, so sums, scalings and
     products by functions on either side stay in im A."""
 
+    def __init__(self, calculus, coeffs=None):
+        super().__init__(calculus, coeffs)
+
     @property
     def rep(self):
         """The representative in im A, which is the form itself."""
@@ -325,9 +338,11 @@ class TwoForm(TensorField):
 
 
 def project_two_form(t, sigma):
-    """pi = A: a tensor's 2-form, as its representative; a TwoForm is its own."""
+    """pi = A: a rank-2 tensor's 2-form, as its representative; a TwoForm is its own."""
     if isinstance(t, TwoForm):
         return t
+    if t.rank != 2:
+        raise CalculusMismatch(f"project_two_form takes a rank-2 tensor, not rank {t.rank}")
     return TwoForm(t.calculus)._like(antisymmetrize(t, sigma).terms)
 
 
@@ -336,11 +351,10 @@ def wedge(phi, psi, sigma):
 
 
 def d_rep(t):
-    """Representative of d of a 1-form (rank 2) or of a represented 2-form
-    (rank 3), by the graded Leibniz rule of the module docstring."""
-    kind = {1: TensorField, 2: Rank3Field}.get(t.rank)
-    if kind is None or t.side != "left":
-        raise ValueError("d_rep takes a left tensor of rank 1 or 2")
+    """Representative of d of a left tensor of any rank, a rank + 1
+    TensorField, by the graded Leibniz rule of the module docstring."""
+    if t.side != "left":
+        raise ValueError("d_rep takes a left tensor")
     cal = t.calculus
     sc = cal.structure_constants
     parts = {}
@@ -350,10 +364,10 @@ def d_rep(t):
             for h in cal.hatG:
                 parts.setdefault((h,) + legs, []).append((1, ell(h, c)))
         for i, k in enumerate(legs):
-            sign = -1 if i == 0 else 1
+            sign = 1 if i % 2 else -1
             for u, v, x in sc.nonzero(k):
                 parts.setdefault(legs[:i] + (v, u) + legs[i + 1:], []).append((sign * x, c))
-    out = kind(cal)
+    out = TensorField(cal, rank=t.rank + 1)
     for key, pairs in parts.items():
         c = combination(cal.group, pairs)
         if c.__class__ is GroupFunction or c:  # a canonical function is nonzero
@@ -365,28 +379,3 @@ def d_one_form(phi, sigma):
     """d(f theta^g) = df ^ theta^g + f d theta^g, summed over the basis."""
     return project_two_form(d_rep(phi), sigma)
 
-
-# ---------------------------------------------------------------------------
-# Degree 3: rank-3 fields are compared modulo the degree-3 slice of the
-# differential ideal generated by the s-symmetric tensors.
-
-
-def apply_a3(r3, sigma):
-    """A_3 of a rank-3 field, on its stored terms; coefficients ride along
-    with their triples.
-
-    A_3 = 1 - sigma_12 - sigma_23 + sigma_12 sigma_23 + sigma_23 sigma_12
-    - sigma_12 sigma_23 sigma_12, without normalization.  The field lies in
-    the degree-3 part of the ideal generated by ker A when the result is
-    zero (see the module docstring).
-    """
-    perm = sigma.perm
-    out = Rank3Field(r3.calculus)
-    for (u, v, w), c in r3.terms.items():
-        a, b = perm[u, v]  # sigma_12 (u, v, w) = (a, b, w)
-        p, q = perm[v, w]  # sigma_23 (u, v, w) = (u, p, q)
-        x, y = perm[b, w]  # sigma_23 sigma_12 (u, v, w) = (a, x, y)
-        for img, f in (((u, v, w), c), ((a, b, w), -c), ((u, p, q), -c),
-                       ((*perm[u, p], q), c), ((a, x, y), c), ((*perm[a, x], y), -c)):
-            out.accumulate(img, f)
-    return out

@@ -25,11 +25,12 @@ has the coefficient t_k R_{(k_rank ... k_1)^-1} f at the key
 k = (k_1, ..., k_rank).  The tensor product of left tensors follows the
 same rule: in a (x) b each coefficient of b crosses the legs of a, so
 (a (x) b)_{K,L} = a_K R_{(k_rank ... k_1)^-1} b_L (braid.tensor_product).
-OneForm here, TensorField, TwoForm (in im A) and Rank3Field in braid,
-VectorField and Metric in dual only fix rank and side.  A OneForm always
-holds theta-basis coefficients; on a bicovariant calculus omega_form
-writes the right-invariant omega^g in that basis, and omega_coefficients
-reads a form's coefficients with respect to the omega^g.
+OneForm here, TwoForm (in im A) in braid, VectorField and Metric in
+dual only fix rank and side; braid.TensorField is the left tensor of any
+rank, held on the instance.  A OneForm always holds theta-basis
+coefficients; on a bicovariant calculus omega_form writes the
+right-invariant omega^g in that basis, and omega_coefficients reads a
+form's coefficients with respect to the omega^g.
 """
 
 from functools import cached_property
@@ -277,9 +278,11 @@ class Tensor:
     """A sparse tensor field: nonzero coefficient functions on hatG^rank.
 
     Subclasses set rank (keys are labels g at rank 1 and tuples
-    (k_1, ..., k_rank) above) and side, "left" or "right" of the basis,
-    where the coefficients sit; the module docstring gives the rule for
-    multiplying by functions.  terms holds only the nonzero coefficients
+    (k_1, ..., k_rank) above; braid.TensorField sets it per instance)
+    and side, "left" or "right" of the basis, where the coefficients
+    sit; the module docstring gives the rule for multiplying by
+    functions.  Kind, rank and calculus together are a tensor's identity
+    for == and for arithmetic.  terms holds only the nonzero coefficients
     in canonical form (funcs.canonical), which accumulate keeps, so == is
     structural; coeffs and coeff read them back as GroupFunctions.
     """
@@ -305,15 +308,16 @@ class Tensor:
         return _Coeffs(self)
 
     def _like(self, terms=()):
-        """A tensor of the same kind and calculus holding terms."""
+        """A tensor of the same kind, rank and calculus holding terms."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__)
         out.terms = dict(terms)
         return out
 
     def _check(self, other):
-        if type(self) is not type(other) or self.calculus != other.calculus:
-            raise CalculusMismatch("tensors live on different calculi or kinds")
+        if (type(self) is not type(other) or self.rank != other.rank
+                or self.calculus != other.calculus):
+            raise CalculusMismatch("tensors live on different calculi, kinds or ranks")
 
     def _keys(self):
         """Every key of hatG^rank, lexicographic."""
@@ -421,8 +425,8 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (type(self) is type(other) and self.calculus == other.calculus
-                and self.terms == other.terms)
+        return (type(self) is type(other) and self.rank == other.rank
+                and self.calculus == other.calculus and self.terms == other.terms)
 
 
 class OneForm(Tensor):

@@ -12,15 +12,7 @@ tensor products and to the two-sided setting.
 
 from fractions import Fraction
 
-from .braid import (
-    Rank3Field,
-    TensorField,
-    d_rep,
-    project_two_form,
-    sigma_for,
-    tensor_product,
-    wedge,
-)
+from .braid import TensorField, d_rep, project_two_form, sigma_for, tensor_product, wedge
 from .calculus import (
     OneForm,
     differential,
@@ -44,8 +36,8 @@ class Connection:
     """A left connection nabla: Omega^1 -> Omega^1 (x) Omega^1.
 
     The connection is stored through its coefficients Gamma^h_{g,g'}:
-    terms holds them as Rank3Field(calculus, gamma) stores them: the
-    nonzero ones in canonical form (funcs.canonical), a scalar when
+    terms holds them as TensorField(calculus, gamma, rank=3) stores them:
+    the nonzero ones in canonical form (funcs.canonical), a scalar when
     constant, keyed (h, g, g'); gamma reads them back as GroupFunctions.
     The action on a basis form is
 
@@ -56,7 +48,7 @@ class Connection:
 
     def __init__(self, calculus, gamma):
         self.calculus = calculus
-        self.terms = Rank3Field(calculus, gamma).terms
+        self.terms = TensorField(calculus, gamma, rank=3).terms
         self._omega = None
 
     @property
@@ -436,8 +428,8 @@ class ExtensibilityReport:
         self.v_map = v_map
 
     def v_apply(self, t):
-        """Apply the bimodule map V to the first two legs of a rank-2 or
-        rank-3 tensor; a third leg rides along."""
+        """Apply the bimodule map V to the first two legs of a tensor of
+        rank at least 2; further legs ride along."""
         cal = self.connection.calculus
         group = cal.group
         out = t._like()
@@ -452,7 +444,7 @@ class ExtensibilityReport:
 
     def psi_apply(self, t):
         """Apply the twist Psi = sigma - V to the first two legs of a
-        rank-2 or rank-3 tensor."""
+        tensor of rank at least 2."""
         if not self.extensible:
             raise NotExtensible(
                 "connection does not satisfy the two-argument Leibniz rule"
@@ -541,7 +533,7 @@ def bimodule_hom_space(calculus, kind="V"):
 
 def _extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
     """Add nabla(phi (x) psi) = (nabla phi) (x) psi + (Psi (x) id)(phi (x)
-    nabla psi) into out, a Rank3Field, given nabla phi and nabla psi."""
+    nabla psi) into out, a rank-3 TensorField, given nabla phi and nabla psi."""
     tensor_product(nabla_phi, psi, out)
     out += report.psi_apply(tensor_product(phi, nabla_psi))
     return out
@@ -555,7 +547,7 @@ def extend_on_pair(conn, phi, psi):
     """
     report = _extensible_report(conn)
     return _extend_pair(
-        report, phi, conn.apply(phi), psi, conn.apply(psi), Rank3Field(conn.calculus)
+        report, phi, conn.apply(phi), psi, conn.apply(psi), TensorField(conn.calculus, rank=3)
     )
 
 
@@ -572,7 +564,7 @@ def extend_on_basis_pairs(report):
     nabla = {g: conn.apply(form) for g, form in theta.items()}
     for v in cal.hatG:
         for w in cal.hatG:
-            out = Rank3Field(cal)
+            out = TensorField(cal, rank=3)
             yield (v, w), _extend_pair(report, theta[v], nabla[v], theta[w], nabla[w], out)
 
 
@@ -585,7 +577,7 @@ def extend_to_tensor(conn, t):
     """
     report = _extensible_report(conn)
     cal = conn.calculus
-    out = Rank3Field(cal)
+    out = TensorField(cal, rank=3)
     for g in cal.hatG:
         psi = OneForm(cal, {gp: right_translate(g, c) for (u, gp), c in t.terms.items() if u == g})
         if not psi.is_zero():

@@ -25,7 +25,7 @@ is the dual of the braid connection nabla_sigma.
 
 from .braid import (
     TensorField,
-    apply_a3,
+    antisymmetrize_k,
     d_rep,
     project_two_form,
     sigma_for,
@@ -279,7 +279,7 @@ def canonical_form_and_torsion(conn):
     of the curvature 2-forms with the basis modulo the degree 3 part of
     the differential ideal.  The Bianchi identity holds for theta^g when
     Woronowicz's antisymmetrizer A_3 annihilates the difference of the
-    two sides (braid.apply_a3).  Returns the 2-forms and, per basis
+    two sides (braid.antisymmetrize_k).  Returns the 2-forms and, per basis
     label, the verdict and the difference.
     """
     cal = conn.calculus
@@ -300,5 +300,6 @@ def canonical_form_and_torsion(conn):
             crep = conn._curvature_raw(g, gp)
             if not crep.is_zero():
                 tensor_product(crep, theta_form(cal, gp, -1), difference)
-        bianchi[g] = {"holds": apply_a3(difference, sig).is_zero(), "difference": difference}
+        holds = antisymmetrize_k(difference, sig).is_zero()
+        bianchi[g] = {"holds": holds, "difference": difference}
     return {"Theta": theta_caps, "bianchi": bianchi}

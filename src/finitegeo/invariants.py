@@ -12,7 +12,7 @@ basis tensors, block by block from braid.echelon_rows.
 from fractions import Fraction
 from itertools import product
 
-from .braid import Part, echelon_rows, sigma_for, tensor_from_vector
+from .braid import Part, TensorField, echelon_rows, sigma_for
 from .groups import adjoint_orbits
 
 
@@ -40,7 +40,8 @@ class SolutionSpace:
     @property
     def basis(self):
         """The basis vectors as constant tensor fields, built as iterated."""
-        return (tensor_from_vector(self.calculus, v) for v in self.vectors)
+        pairs = self.calculus.pairs()
+        return (TensorField(self.calculus, dict(zip(pairs, v))) for v in self.vectors)
 
     @property
     def dimension(self):

@@ -5,15 +5,20 @@ connection coefficients Gamma through their stored entries.  The loops
 they replaced, which visit every pair or triple of hatG and evaluate
 C^h_{g,g'} by its formula (structure_constant) or probe gamma per key,
 live here unchanged (methods written as functions of the connection), so
-the tests can compare the two answers.  braid_check and apply_a3 reach sigma_12 and sigma_23 through
-the triple maps on_first and on_last, which SigmaOperator had, and are
-what braid.braid_check and braid.apply_a3 are compared with; perm_table the composition of
-every pair of permutations that the tables built from generator words
-are compared with, is_associative the triple loop that groups'
-associativity check is compared with, respects_product the one that
-gset.GSet's product-rule check is compared with.  EdgeRoundTripCalculus is the
-calculus constructor that expanded hatG into edges and rebuilt hatG and
-the covariance flags from them, with equality and hash on the edge set.
+the tests can compare the two answers.  braid_check and apply_a3 reach
+sigma_12 and sigma_23 through the triple maps on_first and on_last,
+which SigmaOperator had; braid.braid_check is compared with the first,
+and braid.antisymmetrize_k at rank 3 with the second, the hand-written
+A_3 the package had.  antisymmetrizer sums sgn(pi) sigma_pi over all of
+S_k, each sigma_pi along the reduced word that bubble sort gives, through
+the leg map on_leg: the oracle for antisymmetrize_k at any rank.
+perm_table is the composition of every pair of permutations that the
+tables built from generator words are compared with, is_associative the
+triple loop that groups' associativity check is compared with,
+respects_product the one that gset.GSet's product-rule check is
+compared with.  EdgeRoundTripCalculus is the calculus constructor that
+expanded hatG into edges and rebuilt hatG and the covariance flags from
+them, with equality and hash on the edge set.
 The next section keeps the loops that groups.orbits, calculus.unions and
 groups.cycles replaced: the class, centre and abelian sweeps over the
 Cayley table, the cycle-name walk, the inversion-count parity, the mask
@@ -47,13 +52,12 @@ this module; test modules import it by name from the tests directory.
 
 import contextlib
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 from unittest import mock
 
 from finitegeo import funcs
 from finitegeo.braid import (
-    Rank3Field,
     TensorField,
     antisymmetrize,
     d_one_form,
@@ -200,7 +204,7 @@ def d_one_form_rep(phi):
 def d_two_rep(t):
     """d of a represented 2-form, as a rank-3 coefficient array."""
     calculus = t.calculus
-    out = Rank3Field(calculus)
+    out = TensorField(calculus, rank=3)
     for (g, gp), c in t.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g, gp), funcs.ell(h, c))
@@ -266,7 +270,7 @@ def tensor_of_one_forms(phi, psi):
 def one_form_times_two_rep(phi, t):
     """(f theta^k) * (T_{u,v} theta^u theta^v) at rank 3."""
     grp = phi.calculus.group
-    out = Rank3Field(phi.calculus)
+    out = TensorField(phi.calculus, rank=3)
     for k, f in phi.terms.items():
         kinv = grp.inverse(k)
         for (u, v), c in t.terms.items():
@@ -277,7 +281,7 @@ def one_form_times_two_rep(phi, t):
 def two_rep_times_one_form(t, psi):
     """(T_{u,v} theta^u theta^v) * (c_w theta^w) at rank 3."""
     grp = t.calculus.group
-    out = Rank3Field(t.calculus)
+    out = TensorField(t.calculus, rank=3)
     for (u, v), c in t.terms.items():
         vu_inv = grp.inverse(grp.mul(v, u))
         for w, cw in psi.terms.items():
@@ -302,7 +306,7 @@ def sparse_d_two_rep(t):
     """d of a represented 2-form, as a rank-3 coefficient array."""
     calculus = t.calculus
     sc = StructureConstants(calculus)
-    out = Rank3Field(calculus)
+    out = TensorField(calculus, rank=3)
     for (g, gp), c in t.terms.items():
         for h in calculus.hatG:
             out.accumulate((h, g, gp), funcs.ell(h, c))
@@ -342,8 +346,8 @@ def psi_apply(report, t):
 
 
 def extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
-    """Add nabla(phi (x) psi) into out, a Rank3Field, given nabla phi and
-    nabla psi.
+    """Add nabla(phi (x) psi) into out, a rank-3 TensorField, given
+    nabla phi and nabla psi.
 
     (nabla phi) (x) psi transports psi's coefficients across both legs;
     (Psi (x) id)(phi (x) nabla psi) twists the first two slots.
@@ -371,7 +375,7 @@ def extend_to_tensor(conn, t):
     if not report.extensible:
         raise NotExtensible("connection does not extend to tensor products")
     cal = conn.calculus
-    out = Rank3Field(cal)
+    out = TensorField(cal, rank=3)
     for g in cal.hatG:
         psi = OneForm(cal, {})
         for gp in cal.hatG:
@@ -492,19 +496,51 @@ def braid_check(sigma):
 
 
 def apply_a3(r3, sigma):
-    """A_3 of a rank-3 field through the triple maps on_first and on_last."""
+    """A_3 of a rank-3 field through the triple maps on_first and on_last:
+    1 - sigma_12 - sigma_23 + sigma_12 sigma_23 + sigma_23 sigma_12
+    - sigma_12 sigma_23 sigma_12."""
     def s12(tr):
         return on_first(sigma, tr)
 
     def s23(tr):
         return on_last(sigma, tr)
 
-    out = Rank3Field(r3.calculus)
+    out = TensorField(r3.calculus, rank=3)
     for t, c in r3.terms.items():
         x, y = s12(t), s23(t)
         z = s23(x)
         for img, f in ((t, c), (x, -c), (y, -c), (s12(y), c), (z, c), (s12(z), -c)):
             out.accumulate(img, f)
+    return out
+
+
+def on_leg(sigma, key, i):
+    """sigma on legs i and i + 1 of a key, counted from 0."""
+    return key[:i] + sigma.perm[key[i], key[i + 1]] + key[i + 2:]
+
+
+def antisymmetrizer(t, sigma):
+    """A_k = sum over pi in S_k of sgn(pi) sigma_pi on a left tensor of
+    rank k, term by term.  sigma_pi follows the adjacent swaps that bubble
+    sort makes on pi's one-line form, a reduced word, so its length is
+    the sign's exponent."""
+    k = t.rank
+    words = []
+    for pi in permutations(range(k)):
+        seq, word = list(pi), []
+        for end in range(k - 1, 0, -1):
+            for i in range(end):
+                if seq[i] > seq[i + 1]:
+                    seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                    word.append(i)
+        words.append(word)
+    out = TensorField(t.calculus, rank=k)
+    for key, c in t.terms.items():
+        for word in words:
+            image = key
+            for i in word:
+                image = on_leg(sigma, image, i)
+            out.accumulate(image, -c if len(word) % 2 else c)
     return out
 
 

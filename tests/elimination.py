@@ -14,7 +14,7 @@ from the tests directory.
 
 from fractions import Fraction
 
-from finitegeo.braid import d_rep, tensor_from_vector
+from finitegeo.braid import TensorField, d_rep
 from finitegeo.errors import Infeasible
 from finitegeo.funcs import _exact
 
@@ -220,7 +220,7 @@ class DegreeThreeIdeal:
                 for (v, w), val in kmap.items():
                     vec[index[(u, v, w)]] = val
                 generators.append(vec)
-            kt = tensor_from_vector(self.calculus, kvec)
+            kt = TensorField(self.calculus, kmap)
             dk = d_rep(kt)
             generators.append([c.values[0] for c in dk.coeffs.values()])
         self.reducer = SubspaceReducer(dim)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from finitegeo import calculus, connection, funcs, groups
-from finitegeo.braid import TensorField, basis_tensor, d_one_form, sigma_build
+from finitegeo import calculus, funcs
+from finitegeo.braid import TensorField, d_one_form, sigma_build
 from finitegeo.calculus import omega_form, theta_form
 from finitegeo.connection import (
     Connection,
@@ -238,7 +238,7 @@ def test_canonical_connection_twist_vanishes(s3_transposition_calculus):
     report = extensibility_analysis(canonical_connection(cal))
     assert report.extensible
     for g, gp in cal.pairs():
-        t = basis_tensor(cal, g, gp)
+        t = TensorField(cal, {(g, gp): 1})
         assert report.psi_apply(t).is_zero()
 
 
@@ -273,7 +273,7 @@ def test_extension_entry_points_refuse_a_connection_without_twist(z4):
     conn = Connection(cal, {(1, 2, 2): 1})
     report = extensibility_analysis(conn)
     assert not report.extensible
-    theta, t, m = theta_form(cal, 1), basis_tensor(cal, 1, 2), Metric(cal, {(1, 1): 1})
+    theta, t, m = theta_form(cal, 1), TensorField(cal, {(1, 2): 1}), Metric(cal, {(1, 1): 1})
     calls = {
         "extend_on_pair": lambda: extend_on_pair(conn, theta, theta),
         "extend_to_tensor": lambda: extend_to_tensor(conn, t),

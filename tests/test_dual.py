@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finitegeo import calculus, connection, funcs, groups
+from finitegeo import funcs
 from finitegeo.braid import SigmaOperator
 from finitegeo.calculus import differential, theta_form
 from finitegeo.connection import (

@@ -4,7 +4,7 @@ Group functions store integral values as ints, SubspaceReducer keeps
 sparse rows, and the tensor extension and the Bianchi difference sum
 into one coefficient dict.  The paths they replaced survive here as
 oracles: Fraction arithmetic on the raw values, dense elimination, and
-the repeated `out = out + Rank3Field(...)` accumulation.
+the repeated `out = out + TensorField(..., rank=3)` accumulation.
 """
 
 import random
@@ -14,7 +14,6 @@ import pytest
 
 from finitegeo import calculus, connection, dual, funcs
 from finitegeo.braid import (
-    Rank3Field,
     TensorField,
     d_rep,
     tensor_product,
@@ -66,7 +65,7 @@ def _values(obj):
     """Every coefficient value inside a result, however it is nested."""
     if isinstance(obj, funcs.GroupFunction):
         yield from obj.values
-    elif isinstance(obj, (TensorField, Rank3Field, OneForm)):
+    elif isinstance(obj, (TensorField, OneForm)):
         yield from _values(obj.coeffs)
     elif isinstance(obj, dict):
         for v in obj.values():
@@ -91,7 +90,7 @@ def _dense_extend_pair(report, phi, psi):
             g = f * funcs.right_translate(trans, c)
             if not g.is_zero():
                 out[(u, v, w)] = out.get((u, v, w), funcs.zero(group)) + g
-    out = Rank3Field(cal, {k: v for k, v in out.items() if not v.is_zero()})
+    out = TensorField(cal, {k: v for k, v in out.items() if not v.is_zero()}, rank=3)
     nab_psi = conn.apply(psi)
     for g in cal.hatG:
         c = phi.coeff(g)
@@ -102,14 +101,14 @@ def _dense_extend_pair(report, phi, psi):
             piece = TensorField(cal, {(g, u): c * funcs.right_translate(ginv, f)})
             twisted = report.psi_apply(piece)
             extra = {(p, q, v): val for (p, q), val in twisted.coeffs.items()}
-            out = out + Rank3Field(cal, extra)
+            out = out + TensorField(cal, extra, rank=3)
     return out
 
 
 def _dense_extend_to_tensor(conn, t):
     report = connection.extensibility_analysis(conn)
     cal = conn.calculus
-    out = Rank3Field(cal, {})
+    out = TensorField(cal, rank=3)
     for g in cal.hatG:
         col = {
             gp: funcs.right_translate(g, t.coeffs[(g, gp)]) for gp in cal.hatG
@@ -130,7 +129,7 @@ def _dense_bianchi_difference(conn, g):
         form = omega[(g, gp)]
         if not form.is_zero():
             lhs = lhs + tensor_product(form, torsion[gp])
-    rhs = Rank3Field(cal, {})
+    rhs = TensorField(cal, rank=3)
     for gp in cal.hatG:
         crep = conn._curvature_raw(g, gp)
         if not crep.is_zero():

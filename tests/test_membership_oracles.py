@@ -3,7 +3,8 @@
 The package decides membership without elimination: im A and im S by
 sums over the cycles of sigma, a solution space by its kind's condition,
 a torsion-free family by reading parameters at the union-find roots, and
-the degree-3 ideal by Woronowicz's antisymmetrizer A_3.  The elimination
+the degree-3 ideal by Woronowicz's antisymmetrizer A_3
+(braid.antisymmetrize_k).  The elimination
 routines in tests/elimination.py are the oracles here, on a fixed sample
 of catalog calculi; the negative cases check that each test also says no.
 """
@@ -15,7 +16,7 @@ from itertools import product
 import pytest
 
 from finitegeo import calculus, funcs, groups
-from finitegeo.braid import Rank3Field, apply_a3, sigma_for
+from finitegeo.braid import TensorField, antisymmetrize_k, sigma_for
 from finitegeo.catalog import small_group_catalog
 from finitegeo.connection import Connection, c_connection, nabla_sigma, solve_torsion_free
 from finitegeo.dual import canonical_form_and_torsion
@@ -58,7 +59,7 @@ def test_ker_a3_equals_the_eliminated_ideal(label, cal):
     # Column t of A_3 is A_3 applied to the basis triple t.
     a3 = [[0] * len(triples) for _ in triples]
     for j, t in enumerate(triples):
-        column = constant_vector(apply_a3(Rank3Field(cal, {t: 1}), sig))
+        column = constant_vector(antisymmetrize_k(TensorField(cal, {t: 1}, rank=3), sig))
         for i, x in enumerate(column):
             a3[i][j] = x
     kernel = kernel_basis(a3)
@@ -68,7 +69,7 @@ def test_ker_a3_equals_the_eliminated_ideal(label, cal):
         vec = [0] * len(triples)
         for i, y in row:
             vec[i] = y
-        assert apply_a3(Rank3Field(cal, dict(zip(triples, vec))), sig).is_zero()
+        assert antisymmetrize_k(TensorField(cal, dict(zip(triples, vec)), rank=3), sig).is_zero()
 
 
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
@@ -153,12 +154,12 @@ def test_a_triple_added_to_a_holding_bianchi_difference_is_rejected(
         assert ideal.contains(difference)
         # theta^a theta^b theta^c is not in the ideal, as a constant or at one point.
         for coeff in (1, funcs.delta(group, 4)):
-            off = difference + Rank3Field(cal, {(a, b, c): coeff})
-            assert not apply_a3(off, sig).is_zero()
+            off = difference + TensorField(cal, {(a, b, c): coeff}, rank=3)
+            assert not antisymmetrize_k(off, sig).is_zero()
             assert not ideal.contains(off)
         # theta^a theta^a theta^a is: ker A (x) theta^a holds theta^a theta^a.
-        on = difference + Rank3Field(cal, {(a, a, a): funcs.delta(group, 4)})
-        assert apply_a3(on, sig).is_zero()
+        on = difference + TensorField(cal, {(a, a, a): funcs.delta(group, 4)}, rank=3)
+        assert antisymmetrize_k(on, sig).is_zero()
         assert ideal.contains(on)
 
 

@@ -4,12 +4,17 @@ braid.braid_check walks sigma's table with one lookup per sigma step;
 the triple loop through SigmaOperator.on_first and on_last
 (dense_paths.braid_check) must agree on every bicovariant calculus of a
 catalog sample, and both must reject sigma tables with two entries
-swapped; braid.apply_a3 reads the table the same way and must give the
-triple maps' A_3.  braid.d_rep stores each output key once, summed by
-funcs.combination; it must give the dense loops' d of 1-forms and
-2-forms with function-valued coefficients.  Connection._torsion_raw
-builds every torsion representative in one pass over Gamma and must give
-the per-label dense loop.
+swapped.  braid.antisymmetrize_k reads the table the same way, one sweep
+per leg; on seeded function-valued tensors it must give the triple maps'
+A_3 at rank 3, the sum over all of S_4 (dense_paths.antisymmetrizer) at
+rank 4, and twice braid.antisymmetrize at rank 2.  braid.d_rep stores
+each output key once, summed by funcs.combination; it must give the
+dense loops' d of 1-forms and 2-forms with function-valued
+coefficients, and it must obey the graded Leibniz rule
+d(a (x) b) = da (x) b + (-1)^rank(a) a (x) db on representatives up to
+total rank 4.  Connection._torsion_raw builds every torsion
+representative in one pass over Gamma and must give the per-label dense
+loop.
 """
 
 import random
@@ -20,12 +25,13 @@ import pytest
 
 from finitegeo import calculus, connection, funcs, groups
 from finitegeo.braid import (
-    Rank3Field,
     TensorField,
-    apply_a3,
+    antisymmetrize,
+    antisymmetrize_k,
     braid_check,
     d_rep,
     sigma_build,
+    tensor_product,
 )
 from finitegeo.calculus import OneForm
 from finitegeo.catalog import small_group_catalog
@@ -89,17 +95,49 @@ def test_tables_that_fail_only_in_the_last_legs_are_rejected(images):
     assert dense_paths.braid_check(sig) is False
 
 
+def _seeded_tensor(cal, rank, rng, size=12):
+    """A left tensor of the given rank on up to size seeded keys: functions,
+    with an integer on every other key; a OneForm at rank 1."""
+    keys = [tuple(rng.choice(cal.hatG) for _ in range(rank)) for _ in range(size)]
+    coeffs = {k: _seeded(cal.group, rng) if i % 2 else i + 1 for i, k in enumerate(keys)}
+    if rank == 1:
+        return OneForm(cal, {k[0]: c for k, c in coeffs.items()})
+    return TensorField(cal, coeffs, rank=rank)
+
+
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
-def test_apply_a3_matches_the_triple_maps(name, cal):
+def test_a3_matches_the_triple_maps(name, cal):
     rng = random.Random(len(cal.hatG) * 29 + cal.group.order)
     sig = sigma_build(cal)
     triples = list(product(cal.hatG, repeat=3))
     keys = rng.sample(triples, min(12, len(triples)))
     coeffs = {k: _seeded(cal.group, rng) if i % 2 else i + 1 for i, k in enumerate(keys)}
-    r3 = Rank3Field(cal, coeffs)
-    assert apply_a3(r3, sig) == dense_paths.apply_a3(r3, sig)
+    r3 = TensorField(cal, coeffs, rank=3)
+    assert antisymmetrize_k(r3, sig) == dense_paths.apply_a3(r3, sig)
     d = d_rep(connection.canonical_connection(cal)._torsion_raw()[cal.hatG[0]])
-    assert apply_a3(d, sig) == dense_paths.apply_a3(d, sig)
+    assert antisymmetrize_k(d, sig) == dense_paths.apply_a3(d, sig)
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_antisymmetrize_k_matches_the_sum_over_permutations(name, cal):
+    rng = random.Random(len(cal.hatG) * 31 + cal.group.order)
+    sig = sigma_build(cal)
+    r4 = _seeded_tensor(cal, 4, rng)
+    assert antisymmetrize_k(r4, sig) == dense_paths.antisymmetrizer(r4, sig)
+    r2 = _seeded_tensor(cal, 2, rng)
+    assert antisymmetrize_k(r2, sig) == antisymmetrize(r2, sig).scale(2)
+    assert antisymmetrize_k(r2, sig) == dense_paths.antisymmetrizer(r2, sig)
+
+
+@pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
+def test_d_rep_obeys_the_graded_leibniz_rule(name, cal):
+    rng = random.Random(len(cal.hatG) * 37 + cal.group.order)
+    for ra, rb in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
+        a, b = _seeded_tensor(cal, ra, rng, 4), _seeded_tensor(cal, rb, rng, 4)
+        product_first = d_rep(tensor_product(a, b))
+        assert product_first.rank == ra + rb + 1
+        leibniz = tensor_product(d_rep(a), b) + tensor_product(a, d_rep(b)).scale((-1) ** ra)
+        assert product_first == leibniz, (ra, rb)
 
 
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
@@ -112,7 +150,7 @@ def test_d_rep_matches_the_dense_loops(name, cal):
     keys = rng.sample(list(product(cal.hatG, repeat=2)), min(6, len(cal.hatG) ** 2))
     t = TensorField(cal, {k: _seeded(group, rng) if i % 3 else -i for i, k in enumerate(keys)})
     got = d_rep(t)
-    assert isinstance(got, Rank3Field)
+    assert type(got) is TensorField and got.rank == 3
     assert got == dense_paths.d_two_rep(t)
     assert d_rep(d_rep(OneForm(cal, {}))).is_zero()
 

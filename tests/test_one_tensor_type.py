@@ -10,22 +10,27 @@ and t - sigma(t), and their sums and alternating sums along sigma's
 powers, on every calculus of the bicovariant catalog sample, with each
 flag seen true and false on nonzero tensors.  SigmaOperator.in_part
 refuses an unknown part even when sigma has no cycles.  Tensor checks each
-key leg by leg against hatG, and Connection stores Gamma through Rank3Field.
+key leg by leg against hatG, and Connection stores Gamma through a rank-3
+TensorField.  Rank is part of a TensorField's identity: tensors of two
+ranks are unequal, do not add, and tensor_product refuses an out of the
+wrong rank; project_two_form refuses a tensor that is not of rank 2.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from finitegeo import calculus, funcs, groups
 from finitegeo.braid import (
-    Rank3Field,
     TensorField,
     TwoForm,
     classify,
+    d_one_form,
     project_two_form,
     sigma_for,
+    tensor_product,
 )
 from finitegeo.calculus import OneForm
 from finitegeo.connection import Connection
@@ -35,6 +40,7 @@ import dense_paths
 from test_one_pass_sums import IDS, SAMPLE
 
 FLAGS = ("s_symmetric", "s_antisymmetric", "w_symmetric", "w_antisymmetric")
+RANK3 = partial(TensorField, rank=3)
 
 
 def _seeded_tensor(cal, rng):
@@ -108,7 +114,7 @@ def test_in_part_refuses_an_unknown_part_without_cycles():
 def test_classify_refuses_other_ranks_and_calculi(s3_universal, s3_cycle_calculus):
     sig = sigma_for(s3_universal)
     with pytest.raises(CalculusMismatch):
-        classify(Rank3Field(s3_universal), sig)
+        classify(TensorField(s3_universal, rank=3), sig)
     with pytest.raises(CalculusMismatch):
         classify(TensorField(s3_cycle_calculus), sig)
 
@@ -140,7 +146,9 @@ def test_a_two_form_is_a_tensor_field(s3_universal):
     cal = s3_universal
     sig = sigma_for(cal)
     zero = TwoForm(cal)
-    assert isinstance(zero, TensorField) and zero.is_zero()
+    assert isinstance(zero, TensorField) and zero.is_zero() and zero.rank == 2
+    with pytest.raises(TypeError):
+        TwoForm(cal, rank=3)
     assert zero != TensorField(cal)
     with pytest.raises(CalculusMismatch):
         zero + TensorField(cal)
@@ -158,13 +166,44 @@ def test_a_two_form_is_a_tensor_field(s3_universal):
     (TensorField, (1,)),
     (TensorField, (1, 2, 1)),
     (TwoForm, (1, 3)),
-    (Rank3Field, (1, 2)),
-    (Rank3Field, (1, 2, 0)),
+    (RANK3, (1, 2)),
+    (RANK3, (1, 2, 0)),
 ])
 def test_tensor_keys_are_checked_leg_by_leg(kind, key):
     cal = calculus.from_hatG(groups.symmetric(3), [1, 2])
-    with pytest.raises(NotInHatG, match=f"is not in hatG\\^{kind.rank}"):
+    with pytest.raises(NotInHatG, match=f"is not in hatG\\^{kind(cal).rank}"):
         kind(cal, {key: 1})
+
+
+def test_rank_is_part_of_a_tensor_field(s3_universal, s3_cycle_calculus):
+    cal = s3_universal
+    two, three = TensorField(cal), TensorField(cal, rank=3)
+    assert two.rank == 2 and three.rank == 3
+    with pytest.raises(ValueError, match="rank at least 1"):
+        TensorField(cal, rank=0)
+    assert two != three and three == TensorField(cal, rank=3)
+    with pytest.raises(CalculusMismatch):
+        two += three
+    with pytest.raises(CalculusMismatch):
+        three - two
+    phi, t = OneForm(cal, {1: 1}), TensorField(cal, {(2, 3): 1})
+    for out in (TensorField(cal), TensorField(cal, rank=4), TensorField(s3_cycle_calculus, rank=3)):
+        with pytest.raises(CalculusMismatch):
+            tensor_product(phi, t, out)
+    out = TensorField(cal, rank=3)
+    assert tensor_product(phi, t, out) is out
+    assert out == TensorField(cal, {(1, 2, 3): 1}, rank=3)
+    assert (-out).rank == out.scale(2).rank == out.left_mul(1).rank == 3
+
+
+def test_two_forms_come_from_rank_2_tensors_only(s3_universal):
+    """A TwoForm holding rank-3 keys was returned for a rank-3 tensor, and
+    for d of a rank-2 tensor passed where a 1-form belongs."""
+    sig = sigma_for(s3_universal)
+    with pytest.raises(CalculusMismatch, match="rank-2 tensor, not rank 3"):
+        project_two_form(TensorField(s3_universal, {(1, 2, 3): 1}, rank=3), sig)
+    with pytest.raises(CalculusMismatch, match="rank-2 tensor, not rank 3"):
+        d_one_form(TensorField(s3_universal, {(1, 2): 1}), sig)
 
 
 def test_connection_stores_gamma_through_rank3_field(s3_universal):
@@ -178,7 +217,7 @@ def test_connection_stores_gamma_through_rank3_field(s3_universal):
         (g, h, h): Fraction(-1, 3),
     }
     conn = Connection(cal, gamma)
-    assert conn.terms == Rank3Field(cal, gamma).terms
+    assert conn.terms == TensorField(cal, gamma, rank=3).terms
     assert conn.terms == {(h, g, gp): 2, (gp, h, g): funcs.delta(group, 1), (g, h, h): Fraction(-1, 3)}
     assert type(conn.terms[(h, g, gp)]) is int
     for key in ((0, g, gp), (h, g)):

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 
 from finitegeo import calculus, funcs
-from finitegeo.braid import basis_tensor, tensor_product
+from finitegeo.braid import TensorField, tensor_product
 from finitegeo.calculus import OneForm, differential
 from finitegeo.catalog import small_group_catalog
 from finitegeo.connection import (
@@ -106,7 +106,7 @@ def _invariance_transport(conn):
     report = extensibility_analysis(conn)
     cal = conn.calculus
     ok_psi = all(
-        report.psi_apply(basis_tensor(cal, g, gp)).is_constant()
+        report.psi_apply(TensorField(cal, {(g, gp): 1})).is_constant()
         for g in cal.hatG
         for gp in cal.hatG
     )

@@ -16,16 +16,19 @@ wherever sigma is not needed.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
 from finitegeo import calculus, connection, dual, funcs, groups
-from finitegeo.braid import Rank3Field, TensorField, d_one_form, d_rep, sigma_for, tensor_product
+from finitegeo.braid import TensorField, d_one_form, d_rep, sigma_for, tensor_product
 from finitegeo.calculus import OneForm, StructureConstants, theta_form
 from finitegeo.catalog import small_group_catalog
 
 import dense_paths
+
+RANK3 = partial(TensorField, rank=3)
 
 
 def _sample():
@@ -156,8 +159,10 @@ def test_bianchi_and_flatness_on_universal_a4(a4_universal):
 
 
 def _tensor(kind, cal, rng, count):
-    """A tensor with function-valued coefficients at count random keys."""
-    keys = list(cal.hatG) if kind.rank == 1 else list(product(cal.hatG, repeat=kind.rank))
+    """A tensor with function-valued coefficients at count random keys;
+    kind(cal) is the zero tensor of the wanted kind and rank."""
+    rank = kind(cal).rank
+    keys = list(cal.hatG) if rank == 1 else list(product(cal.hatG, repeat=rank))
     return kind(cal, {k: _seeded(cal.group, rng) for k in rng.sample(keys, min(count, len(keys)))})
 
 
@@ -190,7 +195,7 @@ def test_pair_and_vector_fields_match_rank_specific_routines(name, cal):
             assert dual.pair(phi, x) == dense_paths.pair(phi, x)
         t = _tensor(TensorField, cal, rng, 2 * len(cal.hatG))
         assert dual.pair(t, x) == dense_paths.pair_tensor_field(t, x)
-    r3 = _tensor(Rank3Field, cal, rng, 3 * len(cal.hatG))
+    r3 = _tensor(RANK3, cal, rng, 3 * len(cal.hatG))
     assert dual.pair(r3, metric) == dense_paths.pair_rank3_metric(r3, metric)
     for conn in _connections(cal, rng):
         star = dual.dual_connection(conn)
@@ -216,20 +221,20 @@ BICO_IDS = [f"{n}-{'.'.join(map(str, c.hatG))}" for n, c in BICOVARIANT]
 def test_twist_and_extension_match_rank_specific_routines(name, cal):
     rng = random.Random(len(cal.hatG) * 43 + cal.group.order)
     t = _tensor(TensorField, cal, rng, 2 * len(cal.hatG))
-    r3 = _tensor(Rank3Field, cal, rng, 3 * len(cal.hatG))
+    r3 = _tensor(RANK3, cal, rng, 3 * len(cal.hatG))
     phi, psi = _forms(cal, rng)[-1], _forms(cal, rng)[-1]
     for conn in _extensible(cal, rng):
         report = connection.extensibility_analysis(conn)
         assert report.v_apply(t) == dense_paths.v_apply(report, t)
         assert report.psi_apply(t) == dense_paths.psi_apply(report, t)
-        sliced = Rank3Field(cal)
+        sliced = TensorField(cal, rank=3)
         for w in cal.hatG:
             piece = TensorField(cal, {k[:2]: c for k, c in r3.terms.items() if k[2] == w})
             for k, c in dense_paths.psi_apply(report, piece).terms.items():
                 sliced.accumulate(k + (w,), c)
         assert report.psi_apply(r3) == sliced
         for a, b in ((phi, psi), (theta_form(cal, cal.hatG[0]), psi), (phi, theta_form(cal, cal.hatG[-1]))):
-            want = dense_paths.extend_pair(report, a, conn.apply(a), b, conn.apply(b), Rank3Field(cal))
+            want = dense_paths.extend_pair(report, a, conn.apply(a), b, conn.apply(b), RANK3(cal))
             assert connection.extend_on_pair(conn, a, b) == want
         assert connection.extend_to_tensor(conn, t) == dense_paths.extend_to_tensor(conn, t)
 

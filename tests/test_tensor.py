@@ -1,7 +1,8 @@
 """The one sparse Tensor type against per-key dense computations.
 
-OneForm, TensorField, Rank3Field, VectorField and Metric are Tensor
-subclasses that only fix rank and side.  Every operation is compared
+OneForm, VectorField and Metric are Tensor subclasses that only fix
+rank and side; TensorField is the left tensor of any rank, here at
+ranks 2 and 3.  Every operation is compared
 with the same operation done key by key over all of hatG^rank, with a
 missing key read as the zero function, and a factor multiplied on the
 non-coefficient side moved across the basis legs one at a time.
@@ -14,7 +15,7 @@ from itertools import product
 import pytest
 
 from finitegeo import calculus, funcs
-from finitegeo.braid import Rank3Field, TensorField
+from finitegeo.braid import TensorField
 from finitegeo.calculus import OneForm
 from finitegeo.catalog import small_group_catalog
 from finitegeo.dual import Metric, VectorField
@@ -23,7 +24,29 @@ from finitegeo.errors import CalculusMismatch, NotInHatG
 from dense_paths import fiber
 
 CATALOG = small_group_catalog()
-KINDS = [OneForm, TensorField, Rank3Field, VectorField, Metric]
+
+
+class Kind:
+    """A tensor class at one rank, called like the class, with its rank,
+    side and a name."""
+
+    def __init__(self, cls, rank, name=None):
+        self.cls, self.rank, self.side = cls, rank, cls.side
+        self.__name__ = name or cls.__name__
+
+    def __call__(self, cal, coeffs):
+        if self.cls is TensorField:
+            return TensorField(cal, coeffs, rank=self.rank)
+        return self.cls(cal, coeffs)
+
+
+KINDS = [
+    Kind(OneForm, 1),
+    Kind(TensorField, 2),
+    Kind(TensorField, 3, "TensorField-rank3"),
+    Kind(VectorField, 1),
+    Kind(Metric, 2),
+]
 
 
 def _class_union(name, reps):
@@ -142,7 +165,7 @@ def test_operations_match_the_dense_per_key_computation(cal, kind, seed):
     expected["left_mul"] = (a.left_mul(func), left)
     expected["right_mul"] = (a.right_mul(func), right)
     for name, (got, want) in expected.items():
-        assert type(got) is kind, name
+        assert type(got) is kind.cls and got.rank == kind.rank, name
         assert _dense(kind, cal, got) == want, name
         assert _stored_nonzero(got), name
         assert got.is_zero() == all(v == 0 for vals in want.values() for v in vals)
@@ -212,13 +235,7 @@ def test_mixing_kinds_raises(s3_universal):
 
 @pytest.mark.parametrize(
     "kind,bad",
-    [
-        (OneForm, {5: 1}),
-        (TensorField, {(1, 5): 1}),
-        (Rank3Field, {(1, 1): 2}),
-        (VectorField, {3: 1}),
-        (Metric, {(1, 3): 1}),
-    ],
+    list(zip(KINDS, [{5: 1}, {(1, 5): 1}, {(1, 1): 2}, {3: 1}, {(1, 3): 1}])),
     ids=[k.__name__ for k in KINDS],
 )
 def test_keys_outside_hatg_raise_not_in_hatg(s3, kind, bad):
@@ -230,6 +247,6 @@ def test_keys_outside_hatg_raise_not_in_hatg(s3, kind, bad):
 def test_rank3_field_refuses_the_keys_it_used_to_drop(s3):
     cal = calculus.from_hatG(s3, [1, 2])
     with pytest.raises(NotInHatG):
-        Rank3Field(cal, {(5, 5, 5): 1, (1, 1): 2})
+        TensorField(cal, {(5, 5, 5): 1, (1, 1): 2}, rank=3)
     with pytest.raises(NotInHatG):
-        Rank3Field(cal, {(5, 5, 5): 1})
+        TensorField(cal, {(5, 5, 5): 1}, rank=3)
