@@ -151,7 +151,7 @@ def _is_class_union(group, hatG):
     """Whether hatG, a set of distinct elements, is a union of conjugacy
     classes: the classes it meets hold no other element."""
     classes = group.conjugacy_classes()
-    met = {group._class_of[g] for g in hatG}
+    met = {group.class_of(g) for g in hatG}
     return sum(len(classes[c]) for c in met) == len(hatG)
 
 

@@ -177,7 +177,7 @@ def parse_hatg(group, spec):
             continue
         if item.startswith("class:"):
             rep = group.element_index(item[len("class:"):])
-            chosen.update(group.conjugacy_classes()[group._class_of[rep]])
+            chosen.update(group.conjugacy_classes()[group.class_of(rep)])
         else:
             chosen.add(group.element_index(item))
     if 0 in chosen:

@@ -162,7 +162,7 @@ def sigma_x(calculus, g, gp):
     resulting index pair.
     """
     calculus.require_bicovariant()
-    if g not in set(calculus.hatG) or gp not in set(calculus.hatG):
+    if (g, gp) not in sigma_for(calculus).perm:
         raise NotInHatG("field labels must lie in the reduced set")
     return (calculus.group.adjoint(g, gp), g)
 

@@ -1,20 +1,24 @@
 """Finite groups as indexed Cayley tables.
 
 Elements are integers 0..order-1 with the identity always at index 0.
-Constructors relabel if needed.  orbits is the orbit routine: the
-conjugacy classes are the orbits of the adjoint action, computed lazily
-and cached, the center is the singleton classes, and a group is abelian
-when every class is a singleton; adjoint_orbits reads the orbits on
-hatG^k off the conjugation table.  cycles is the one cycle routine: cycle
-names and parities of permutations and sigma's cycles in braid read it.
+Constructors relabel if needed.  Two builders make every named group:
+_indexed_group, the one table builder, fills Z_n, D_n, Dic_n and direct
+products from an index product rule, and _group_from_perms, the one
+closure, closes permutation generators (S_n, A_n, from_permutations)
+breadth-first and fills the table from their words.  orbits is the
+orbit routine: the conjugacy classes are the orbits of the adjoint
+action, computed lazily and cached, the center is the singleton classes,
+and a group is abelian when every class is a singleton; adjoint_orbits
+reads the orbits on hatG^k off the conjugation table.  cycles is the one
+cycle routine: cycle names of permutations and sigma's cycles in braid
+read it.
 """
 
 import itertools
 from functools import cached_property
 from math import factorial
 
-from .errors import (InternalInconsistency, NoIdentity, NoInverse, NotAnAction,
-                     NotAssociative, TooLarge)
+from .errors import NoIdentity, NoInverse, NotAnAction, NotAssociative, TooLarge
 
 DEFAULT_MAX_ORDER = 1024
 
@@ -98,11 +102,7 @@ class FiniteGroup:
     # -- conjugacy machinery ---------------------------------------------
 
     def conjugacy_classes(self):
-        """Partition of elements into conjugacy classes, sorted tuples.
-
-        Also fills _class_of, the index in this list of each element's
-        class.
-        """
+        """Partition of elements into conjugacy classes, sorted tuples."""
         if self._classes is None:
             self._classes = orbits(range(self.order), self.adjoint, self)
             self._class_of = [0] * self.order
@@ -110,6 +110,11 @@ class FiniteGroup:
                 for x in cls:
                     self._class_of[x] = i
         return self._classes
+
+    def class_of(self, x):
+        """The index of x's class in conjugacy_classes()."""
+        self.conjugacy_classes()
+        return self._class_of[x]
 
     def nontrivial_classes(self):
         return [c for c in self.conjugacy_classes() if c != (0,)]
@@ -210,23 +215,75 @@ def _check_shape(table):
                 raise ValueError(f"entry {v!r} out of range in row {i}")
 
 
+def _indexed_group(order, mul, name, label, max_order, aliases=None):
+    """The group on 0..order-1 with product mul(x, y), x named name(x) and
+    aliases(x); the bound is checked before anything of that size is built."""
+    if order > max_order:
+        raise TooLarge(f"order {order} exceeds the bound {max_order}")
+    elements = range(order)
+    table = [[mul(x, y) for y in elements] for x in elements]
+    alias = {a: x for x in elements for a in aliases(x)} if aliases else None
+    names = [name(x) for x in elements]
+    return FiniteGroup(table, names=names, aliases=alias, label=label, _validated=True)
+
+
+def _word(letter, k):
+    """letter^k as a name: '' for k = 0, the letter for k = 1, else letter k."""
+    return "" if k == 0 else letter if k == 1 else f"{letter}{k}"
+
+
 def cyclic(n, max_order=DEFAULT_MAX_ORDER):
-    """The cyclic group Z_n with mul(i,j) = (i+j) mod n."""
+    """The cyclic group Z_n with mul(i,j) = (i+j) mod n; a^k may also be written k or a^k."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n > max_order:
-        raise TooLarge(f"order {n} exceeds the bound {max_order}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["e"]
-    aliases = {"0": 0}
-    if n > 1:
-        names.append("a")
-        aliases.update({"a1": 1, "a^1": 1, "1": 1})
-    for k in range(2, n):
-        names.append(f"a{k}")
-        aliases[f"a^{k}"] = k
-        aliases[str(k)] = k
-    return FiniteGroup(table, names=names, aliases=aliases, label=f"Z{n}", _validated=True)
+    return _indexed_group(
+        n, lambda i, j: (i + j) % n, lambda k: _word("a", k) or "e", f"Z{n}", max_order,
+        lambda k: ("a1", "a^1", "1") if k == 1 else (f"a^{k}", str(k)) if k else ("0",),
+    )
+
+
+def direct_product(g1, g2, max_order=DEFAULT_MAX_ORDER):
+    """Componentwise product; element (x, y) gets index x*|g2| + y."""
+    n2, t1, t2 = g2.order, g1.table, g2.table
+    return _indexed_group(
+        g1.order * n2, lambda x, y: t1[x // n2][y // n2] * n2 + t2[x % n2][y % n2],
+        lambda x: f"{g1.names[x // n2]}.{g2.names[x % n2]}", f"{g1.label}x{g2.label}", max_order,
+    )
+
+
+def dihedral(n, max_order=DEFAULT_MAX_ORDER):
+    """D_n of order 2n: rotations r^i and reflections r^i s, with s r s = r^-1.
+
+    Element eps*n + i is r^i s^eps, eps in {0, 1}, 0 <= i < n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+
+    def mul(x, y):
+        (eps, i), (delta, j) = divmod(x, n), divmod(y, n)
+        return (eps ^ delta) * n + (i - j if eps else i + j) % n
+
+    return _indexed_group(
+        2 * n, mul, lambda x: _word("r", x % n) + "s" * (x // n) or "e", f"D{n}", max_order
+    )
+
+
+def dicyclic(n, max_order=DEFAULT_MAX_ORDER):
+    """Dic_n of order 4n: a of order 2n, x^2 = a^n, x a x^-1 = a^-1 (Dic_2 = Q8).
+
+    Element eps*2n + i is a^i x^eps, eps in {0, 1}, 0 <= i < 2n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    m = 2 * n
+
+    def mul(x, y):
+        (eps, i), (delta, j) = divmod(x, m), divmod(y, m)
+        return (eps ^ delta) * m + ((i - j if eps else i + j) + n * (eps & delta)) % m
+
+    return _indexed_group(
+        4 * n, mul, lambda x: _word("a", x % m) + "x" * (x // m) or "e", f"Dic{n}", max_order
+    )
 
 
 def _perm_mul(x, y):
@@ -260,52 +317,50 @@ def _cycle_name(perm):
 
 # Conventional short names for the six elements of S3 in lexicographic
 # one-line order: a=(12), b=(23), c=(13), ab=(123), ba=(132).
-_S3_NAMES = {
-    (0, 1, 2): "e",
-    (0, 2, 1): "b",
-    (1, 0, 2): "a",
-    (1, 2, 0): "ab",
-    (2, 0, 1): "ba",
-    (2, 1, 0): "c",
-}
+_S3_NAMES = {(0, 1, 2): "e", (0, 2, 1): "b", (1, 0, 2): "a",
+             (1, 2, 0): "ab", (2, 0, 1): "ba", (2, 1, 0): "c"}
 
 
-def _group_from_perms(perms, gens, label, letter_names=None, max_order=DEFAULT_MAX_ORDER):
-    """The group of perms, a composition-closed list with the identity
-    first, generated by gens.  Breadth-first from the identity each element
-    gets a word z = y s with y found earlier, and as x (y s) = (x y) s,
-    row[z] = R_s[row[y]] fills each row, R_s being right multiplication by
-    s as an index table."""
-    if len(perms) > max_order:
-        raise TooLarge(f"order {len(perms)} exceeds the bound {max_order}")
+def _group_from_perms(gens, degree, label=None, letter_names=None, max_order=DEFAULT_MAX_ORDER):
+    """The group that gens, permutations of range(degree), generate, and
+    its elements in lexicographic one-line order; label defaults to P{order}.
+
+    Breadth-first from the identity, each new element z gets the word
+    z = y s, y found earlier and s a generator.  As x (y s) = (x y) s,
+    row[z] = R_s[row[y]] fills each row, R_s being right multiplication
+    by s as an index table."""
+    perms = [tuple(range(degree))]
+    found = {perms[0]}
+    right = [{} for _ in gens]  # right[s][y] = y gens[s]
+    words = []  # (z, s, y) with z = y gens[s], y found before z
+    for y in perms:
+        if len(perms) > max_order:
+            raise TooLarge(f"closure exceeds the bound {max_order}")
+        for s, gen in enumerate(gens):
+            z = right[s][y] = _perm_mul(y, gen)
+            if z not in found:
+                found.add(z)
+                perms.append(z)
+                words.append((z, s, y))
+    perms.sort()
     index = {p: i for i, p in enumerate(perms)}
-    right = [[index[_perm_mul(x, s)] for x in perms] for s in gens]
-    reached = {0}
-    steps = []  # (z, R_s, y) with z = y s, y reached before z
-    frontier = [0]
-    for y in frontier:
-        for r in right:
-            z = r[y]
-            if z not in reached:
-                reached.add(z)
-                steps.append((z, r, y))
-                frontier.append(z)
-    if len(reached) != len(perms):
-        raise InternalInconsistency(f"generators reach {len(reached)} of {len(perms)} elements")
+    right = [[index[r[p]] for p in perms] for r in right]
+    words = [(index[z], right[s], index[y]) for z, s, y in words]
     table = []
     for x in range(len(perms)):
         row = [x] * len(perms)
-        for z, r, y in steps:
+        for z, r, y in words:
             row[z] = r[row[y]]
         table.append(row)
+    names = [_cycle_name(p) for p in perms]
+    aliases = {}
     if letter_names:
-        names = [letter_names[p] for p in perms]
-        aliases = {_cycle_name(p): i for i, p in enumerate(perms)}
-        aliases = {k: v for k, v in aliases.items() if k not in names}
-    else:
-        names = [_cycle_name(p) for p in perms]
-        aliases = {}
-    return FiniteGroup(table, names=names, aliases=aliases, label=label, _validated=True)
+        letters = [letter_names[p] for p in perms]
+        aliases = {c: i for i, c in enumerate(names) if c not in letters}
+        names = letters
+    label = label or f"P{len(perms)}"
+    group = FiniteGroup(table, names=names, aliases=aliases, label=label, _validated=True)
+    return group, perms
 
 
 def symmetric(n, max_order=DEFAULT_MAX_ORDER):
@@ -314,11 +369,10 @@ def symmetric(n, max_order=DEFAULT_MAX_ORDER):
         raise ValueError("degree must be positive")
     if factorial(n) > max_order:
         raise TooLarge(f"{n}! exceeds the bound {max_order}")
-    perms = sorted(itertools.permutations(range(n)))
     transposition = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
     n_cycle = tuple(range(1, n)) + (0,)
     letter_names = _S3_NAMES if n == 3 else None
-    return _group_from_perms(perms, [transposition, n_cycle], f"S{n}", letter_names, max_order)
+    return _group_from_perms([transposition, n_cycle], n, f"S{n}", letter_names, max_order)[0]
 
 
 def alternating(n, max_order=DEFAULT_MAX_ORDER):
@@ -327,115 +381,25 @@ def alternating(n, max_order=DEFAULT_MAX_ORDER):
         raise ValueError("degree must be positive")
     if n > 1 and factorial(n) // 2 > max_order:
         raise TooLarge(f"{n}!/2 exceeds the bound {max_order}")
-    perms = sorted(p for p in itertools.permutations(range(n)) if _parity(p) == 0)
     # The 3-cycles (0 1 k), 2 <= k < n, generate A_n.
     gens = [(1, k, *range(2, k), 0, *range(k + 1, n)) for k in range(2, n)]
-    return _group_from_perms(perms, gens, f"A{n}", None, max_order)
-
-
-def _parity(perm):
-    """0 for an even permutation, 1 for an odd one: (n - #cycles) mod 2."""
-    return (len(perm) - len(cycles(dict(enumerate(perm))))) % 2
-
-
-def direct_product(g1, g2, max_order=DEFAULT_MAX_ORDER):
-    """Componentwise product; element (x, y) gets index x*|g2| + y."""
-    n1, n2 = g1.order, g2.order
-    if n1 * n2 > max_order:
-        raise TooLarge(f"order {n1 * n2} exceeds the bound {max_order}")
-    n = n1 * n2
-    table = [[0] * n for _ in range(n)]
-    for x1 in range(n1):
-        for y1 in range(n2):
-            i = x1 * n2 + y1
-            for x2 in range(n1):
-                for y2 in range(n2):
-                    table[i][x2 * n2 + y2] = g1.table[x1][x2] * n2 + g2.table[y1][y2]
-    names = [f"{g1.names[x]}.{g2.names[y]}" for x in range(n1) for y in range(n2)]
-    return FiniteGroup(
-        table, names=names, label=f"{g1.label}x{g2.label}", _validated=True
-    )
-
-
-def dihedral(n, max_order=DEFAULT_MAX_ORDER):
-    """D_n of order 2n: rotations r^i and reflections r^i s, with s r s = r^-1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if 2 * n > max_order:
-        raise TooLarge(f"order {2 * n} exceeds the bound {max_order}")
-    size = 2 * n
-
-    def idx(i, eps):
-        return eps * n + i % n
-
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for eps in (0, 1):
-            for j in range(n):
-                for delta in (0, 1):
-                    k = (i + j) if eps == 0 else (i - j)
-                    table[idx(i, eps)][idx(j, delta)] = idx(k, (eps + delta) % 2)
-    names = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
-    names += ["s"] + [f"r{i}s" if i > 1 else "rs" for i in range(1, n)]
-    return FiniteGroup(table, names=names, label=f"D{n}", _validated=True)
-
-
-def dicyclic(n, max_order=DEFAULT_MAX_ORDER):
-    """Dic_n of order 4n: a of order 2n, x^2 = a^n, x a x^-1 = a^-1 (Dic_2 = Q8)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if 4 * n > max_order:
-        raise TooLarge(f"order {4 * n} exceeds the bound {max_order}")
-    m = 2 * n
-    size = 4 * n
-
-    def idx(i, eps):
-        return eps * m + i % m
-
-    table = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            table[idx(i, 0)][idx(j, 0)] = idx(i + j, 0)
-            table[idx(i, 0)][idx(j, 1)] = idx(i + j, 1)
-            table[idx(i, 1)][idx(j, 0)] = idx(i - j, 1)
-            table[idx(i, 1)][idx(j, 1)] = idx(i - j + n, 0)
-    names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, m)]
-    names += ["x"] + [f"a{i}x" if i > 1 else "ax" for i in range(1, m)]
-    return FiniteGroup(table, names=names, label=f"Dic{n}", _validated=True)
+    return _group_from_perms(gens, n, f"A{n}", None, max_order)[0]
 
 
 def from_permutations(perms, max_order=DEFAULT_MAX_ORDER, with_elements=False):
-    """Closure of the given permutations (tuples) under composition.
-
-    Right products x*gen suffice: in a finite group they already reach
-    every product of generators.  With with_elements, also returns the
-    permutation list in element order, so callers can recover the natural
-    action on points.
+    """The group generated by the given permutations (tuples), labelled
+    P{order}.  With with_elements, also returns the permutation list in
+    element order, so callers can recover the natural action on points.
     """
     perms = [tuple(p) for p in perms]
     if not perms:
         raise ValueError("need at least one permutation")
     degree = len(perms[0])
-    identity = tuple(range(degree))
     for p in perms:
         if sorted(p) != list(range(degree)):
             raise ValueError(f"{p!r} is not a permutation of 0..{degree - 1}")
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        x = frontier.pop()
-        for gen in perms:
-            y = _perm_mul(x, gen)
-            if y not in closure:
-                if len(closure) >= max_order:
-                    raise TooLarge(f"closure exceeds the bound {max_order}")
-                closure.add(y)
-                frontier.append(y)
-    ordered = sorted(closure)
-    group = _group_from_perms(ordered, perms, f"P{len(ordered)}", None, max_order)
-    if with_elements:
-        return group, ordered
-    return group
+    group, elements = _group_from_perms(perms, degree, max_order=max_order)
+    return (group, elements) if with_elements else group
 
 
 def orbits(points, act, group):

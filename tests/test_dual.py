@@ -6,7 +6,7 @@ import pytest
 
 from finitegeo import funcs
 from finitegeo.braid import SigmaOperator
-from finitegeo.calculus import differential, theta_form
+from finitegeo.calculus import differential, from_hatG, theta_form
 from finitegeo.connection import (
     c_connection,
     nabla_sigma,
@@ -26,7 +26,7 @@ from finitegeo.dual import (
     sigma_x_apply,
     vector_field_basis,
 )
-from finitegeo.errors import NotInHatG
+from finitegeo.errors import NotBicovariant, NotInHatG
 
 import dense_paths
 
@@ -138,9 +138,14 @@ def test_sigma_x_order_matches_braid_order(
         assert dense_paths.sigma_x_order(cal) == SigmaOperator(cal).order()
 
 
-def test_sigma_x_rejects_labels_outside_hatg(s3_cycle_calculus):
-    with pytest.raises(NotInHatG):
-        sigma_x(s3_cycle_calculus, 1, 3)
+def test_sigma_x_rejects_labels_outside_hatg(s3, s3_cycle_calculus):
+    """Either label outside hatG raises NotInHatG; a calculus that is not
+    bicovariant raises NotBicovariant first."""
+    for g, gp in [(1, 3), (3, 1), (0, 3), (3, 6)]:
+        with pytest.raises(NotInHatG):
+            sigma_x(s3_cycle_calculus, g, gp)
+    with pytest.raises(NotBicovariant):
+        sigma_x(from_hatG(s3, [1]), 0, 2)
 
 
 def test_metric_coefficients_and_symmetry(s3_transposition_calculus):

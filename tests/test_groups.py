@@ -7,13 +7,7 @@ import pytest
 
 from finitegeo import cli, groups
 from finitegeo.catalog import small_group_catalog
-from finitegeo.errors import (
-    InternalInconsistency,
-    NoIdentity,
-    NoInverse,
-    NotAssociative,
-    TooLarge,
-)
+from finitegeo.errors import NoIdentity, NoInverse, NotAssociative, TooLarge
 
 import dense_paths
 
@@ -70,6 +64,9 @@ def test_ad_order_of_s3_is_six(s3):
 def test_alternating_group_a4():
     a4 = groups.alternating(4)
     assert a4.order == 12
+    # class_of on a fresh group computes the classes it indexes.
+    assert a4.class_of(1) == 1
+    assert all(x in a4.conjugacy_classes()[a4.class_of(x)] for x in a4.elements())
     sizes = sorted(len(c) for c in a4.conjugacy_classes())
     assert sizes == [1, 3, 4, 4]
 
@@ -240,23 +237,114 @@ def test_small_group_catalog_orders():
 
 
 # ---------------------------------------------------------------------------
+# Index families against their presentations, without their product rules.
+
+
+def _powers(letter, count):
+    return ["e"] + [f"{letter}{i}" if i > 1 else letter for i in range(1, count)]
+
+
+def _check_presentation(g, m, flip_square):
+    """Index eps*m + i of g is r^i s^eps, with r at index 1 (mod m) and s
+    at index m, and r^m = e, s^2 = r^flip_square, s r s^-1 = r^-1."""
+    r, s = 1 % m, m
+    assert g.order == 2 * m
+    assert dense_paths.is_associative(g.table)
+    assert all(g.mul(0, x) == x == g.mul(x, 0) for x in g.elements())
+    assert g.power(r, m) == 0
+    assert g.power(s, 2) == g.power(r, flip_square)
+    assert g.mul(g.mul(s, r), g.inverse(s)) == g.inverse(r)
+    words = [g.mul(g.power(r, i), g.power(s, eps)) for eps in (0, 1) for i in range(m)]
+    assert words == list(g.elements())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_index_families_match_their_presentations(n):
+    z = groups.cyclic(n)
+    assert dense_paths.is_associative(z.table)
+    assert z.power(1 % n, n) == 0
+    assert [z.power(1 % n, k) for k in range(n)] == list(z.elements())
+    assert (z.names, z.label) == (_powers("a", n), f"Z{n}")
+    aliases = {"0": 0, **{a: k for k in range(1, n) for a in (f"a^{k}", str(k))}}
+    assert z.aliases == (dict(aliases, a1=1) if n > 1 else aliases)
+
+    d = groups.dihedral(n)
+    _check_presentation(d, n, 0)
+    rotations = _powers("r", n)
+    assert d.names == rotations + ["s"] + [f"{w}s" for w in rotations[1:]]
+    assert (d.aliases, d.label) == ({}, f"D{n}")
+
+    q = groups.dicyclic(n)
+    _check_presentation(q, 2 * n, n)
+    rotations = _powers("a", 2 * n)
+    assert q.names == rotations + ["x"] + [f"{w}x" for w in rotations[1:]]
+    assert (q.aliases, q.label) == ({}, f"Dic{n}")
+
+
+@pytest.mark.parametrize("g1,g2", [
+    (groups.cyclic(3), groups.dihedral(2)),
+    (groups.dicyclic(2), groups.cyclic(2)),
+    (groups.symmetric(3), groups.cyclic(4)),
+    (groups.direct_product(groups.cyclic(2), groups.dihedral(3)), groups.dicyclic(1)),
+], ids=lambda g: g.label)
+def test_direct_product_projections_are_homomorphisms(g1, g2):
+    g = groups.direct_product(g1, g2)
+    n2 = g2.order
+    assert g.order == g1.order * n2
+    assert dense_paths.is_associative(g.table)
+    for x in g.elements():
+        for y in g.elements():
+            assert g1.mul(x // n2, y // n2) == g.mul(x, y) // n2
+            assert g2.mul(x % n2, y % n2) == g.mul(x, y) % n2
+    assert g.names == [f"{a}.{b}" for a in g1.names for b in g2.names]
+    assert (g.aliases, g.label) == ({}, f"{g1.label}x{g2.label}")
+
+
+def test_index_families_refuse_huge_orders_before_building():
+    """The bound is checked first: these would take hours to build."""
+    for build in (groups.cyclic, groups.dihedral, groups.dicyclic):
+        with pytest.raises(TooLarge):
+            build(10**9)
+    with pytest.raises(TooLarge):
+        groups.direct_product(groups.cyclic(1000), groups.cyclic(1000))
+
+
+# ---------------------------------------------------------------------------
 # Cayley tables of permutation groups from generator words.
+
+# S3's letter names in lexicographic one-line order.
+S3_LETTERS = ["e", "b", "a", "ab", "ba", "c"]
 
 
 def _even(p):
     return dense_paths.parity(p) == 0
 
 
+def _check_names(group, perms, label, letters=None):
+    """Names are cycle names, or letters with the cycle names as aliases."""
+    cycle_names = [dense_paths.cycle_name(p) for p in perms]
+    if letters:
+        assert group.names == letters
+        assert group.aliases == {c: i for i, c in enumerate(cycle_names) if c != "e"}
+    else:
+        assert (group.names, group.aliases) == (cycle_names, {})
+    assert group.label == label
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_symmetric_table_matches_pairwise_composition(n):
     perms = sorted(permutations(range(n)))
-    assert groups.symmetric(n).table == dense_paths.perm_table(perms)
+    group = groups.symmetric(n)
+    assert group.table == dense_paths.perm_table(perms)
+    _check_names(group, perms, f"S{n}", S3_LETTERS if n == 3 else None)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_alternating_table_matches_pairwise_composition(n):
     perms = sorted(p for p in permutations(range(n)) if _even(p))
-    assert groups.alternating(n).table == dense_paths.perm_table(perms)
+    group = groups.alternating(n)
+    assert group.table == dense_paths.perm_table(perms)
+    _check_names(group, perms, f"A{n}")
 
 
 @pytest.mark.parametrize("size,gens", [
@@ -266,10 +354,17 @@ def test_alternating_table_matches_pairwise_composition(n):
 def test_permutation_group_table_matches_pairwise_composition(size, gens):
     perms = [cli.parse_permutation(t, size) for t in gens.split(",")]
     group, elements = groups.from_permutations(perms, with_elements=True)
+    assert elements == sorted(elements)
     assert group.table == dense_paths.perm_table(elements)
+    _check_names(group, elements, f"P{len(elements)}")
 
 
-def test_generators_that_miss_an_element_raise():
-    perms = sorted(permutations(range(3)))
-    with pytest.raises(InternalInconsistency):
-        groups._group_from_perms(perms, [(1, 2, 0)], "S3")
+def test_from_permutations_refuses_a_closure_past_the_bound():
+    gens = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+    assert groups.from_permutations(gens, max_order=720).order == 720
+    with pytest.raises(TooLarge, match="closure exceeds the bound 719"):
+        groups.from_permutations(gens, max_order=719)
+    with pytest.raises(TooLarge, match="closure exceeds the bound 2"):
+        groups.from_permutations([(1, 2, 0)], max_order=2)
+    with pytest.raises(TooLarge, match="closure exceeds the bound 0"):
+        groups.alternating(1, max_order=0)

@@ -6,10 +6,10 @@ the singleton classes and a group is abelian when every class is one.
 calculus.unions enumerates left-covariant calculi (unions of
 singletons), bicovariant ones (unions of nontrivial classes) and
 covariant calculi on a G-set (unions of pair orbits).  groups.cycles
-names permutations, gives their parity and gives sigma's cycles.
-dense_paths keeps the table sweeps, mask loops, cycle walk, inversion
-count and two-sided closure, and every answer must agree with them, in
-the same order.
+names permutations and gives sigma's cycles.  dense_paths keeps the
+table sweeps, mask loops, cycle walk, inversion count (which picks the
+even permutations of A_n) and two-sided closure, and every answer must
+agree with them, in the same order.
 """
 
 import sys
@@ -40,7 +40,7 @@ def test_classes_centre_and_abelian_flag_match_the_table_sweeps(name):
     group = GROUPS[name]
     classes = group.conjugacy_classes()
     assert classes == dense_paths.conjugacy_classes(group)
-    assert [classes[group._class_of[x]] for x in group.elements()] == [
+    assert [classes[group.class_of(x)] for x in group.elements()] == [
         next(c for c in classes if x in c) for x in group.elements()
     ]
     assert group.center() == dense_paths.center(group)
@@ -76,7 +76,6 @@ def test_permutation_group_names_and_aliases_match_the_walk(group, degree, even_
 def test_cycle_name_and_parity_on_every_permutation(degree):
     for perm in permutations(range(degree)):
         assert groups._cycle_name(perm) == dense_paths.cycle_name(perm)
-        assert groups._parity(perm) == dense_paths.parity(perm)
 
 
 def test_cycles_of_a_dict_permutation_follow_its_key_order():
