@@ -18,9 +18,12 @@ These are the rows of the reduced echelon basis in that order, up to
 the sign of a ker S row: a cycle's only relation among the columns of
 A or S uses all of them, so top is the free column.  echelon_rows gives
 them for one cycle, or an adjoint orbit for ker A, in any order; the
-parts of decompose keep them sparse in lexicographic order (Part).  A
-2-form is a tensor modulo ker A, a TwoForm holding its representative
-pi(t) = A t in im A.
+parts of decompose keep them sparse in lexicographic order (Part), each
+cycle rotated to its top once for all four.  sigma_for keeps sigma on
+its calculus, so sigma, its cycles and its parts are built once per
+calculus; sigma_build, an alias kept for the benchmark in perfbench/,
+is sigma_for.  A 2-form is a tensor modulo ker A, a TwoForm holding its
+representative pi(t) = A t in im A.
 
 Membership is read off the cycles too.  A vector lies in ker A when it
 is constant along every cycle, and in ker S when it changes sign at each
@@ -153,8 +156,8 @@ class SigmaOperator:
 
     def decompose(self):
         if self._decomposition is None:
-            m = len(self.perm)
-            parts = ([r for c in self.cycles() for r in echelon_rows(p, c)] for p in PARTS)
+            m, rings = len(self.perm), [_ring(c) for c in self.cycles()]
+            parts = ([r for ring in rings for r in _ring_rows(p, ring)] for p in PARTS)
             self._decomposition = DecompositionReport(
                 self.calculus.pairs(), *(Part(sorted(rows), m) for rows in parts)
             )
@@ -194,8 +197,17 @@ def echelon_rows(part, block, key=None):
     last index under key (a column position; the index by default).  A
     row is a list of (index, value) pairs led by (top, 1) for a kernel
     row, by (a, 1) for an image row, so sorted rows run by top, resp. a."""
+    return _ring_rows(part, _ring(block, key))
+
+
+def _ring(block, key=None):
+    """The block rotated to start at its top, its last index under key."""
     t = block.index(max(block, key=key))
-    ring = block[t:] + block[:t]
+    return block[t:] + block[:t]
+
+
+def _ring_rows(part, ring):
+    """echelon_rows of part on a block already rotated to start at its top."""
     top, even, (one, minus) = ring[0], len(ring) % 2 == 0, _SIGNS
     if part == "ker_a":
         return [[(a, one) for a in ring]]
@@ -242,17 +254,17 @@ class DecompositionReport:
         return (len(self.ker_a), len(self.im_a), len(self.ker_s), len(self.im_s))
 
 
-def sigma_build(calculus):
-    return SigmaOperator(calculus)
-
-
 def sigma_for(calculus):
-    """Cached braid operator of a bicovariant calculus."""
+    """The braid operator of a bicovariant calculus, built on the first
+    call and kept on the calculus with its cycles and parts, so each is
+    built once per calculus; SigmaOperator(calculus) builds a fresh one."""
     got = getattr(calculus, "_sigma_cache", None)
     if got is None:
-        got = sigma_build(calculus)
-        calculus._sigma_cache = got
+        got = calculus._sigma_cache = SigmaOperator(calculus)
     return got
+
+
+sigma_build = sigma_for  # the name the benchmark in perfbench/ calls
 
 
 def symmetric_universal_sigma_order(n):

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import braid as braid_mod
 from . import calculus as calculus_mod
@@ -25,7 +26,7 @@ from . import dual as dual_mod
 from . import groups as groups_mod
 from . import gset as gset_mod
 from . import invariants as invariants_mod
-from .errors import FiniteGeoError, UsageError
+from .errors import FiniteGeoError, TooLarge, UsageError
 from .funcs import GroupFunction, from_values
 
 
@@ -70,37 +71,37 @@ def parse_group(spec):
             return groups_mod.from_cayley_table(table, names=names, label=label)
         except ValueError as exc:
             raise UsageError(f"bad group table: {exc}")
-    parts = spec.split("x")
-    built = [_parse_atom(p, bound) for p in parts]
-    group = built[0]
-    for extra in built[1:]:
+    atoms = [_parse_atom(p, bound) for p in spec.split("x")]
+    order = 1
+    for *_, size in atoms:  # the orders direct_product checks, before any factor is built
+        order *= size
+        if order > bound:
+            raise TooLarge(f"order {order} exceeds the bound {bound}")
+    group, *rest = [maker(n, max_order=bound) for maker, n, _ in atoms]
+    for extra in rest:
         group = groups_mod.direct_product(group, extra, max_order=bound)
     return group
 
 
 def _parse_atom(token, bound):
-    token = token.strip()
-    families = {
-        "Z": groups_mod.cyclic,
-        "S": groups_mod.symmetric,
-        "A": groups_mod.alternating,
-        "D": groups_mod.dihedral,
-    }
-    if token == "Q8":
-        return groups_mod.dicyclic(2, max_order=bound)
-    if token.startswith("Dic"):
-        digits = token[3:]
-        maker = groups_mod.dicyclic
-    elif token and token[0] in families and token[1:].isdigit():
-        digits = token[1:]
-        maker = families[token[0]]
-    else:
+    """A token's builder, index and order; an order above the bound, which
+    may read low so that no huge n! is computed, is refused by that builder."""
+    token = "Dic2" if token.strip() == "Q8" else token.strip()
+    match = re.fullmatch(r"(Dic|[ZSAD])(\d+)", token)
+    if match is None:
         raise UsageError(f"cannot parse group token {token!r}")
-    if not digits.isdigit():
-        raise UsageError(f"cannot parse group token {token!r}")
-    if int(digits) < 1:
+    kind, n = match[1], int(match[2])
+    if n < 1:
         raise UsageError(f"group token {token!r} needs a positive index")
-    return maker(int(digits), max_order=bound)
+    if kind in ("S", "A"):
+        order = factorial(min(n, max(bound, 0) + 2)) // (1 + (kind == "A")) or 1
+    else:
+        order = n * {"Z": 1, "D": 2, "Dic": 4}[kind]
+    maker = {"Z": groups_mod.cyclic, "S": groups_mod.symmetric, "A": groups_mod.alternating,
+             "D": groups_mod.dihedral, "Dic": groups_mod.dicyclic}[kind]
+    if order > bound:
+        maker(n, max_order=bound)
+    return maker, n, order
 
 
 def parse_permutation(text, set_size=None):

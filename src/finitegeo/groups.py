@@ -25,7 +25,7 @@ DEFAULT_MAX_ORDER = 1024
 
 class FiniteGroup:
     def __init__(self, table, names=None, aliases=None, label=None, _validated=False):
-        self.table = [list(row) for row in table]
+        self.table = table if _validated else [list(row) for row in table]
         self.order = len(self.table)
         if not _validated:
             _validate_table(self.table)
@@ -35,10 +35,15 @@ class FiniteGroup:
         self.aliases = dict(aliases) if aliases else {}
         self.label = label or f"G{self.order}"
         # In an associative table with identity, x y = e forces y x = e.
-        self.inv = [row.index(0) if 0 in row else None for row in self.table]
-        for x, y in enumerate(self.inv):
+        self.inv = []
+        for x, row in enumerate(self.table):
+            try:
+                y = row.index(0)
+            except ValueError:
+                y = None
             if y is None or self.table[y][x] != 0:
                 raise NoInverse(f"element {x} has no two-sided inverse")
+            self.inv.append(y)
         self._classes = None
         self._class_of = None
 
@@ -367,7 +372,7 @@ def symmetric(n, max_order=DEFAULT_MAX_ORDER):
     """S_n on permutations of n letters, lexicographic one-line order."""
     if n < 1:
         raise ValueError("degree must be positive")
-    if factorial(n) > max_order:
+    if n > max_order or factorial(n) > max_order:  # n! >= n, so a huge n! is never computed
         raise TooLarge(f"{n}! exceeds the bound {max_order}")
     transposition = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
     n_cycle = tuple(range(1, n)) + (0,)
@@ -379,7 +384,7 @@ def alternating(n, max_order=DEFAULT_MAX_ORDER):
     """A_n, the even permutations of n letters, lexicographic order."""
     if n < 1:
         raise ValueError("degree must be positive")
-    if n > 1 and factorial(n) // 2 > max_order:
+    if n > 1 and (n > max_order + 1 or factorial(n) // 2 > max_order):  # n!/2 >= n from n = 3
         raise TooLarge(f"{n}!/2 exceeds the bound {max_order}")
     # The 3-cycles (0 1 k), 2 <= k < n, generate A_n.
     gens = [(1, k, *range(2, k), 0, *range(k + 1, n)) for k in range(2, n)]

@@ -34,7 +34,9 @@ with sigma(t), the weak ones from every fiber of t, read by fiber, which
 with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
-orbit indicators and pattern_matrix by rref.  The next keeps the adjoint
+orbit indicators and pattern_matrix by rref; and decompose's rows as
+they were gathered before it rotated each cycle once for all parts, by
+one echelon_rows call per part and cycle.  The next keeps the adjoint
 orbits by the per-element groups.orbits call and the torsion equation at
 every triple, before the conjugation table, and the dense indicator
 vectors of a torsion-free family.  The next keeps two connection
@@ -58,9 +60,11 @@ from unittest import mock
 
 from finitegeo import funcs
 from finitegeo.braid import (
+    PARTS,
     TensorField,
     antisymmetrize,
     d_one_form,
+    echelon_rows,
     project_two_form,
     sigma_for,
     symmetrize,
@@ -968,6 +972,12 @@ def dense_decompose(sigma):
                 tail = [(top, -sign[a])] if even else []
                 im_s[a] = vector([(a, one)] + tail)
     return tuple([d[k] for k in sorted(d)] for d in (ker_a, im_a, ker_s, im_s))
+
+
+def per_part_echelon_rows(sigma):
+    """decompose's sorted rows of each part, one echelon_rows call per
+    part and cycle, each finding the cycle's top and rotating it again."""
+    return tuple(sorted([r for c in sigma.cycles() for r in echelon_rows(p, c)]) for p in PARTS)
 
 
 def dense_bi_invariant_vectors(calculus):

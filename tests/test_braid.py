@@ -14,7 +14,7 @@ from finitegeo.braid import (
     classify,
     d_one_form,
     project_two_form,
-    sigma_build,
+    sigma_for,
     symmetric_universal_sigma_order,
     symmetrize,
     tensor_product,
@@ -187,7 +187,7 @@ def test_everything_w_symmetric_when_order_is_odd(s3_transposition_calculus):
 def test_two_form_relations_on_transpositions(s3_transposition_calculus):
     cal = s3_transposition_calculus
     s3 = cal.group
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     a, b, c = (s3.element_index(x) for x in ("a", "b", "c"))
 
     def ww(x, y):
@@ -202,7 +202,7 @@ def test_two_form_relations_on_transpositions(s3_transposition_calculus):
 def test_two_form_space_dimension_and_basis(s3_transposition_calculus):
     cal = s3_transposition_calculus
     s3 = cal.group
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     a, b, c = (s3.element_index(x) for x in ("a", "b", "c"))
     red = SubspaceReducer(len(cal.pairs()))
     for x, y in ((a, b), (b, c), (a, c), (b, a)):
@@ -214,7 +214,7 @@ def test_two_form_space_dimension_and_basis(s3_transposition_calculus):
 def test_maurer_cartan_equation(s3_transposition_calculus):
     """d theta^h plus the structure constant double sum is zero."""
     cal = s3_transposition_calculus
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     for h in cal.hatG:
         mc = TwoForm(cal)
         for g in cal.hatG:
@@ -227,7 +227,7 @@ def test_maurer_cartan_equation(s3_transposition_calculus):
 
 
 def test_d_one_form_on_basis_matches_d_theta(s3_universal):
-    sig = sigma_build(s3_universal)
+    sig = sigma_for(s3_universal)
     for h in s3_universal.hatG:
         lhs = d_one_form(theta_form(s3_universal, h), sig)
         assert lhs == d_theta(s3_universal, sig, h)
@@ -237,14 +237,14 @@ def test_rho_is_closed_and_squares_to_zero(
     s3_universal, s3_transposition_calculus
 ):
     for cal in (s3_universal, s3_transposition_calculus):
-        sig = sigma_build(cal)
+        sig = sigma_for(cal)
         r = rho(cal)
         assert d_one_form(r, sig).is_zero()
         assert wedge(r, r, sig).is_zero()
 
 
 def test_symmetrized_tensor_is_s_symmetric_when_sigma_squares(s3_cycle_calculus):
-    sig = sigma_build(s3_cycle_calculus)
+    sig = sigma_for(s3_cycle_calculus)
     assert sig.order() == 2
     for g, gp in s3_cycle_calculus.pairs():
         t = TensorField(s3_cycle_calculus, {(g, gp): 1})
@@ -268,7 +268,7 @@ def test_tensor_of_one_forms_moves_middle_function(s3_universal):
 
 
 def test_projection_kills_exactly_s_symmetric_part(s3_universal):
-    sig = sigma_build(s3_universal)
+    sig = sigma_for(s3_universal)
     for g, gp in list(s3_universal.pairs())[:8]:
         t = TensorField(s3_universal, {(g, gp): 1})
         sym = symmetrize(t, sig)

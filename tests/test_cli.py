@@ -341,6 +341,42 @@ def test_action_commands_keep_the_size_bound(monkeypatch):
         }
 
 
+def test_an_over_bound_product_is_refused_before_any_factor_is_built(monkeypatch):
+    """A product's order is checked from its factors' orders, left to
+    right as direct_product checks it, before any factor's table is
+    built; a factor over the bound by itself is refused by its own
+    builder with its own message, and a product within the bound builds
+    each factor once."""
+    built = []
+    for name in ("cyclic", "symmetric", "alternating", "dihedral", "dicyclic"):
+        def counted(n, max_order, name=name, build=getattr(groups, name)):
+            built.append((name, n))
+            return build(n, max_order=max_order)
+
+        monkeypatch.setattr(groups, name, counted)
+    for spec, order in (("Z1000xZ1000", 1000000), ("Z1024xZ1024", 1048576),
+                        ("Z100xZ100xZ100", 10000), ("S6xA5", 43200), ("Q8xD100xDic100", 1600),
+                        ("Z2xS6xZ3", 1440)):
+        result = cli.run(["group", "info", spec])
+        assert (result.status, result.payload) == (1, {"error": f"order {order} exceeds the bound 1024"})
+    assert built == []
+    for spec, factor, message in (("Z2xS20", ("symmetric", 20), "20! exceeds the bound 1024"),
+                                  ("Z2000xZ2", ("cyclic", 2000), "order 2000 exceeds the bound 1024"),
+                                  ("Z2xA1000000000", ("alternating", 10**9),
+                                   "1000000000!/2 exceeds the bound 1024")):
+        result = cli.run(["group", "info", spec])
+        assert (result.status, result.payload, built) == (1, {"error": message}, [factor])
+        built.clear()
+    result = cli.run(["group", "info", "Z2xQ8xA1"])
+    assert (result.status, result.payload["order"]) == (0, 16)
+    assert built == [("cyclic", 2), ("dicyclic", 2), ("alternating", 1)]
+
+
+def test_a_group_index_that_is_not_a_decimal_number_is_a_usage_error():
+    result = cli.run(["group", "info", "Z\u00b2"])
+    assert (result.status, result.payload) == (2, {"error": "cannot parse group token 'Z\u00b2'"})
+
+
 def test_a_point_beyond_the_set_is_refused_before_the_permutation_is_built():
     result = cli.run(["action", "orbits", "--set", "3", "--group-generators", "(1 40)"])
     assert result.status == 2

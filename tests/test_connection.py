@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from finitegeo import calculus, funcs
-from finitegeo.braid import TensorField, d_one_form, sigma_build
+from finitegeo.braid import TensorField, d_one_form, sigma_for
 from finitegeo.calculus import omega_form, theta_form
 from finitegeo.connection import (
     Connection,
@@ -82,7 +82,7 @@ def test_braid_connection_annihilates_theta(s3_transposition_calculus):
 
 def test_braid_connection_torsion_is_d_theta(s3_transposition_calculus):
     cal = s3_transposition_calculus
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     conn = nabla_sigma(cal)
     for h in cal.hatG:
         t = conn.torsion(theta_form(cal, h))

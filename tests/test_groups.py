@@ -202,6 +202,32 @@ def test_size_bound_raises_too_large():
         groups.symmetric(4, max_order=10)
 
 
+def test_a_huge_degree_is_refused_without_its_factorial(monkeypatch):
+    """n! >= n, and n!/2 >= n from n = 3, so a degree past the bound is
+    refused before n! is computed; a degree within it still computes n!."""
+    monkeypatch.setattr(groups, "factorial", lambda n: pytest.fail(f"computed {n}!"))
+    with pytest.raises(TooLarge, match=r"^1000000000! exceeds the bound 1024$"):
+        groups.symmetric(10**9)
+    with pytest.raises(TooLarge, match=r"^1000000000!/2 exceeds the bound 1024$"):
+        groups.alternating(10**9)
+    with pytest.raises(TooLarge, match=r"^2!/2 exceeds the bound 0$"):
+        groups.alternating(2, max_order=0)
+    with pytest.raises(pytest.fail.Exception, match="computed 4!"):
+        groups.alternating(4, max_order=3)
+
+
+def test_a_callers_table_is_copied_and_a_missing_inverse_is_named():
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    g = groups.from_cayley_table(table)
+    table[1][1] = 0
+    table[2] = [9, 9, 9]
+    assert g.table == [[0, 1, 2], [1, 2, 0], [2, 0, 1]] and g.inv == [0, 2, 1]
+    assert g.mul(1, 1) == 2 and g.mul(2, 2) == 1 and g.order == 3
+    # Z2 with an absorbing element z: associative with identity, z has no inverse.
+    with pytest.raises(NoInverse, match=r"^element 2 has no two-sided inverse$"):
+        groups.from_cayley_table([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+
+
 def test_from_permutations_generates_s3():
     g = groups.from_permutations([(1, 0, 2), (0, 2, 1)])
     assert g.order == 6

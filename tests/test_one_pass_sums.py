@@ -25,12 +25,13 @@ import pytest
 
 from finitegeo import calculus, connection, funcs, groups
 from finitegeo.braid import (
+    SigmaOperator,
     TensorField,
     antisymmetrize,
     antisymmetrize_k,
     braid_check,
     d_rep,
-    sigma_build,
+    sigma_for,
     tensor_product,
 )
 from finitegeo.calculus import OneForm
@@ -63,7 +64,7 @@ def _seeded(group, rng):
 
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_braid_check_matches_the_triple_loop(name, cal):
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     assert braid_check(sig) is True
     assert dense_paths.braid_check(sig) is True
 
@@ -74,7 +75,7 @@ def test_swapped_sigma_entries_fail_both_checks(group):
     pairs = cal.pairs()
     rng = random.Random(group.label)
     for _ in range(50):
-        sig = sigma_build(cal)
+        sig = SigmaOperator(cal)  # a fresh sigma, as the swap changes it
         p, q = rng.sample(pairs, 2)
         sig.perm[p], sig.perm[q] = sig.perm[q], sig.perm[p]
         assert braid_check(sig) is False, (p, q)
@@ -89,7 +90,7 @@ def test_tables_that_fail_only_in_the_last_legs_are_rejected(images):
     """On these tables the two sides of the braid relation agree in the
     first leg of every triple and differ in the last two of some."""
     cal = calculus.universal(groups.cyclic(3))
-    sig = sigma_build(cal)
+    sig = SigmaOperator(cal)
     sig.perm = dict(zip(cal.pairs(), images))
     assert braid_check(sig) is False
     assert dense_paths.braid_check(sig) is False
@@ -108,7 +109,7 @@ def _seeded_tensor(cal, rank, rng, size=12):
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_a3_matches_the_triple_maps(name, cal):
     rng = random.Random(len(cal.hatG) * 29 + cal.group.order)
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     triples = list(product(cal.hatG, repeat=3))
     keys = rng.sample(triples, min(12, len(triples)))
     coeffs = {k: _seeded(cal.group, rng) if i % 2 else i + 1 for i, k in enumerate(keys)}
@@ -121,7 +122,7 @@ def test_a3_matches_the_triple_maps(name, cal):
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_antisymmetrize_k_matches_the_sum_over_permutations(name, cal):
     rng = random.Random(len(cal.hatG) * 31 + cal.group.order)
-    sig = sigma_build(cal)
+    sig = sigma_for(cal)
     r4 = _seeded_tensor(cal, 4, rng)
     assert antisymmetrize_k(r4, sig) == dense_paths.antisymmetrizer(r4, sig)
     r2 = _seeded_tensor(cal, 2, rng)
