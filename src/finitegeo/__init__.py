@@ -16,6 +16,7 @@ from .braid import (
     classify,
     d_one_form,
     project_two_form,
+    sigma_build,
     sigma_for,
     symmetric_universal_sigma_order,
     symmetrize,

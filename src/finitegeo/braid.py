@@ -21,9 +21,9 @@ them for one cycle, or an adjoint orbit for ker A, in any order; the
 parts of decompose keep them sparse in lexicographic order (Part), each
 cycle rotated to its top once for all four.  sigma_for keeps sigma on
 its calculus, so sigma, its cycles and its parts are built once per
-calculus; sigma_build, an alias kept for the benchmark in perfbench/,
-is sigma_for.  A 2-form is a tensor modulo ker A, a TwoForm holding its
-representative pi(t) = A t in im A.
+calculus; sigma_build, kept for the benchmark in perfbench/, builds a
+fresh sigma on each call.  A 2-form is a tensor modulo ker A, a TwoForm
+holding its representative pi(t) = A t in im A.
 
 Membership is read off the cycles too.  A vector lies in ker A when it
 is constant along every cycle, and in ker S when it changes sign at each
@@ -112,10 +112,8 @@ class SigmaOperator:
     def __init__(self, calculus):
         calculus.require_bicovariant()
         self.calculus = calculus
-        grp = calculus.group
-        self.perm = {}
-        for g, gp in calculus.pairs():
-            self.perm[(g, gp)] = (grp.adjoint(grp.inverse(g), gp), g)
+        conj, inv = calculus.group.conjugates, calculus.group.inv  # conj[x][a] = a x a^-1
+        self.perm = {(g, gp): (conj[gp][inv[g]], g) for g, gp in calculus.pairs()}
         self._order = None
         self._cycles = None
         self._decomposition = None
@@ -156,8 +154,10 @@ class SigmaOperator:
 
     def decompose(self):
         if self._decomposition is None:
-            m, rings = len(self.perm), [_ring(c) for c in self.cycles()]
-            parts = ([r for ring in rings for r in _ring_rows(p, ring)] for p in PARTS)
+            m, parts = len(self.perm), ([], [], [], [])
+            for c in self.cycles():
+                for rows, got in zip(parts, _ring_rows(_ring(c))):
+                    rows += got
             self._decomposition = DecompositionReport(
                 self.calculus.pairs(), *(Part(sorted(rows), m) for rows in parts)
             )
@@ -197,7 +197,9 @@ def echelon_rows(part, block, key=None):
     last index under key (a column position; the index by default).  A
     row is a list of (index, value) pairs led by (top, 1) for a kernel
     row, by (a, 1) for an image row, so sorted rows run by top, resp. a."""
-    return _ring_rows(part, _ring(block, key))
+    if part not in PARTS:
+        raise ValueError(f"unknown part {part!r}")
+    return _ring_rows(_ring(block, key))[PARTS.index(part)]
 
 
 def _ring(block, key=None):
@@ -206,20 +208,16 @@ def _ring(block, key=None):
     return block[t:] + block[:t]
 
 
-def _ring_rows(part, ring):
-    """echelon_rows of part on a block already rotated to start at its top."""
-    top, even, (one, minus) = ring[0], len(ring) % 2 == 0, _SIGNS
-    if part == "ker_a":
-        return [[(a, one) for a in ring]]
-    if part == "ker_s":
-        return [[(a, _SIGNS[k % 2]) for k, a in enumerate(ring)]] if even else []
-    if part == "im_a":
-        return [[(a, one), (top, minus)] for a in ring[1:]]
-    if part != "im_s":
-        raise ValueError(f"unknown part {part!r}")
-    if even:
-        return [[(a, one), (top, _SIGNS[1 - k % 2])] for k, a in enumerate(ring) if k]
-    return [[(a, one)] for a in ring]
+def _ring_rows(ring):
+    """The rows of the four PARTS on a block rotated to start at its top;
+    rows share their (a, 1) entries."""
+    (one, minus), top = _SIGNS, ring[0]
+    ones, low, high = [(a, one) for a in ring], (top, minus), (top, one)
+    im_a = [[x, low] for x in ones[1:]]
+    if len(ring) % 2:
+        return [ones], im_a, [], [[x] for x in ones]
+    ker_s = [(a, _SIGNS[k % 2]) for k, a in enumerate(ring)]
+    return [ones], im_a, [ker_s], [[x, high if k % 2 else low] for k, x in enumerate(ones) if k]
 
 
 class Part:
@@ -254,6 +252,12 @@ class DecompositionReport:
         return (len(self.ker_a), len(self.im_a), len(self.ker_s), len(self.im_s))
 
 
+def sigma_build(calculus):
+    """A fresh braid operator, as SigmaOperator(calculus); kept for the
+    benchmark in perfbench/, which times a build per call."""
+    return SigmaOperator(calculus)
+
+
 def sigma_for(calculus):
     """The braid operator of a bicovariant calculus, built on the first
     call and kept on the calculus with its cycles and parts, so each is
@@ -262,9 +266,6 @@ def sigma_for(calculus):
     if got is None:
         got = calculus._sigma_cache = SigmaOperator(calculus)
     return got
-
-
-sigma_build = sigma_for  # the name the benchmark in perfbench/ calls
 
 
 def symmetric_universal_sigma_order(n):

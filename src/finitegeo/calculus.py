@@ -36,7 +36,7 @@ form's coefficients with respect to the omega^g.
 from functools import cached_property
 from itertools import product
 
-from . import funcs, groups
+from . import funcs
 from .funcs import GroupFunction
 from .errors import (
     CalculusMismatch,
@@ -145,16 +145,6 @@ class DifferentialCalculus:
     def structure_constants(self):
         """The calculus's StructureConstants, built on first read."""
         return StructureConstants(self)
-
-    def adjoint_orbits(self, k):
-        """groups.adjoint_orbits on hatG^k of a bicovariant calculus, listed
-        on the first call for each k and kept on the calculus; the list is
-        shared, so callers must not change it."""
-        self.require_bicovariant()
-        memo = self.__dict__.setdefault("_adjoint_orbits", {})
-        if k not in memo:
-            memo[k] = groups.adjoint_orbits(self.group, self.hatG, k)
-        return memo[k]
 
 
 def _is_class_union(group, hatG):

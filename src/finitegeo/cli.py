@@ -84,8 +84,9 @@ def parse_group(spec):
 
 
 def _parse_atom(token, bound):
-    """A token's builder, index and order; an order above the bound, which
-    may read low so that no huge n! is computed, is refused by that builder."""
+    """A token's builder, index and order.  An order above the bound is
+    refused here with its builder's message, before anything is built;
+    n! is computed only for a degree n within the bound."""
     token = "Dic2" if token.strip() == "Q8" else token.strip()
     match = re.fullmatch(r"(Dic|[ZSAD])(\d+)", token)
     if match is None:
@@ -94,13 +95,16 @@ def _parse_atom(token, bound):
     if n < 1:
         raise UsageError(f"group token {token!r} needs a positive index")
     if kind in ("S", "A"):
-        order = factorial(min(n, max(bound, 0) + 2)) // (1 + (kind == "A")) or 1
+        half = kind == "A" and n > 1
+        order = factorial(n) // (1 + half) if n <= bound + 1 else None  # else order >= n - 1
+        if order is None or order > bound:
+            raise TooLarge(f"{n}!{'/2' if half else ''} exceeds the bound {bound}")
     else:
         order = n * {"Z": 1, "D": 2, "Dic": 4}[kind]
+        if order > bound:
+            raise TooLarge(f"order {order} exceeds the bound {bound}")
     maker = {"Z": groups_mod.cyclic, "S": groups_mod.symmetric, "A": groups_mod.alternating,
              "D": groups_mod.dihedral, "Dic": groups_mod.dicyclic}[kind]
-    if order > bound:
-        maker(n, max_order=bound)
     return maker, n, order
 
 

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .funcs import GroupFunction, _exact, as_function, right_translate
-from .groups import generators
+from .groups import adjoint_orbits, generators
 from .linalg import solve_differences
 
 
@@ -281,17 +281,17 @@ def invariance_constraints(calculus, mode="bi"):
     Left invariance forces the coefficients to be constants; in mode
     "left" each coefficient triple is then a free parameter.  Mode "bi"
     adds right covariance, identifying coefficients along the orbits of
-    the diagonal adjoint action on triples, listed once per calculus by
-    calculus.adjoint_orbits(3).  Returns a dict with the orbit list and a
-    predicate testing a given connection; in mode "bi" the list is the
-    calculus's shared one, so callers must not change it.
+    the diagonal adjoint action on triples, read off the group's one
+    conjugation table by groups.adjoint_orbits.  Returns a dict with the
+    orbit list and a predicate testing a given connection.
     """
     calculus.require_left_covariant()
     hatG = calculus.hatG
     if mode == "left":
         orbits = [((h, g, gp),) for h in hatG for g in hatG for gp in hatG]
     elif mode == "bi":
-        orbits = calculus.adjoint_orbits(3)  # raises NotBicovariant
+        calculus.require_bicovariant()
+        orbits = adjoint_orbits(calculus.group, hatG, 3)
     else:
         raise ValueError(f"unknown invariance mode {mode!r}")
 

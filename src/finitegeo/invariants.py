@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .braid import Part, TensorField, echelon_rows, sigma_for
+from .groups import adjoint_orbits
 
 
 class SolutionSpace:
@@ -89,14 +90,14 @@ def solve_bi_invariant(calculus):
     """Solve the bi-invariance condition on the constant tensor fiber.
 
     Constant coefficients must agree along the orbits of the diagonal
-    adjoint action on pairs, listed once per calculus by
-    calculus.adjoint_orbits(2); the space has one free constant per orbit,
+    adjoint action on pairs, read off the group's one conjugation table
+    by groups.adjoint_orbits; the space has one free constant per orbit,
     its indicator, in the order the orbits are found.
     """
     calculus.require_bicovariant()
     pairs = calculus.pairs()
     index = {p: i for i, p in enumerate(pairs)}
-    blocks = [[index[p] for p in orb] for orb in calculus.adjoint_orbits(2)]
+    blocks = [[index[p] for p in orb] for orb in adjoint_orbits(calculus.group, calculus.hatG, 2)]
     rows = [row for block in blocks for row in echelon_rows("ker_a", block)]
     return SolutionSpace(calculus, "bi_invariant", blocks, Part(rows, len(pairs)))
 

@@ -34,9 +34,9 @@ with sigma(t), the weak ones from every fiber of t, read by fiber, which
 with constant_vector was a Tensor method.  The next keeps the
 dense parts of sigma and the solution spaces as they were built before
 braid.echelon_rows: decompose's dense vectors, solve_bi_invariant's
-orbit indicators and pattern_matrix by rref; and decompose's rows as
-they were gathered before it rotated each cycle once for all parts, by
-one echelon_rows call per part and cycle.  The next keeps the adjoint
+orbit indicators and pattern_matrix by rref; and echelon_rows written
+part by part, as decompose gathered its rows before it read all four
+parts off one rotation of each cycle.  The next keeps the adjoint
 orbits by the per-element groups.orbits call and the torsion equation at
 every triple, before the conjugation table, and the dense indicator
 vectors of a torsion-free family.  The next keeps two connection
@@ -64,7 +64,6 @@ from finitegeo.braid import (
     TensorField,
     antisymmetrize,
     d_one_form,
-    echelon_rows,
     project_two_form,
     sigma_for,
     symmetrize,
@@ -974,10 +973,29 @@ def dense_decompose(sigma):
     return tuple([d[k] for k in sorted(d)] for d in (ker_a, im_a, ker_s, im_s))
 
 
+def one_part_echelon_rows(part, block):
+    """braid.echelon_rows as it was written part by part, each call
+    finding the block's top and rotating it again."""
+    t = block.index(max(block))
+    ring = block[t:] + block[:t]
+    top, even, (one, minus) = ring[0], len(ring) % 2 == 0, (Fraction(1), Fraction(-1))
+    if part == "ker_a":
+        return [[(a, one) for a in ring]]
+    if part == "ker_s":
+        return [[(a, (one, minus)[k % 2]) for k, a in enumerate(ring)]] if even else []
+    if part == "im_a":
+        return [[(a, one), (top, minus)] for a in ring[1:]]
+    if even:
+        return [[(a, one), (top, (one, minus)[1 - k % 2])] for k, a in enumerate(ring) if k]
+    return [[(a, one)] for a in ring]
+
+
 def per_part_echelon_rows(sigma):
-    """decompose's sorted rows of each part, one echelon_rows call per
-    part and cycle, each finding the cycle's top and rotating it again."""
-    return tuple(sorted([r for c in sigma.cycles() for r in echelon_rows(p, c)]) for p in PARTS)
+    """decompose's sorted rows of each part, one one_part_echelon_rows
+    call per part and cycle."""
+    return tuple(
+        sorted([r for c in sigma.cycles() for r in one_part_echelon_rows(p, c)]) for p in PARTS
+    )
 
 
 def dense_bi_invariant_vectors(calculus):

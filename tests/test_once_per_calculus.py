@@ -1,112 +1,49 @@
-"""sigma, its parts and the adjoint orbits are built once per calculus.
+"""sigma and its parts are built once per calculus through sigma_for.
 
 braid.sigma_for keeps sigma on its calculus, with its cycles and its
-decomposition, and sigma_build is the same function.
-DifferentialCalculus.adjoint_orbits keeps the orbit list of each k;
-invariants.solve_bi_invariant, connection.invariance_constraints and
-solve_torsion_free read those lists.  The memos must give the answers
-of the builds they replace (tests/dense_paths.py keeps them: the orbits
-by the per-element groups.orbits call, decompose's rows by one
-echelon_rows call per part and cycle), and they must not outlive their
-calculus: a fresh calculus on the same group lists its orbits again.
-groups.adjoint_orbits is counted through a monkeypatched wrapper.
+decomposition; sigma_build and SigmaOperator build a fresh sigma on each
+call.  decompose rotates each cycle to its top once and reads all four
+parts off it; its rows, and echelon_rows on each cycle and adjoint
+orbit, must be the rows of echelon_rows written part by part, which
+tests/dense_paths.py keeps as the oracle.
 """
-
-from collections import Counter
 
 import pytest
 
-from finitegeo import calculus, connection, groups, invariants
-from finitegeo.braid import PARTS, SigmaOperator, sigma_build, sigma_for
-from finitegeo.errors import NotBicovariant
+from finitegeo import calculus, groups, invariants
+from finitegeo.braid import PARTS, SigmaOperator, echelon_rows, sigma_build, sigma_for
 
 import dense_paths
 from test_echelon_rows import IDS, SAMPLE
 
 
-def _fresh(cal):
-    return calculus.from_hatG(cal.group, cal.hatG)
-
-
-@pytest.fixture
-def listings(monkeypatch):
-    """The groups.adjoint_orbits calls of one test, counted by k."""
-    counts = Counter()
-    original = groups.adjoint_orbits
-
-    def counted(group, hatG, k):
-        counts[k] += 1
-        return original(group, hatG, k)
-
-    monkeypatch.setattr(groups, "adjoint_orbits", counted)
-    return counts
-
-
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
 def test_sigma_and_its_parts_are_built_once_per_calculus(label, cal):
-    cal = _fresh(cal)
+    cal = calculus.from_hatG(cal.group, cal.hatG)
     sig = sigma_for(cal)
-    assert sigma_build(cal) is sig and sigma_for(cal) is sig
-    assert sigma_build is sigma_for
+    assert sigma_for(cal) is sig
     report = sig.decompose()
     assert sig.decompose() is report and sig.cycles() is sig.cycles()
     for kind, part in (("s_sym", "ker_a"), ("w_antisym", "im_a"),
                        ("s_antisym", "ker_s"), ("w_sym", "im_s")):
         assert invariants.solve_symmetry(cal, kind).vectors is getattr(report, part)
-    fresh = SigmaOperator(cal)
-    assert fresh is not sig and fresh.perm == sig.perm and sigma_for(cal) is sig
-    rows = dense_paths.per_part_echelon_rows(fresh)
+    rows = dense_paths.per_part_echelon_rows(sig)
     assert tuple(getattr(report, part).rows for part in PARTS) == rows
-    assert fresh.decompose() is not report
-    assert tuple(getattr(fresh.decompose(), part).rows for part in PARTS) == rows
+    for fresh in (SigmaOperator(cal), sigma_build(cal)):
+        assert fresh is not sig and fresh.perm == sig.perm and sigma_for(cal) is sig
+        assert fresh.decompose() is not report
+        assert tuple(getattr(fresh.decompose(), part).rows for part in PARTS) == rows
+    assert sigma_build(cal) is not sigma_build(cal)
 
 
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
-def test_adjoint_orbits_are_listed_once_per_calculus_and_k(label, cal, listings):
-    first, second = _fresh(cal), _fresh(cal)
-    for k in (1, 2, 3):
-        expected = dense_paths.adjoint_orbits(cal.group, cal.hatG, k)
-        got = first.adjoint_orbits(k)
-        assert isinstance(got, list) and got == expected
-        assert first.adjoint_orbits(k) is got
-        assert listings[k] == 1
-        again = second.adjoint_orbits(k)
-        assert again == expected and again is not got
-        assert listings[k] == 2
-    space = invariants.solve_bi_invariant(first)
-    assert [[first.pairs()[a] for a in block] for block in space.blocks] == [
-        list(orb) for orb in first.adjoint_orbits(2)
-    ]
-    assert connection.invariance_constraints(second, "bi")["orbits"] is second.adjoint_orbits(3)
-    assert listings == {1: 2, 2: 2, 3: 2}
-
-
-@pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
-def test_torsion_solve_and_constraints_share_one_listing_in_either_order(label, cal, listings):
-    ref = connection.solve_torsion_free(_fresh(cal))
-    assert ref.orbits == dense_paths.adjoint_orbits(cal.group, cal.hatG, 3)
-    assert (ref.particular, ref.supports) == dense_paths.torsion_free_all_triples(cal, ref.orbits)
-    solve_first, constraints_first = _fresh(cal), _fresh(cal)
-    family = connection.solve_torsion_free(solve_first)
-    info = connection.invariance_constraints(solve_first, "bi")
-    later_info = connection.invariance_constraints(constraints_first, "bi")
-    later_family = connection.solve_torsion_free(constraints_first)
-    for fam, orbits in ((family, info["orbits"]), (later_family, later_info["orbits"])):
-        assert fam.orbits is orbits
-        assert (fam.orbits, fam.particular, fam.supports) == (
-            ref.orbits, ref.particular, ref.supports
-        )
-    assert listings == {3: 3}
-
-
-def test_adjoint_orbits_need_a_bicovariant_calculus(listings):
-    s3 = groups.symmetric(3)
-    cal = calculus.from_hatG(s3, [s3.element_index("a")])
-    for k in (1, 2, 3):
-        with pytest.raises(NotBicovariant):
-            cal.adjoint_orbits(k)
-    with pytest.raises(NotBicovariant):
-        connection.invariance_constraints(cal, "bi")
-    with pytest.raises(NotBicovariant):
-        invariants.solve_bi_invariant(cal)
-    assert not listings
+def test_echelon_rows_of_each_part_match_the_part_by_part_rows(label, cal):
+    index = {p: i for i, p in enumerate(cal.pairs())}
+    for c in sigma_for(cal).cycles():
+        for part in PARTS:
+            assert echelon_rows(part, c) == dense_paths.one_part_echelon_rows(part, c)
+    for orb in groups.adjoint_orbits(cal.group, cal.hatG, 2):
+        block = [index[p] for p in orb]
+        assert echelon_rows("ker_a", block) == dense_paths.one_part_echelon_rows("ker_a", block)
+    with pytest.raises(ValueError, match="unknown part 'im'"):
+        echelon_rows("im", [0])
