@@ -108,59 +108,37 @@ def _parse_atom(token, bound):
     return maker, n, order
 
 
-def parse_permutation(text, set_size=None):
-    """Parse cycle notation like (12) or (1 2 3)(4 5) into one-line form.
+_CYCLE = re.compile(r"\(([^()]*)\)")
+_CYCLE_FORM = "disjoint cycles like (123) or (10 11)"
 
-    Points are 1-based in the notation.  With set_size the permutation
-    acts on that many points, and a larger point is refused before the
-    one-line list is built.
+
+def parse_permutation(text, set_size=None):
+    """Parse cycle notation into one-line form.
+
+    The text is nothing but cycles and whitespace.  A cycle lists its
+    points as single digits, (123), or as positive integers separated by
+    spaces, (10 11), as soon as it holds a space.  Points are 1-based, and
+    the cycles are disjoint: a point appears at most once in the text.
+    With set_size the permutation acts on that many points, and a larger
+    point is refused before the one-line list is built.
     """
-    text = text.strip()
-    if not text:
-        raise UsageError("empty permutation")
-    cycles = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise UsageError(f"nested cycle in {text!r}")
-            depth = 1
-            current = []
-        elif ch == ")":
-            if not depth:
-                raise UsageError(f"unbalanced cycle in {text!r}")
-            depth = 0
-            cycles.append(current)
-            current = []
-        elif depth:
-            current.append(ch)
-        elif not ch.isspace():
-            raise UsageError(f"unexpected character {ch!r} in {text!r}")
-    if depth:
-        raise UsageError(f"unbalanced cycle in {text!r}")
-    parsed = []
-    for raw in cycles:
-        joined = "".join(raw)
-        if "," in joined or " " in joined:
-            points = [p for p in joined.replace(",", " ").split() if p]
-        else:
-            points = list(joined)
-        try:
-            cyc = [int(p) - 1 for p in points]
-        except ValueError:
-            raise UsageError(f"cannot parse cycle points in {text!r}")
-        if len(set(cyc)) != len(cyc) or any(p < 0 for p in cyc):
-            raise UsageError(f"bad cycle {joined!r}")
-        parsed.append(cyc)
-    top = max((max(c) for c in parsed if c), default=-1) + 1
+    if _CYCLE.sub(" ", text).strip() or not text.strip():
+        raise UsageError(f"cannot parse permutation {text!r}: expected {_CYCLE_FORM}")
+    try:
+        cycles = [[int(p) - 1 for p in (body.split() if " " in body else body)]
+                  for body in _CYCLE.findall(text)]
+    except ValueError:
+        raise UsageError(f"cannot parse cycle points in {text!r}: expected {_CYCLE_FORM}")
+    points = [p for cyc in cycles for p in cyc]
+    if min(points, default=0) < 0 or len(set(points)) != len(points):
+        raise UsageError(f"repeated or non-positive point in {text!r}: expected {_CYCLE_FORM}")
+    top = max(points, default=-1) + 1
     if set_size is not None and top > set_size:
         raise UsageError(f"permutation moves point {top} beyond the set size {set_size}")
-    degree = max(top, set_size or 0)
-    if degree == 0:
-        raise UsageError(f"empty permutation {text!r}")
-    onel = list(range(degree))
-    for cyc in parsed:
+    onel = list(range(max(top, set_size or 0)))
+    if not onel:
+        raise UsageError(f"empty permutation {text!r}: expected {_CYCLE_FORM}")
+    for cyc in cycles:
         for i, p in enumerate(cyc):
             onel[p] = cyc[(i + 1) % len(cyc)]
     return tuple(onel)

@@ -162,18 +162,21 @@ def generators(table):
 
 
 def _validate_table(table):
-    """Check the shape, that index 0 is a two-sided identity, and
-    associativity by Light's test.
-
-    Light's test checks (a*b)*c = a*(b*c) for every a and c but only for
-    b in a generating set (generators).  The b that pass are closed under
-    the product, so they are all of the table: the verdict is the full
-    triple loop's at a cost of |generators|*n^2 <= n^3.
-    """
-    n = len(table)
+    """The full check of a table given to FiniteGroup: its shape, index 0
+    a two-sided identity, and associativity.  from_cayley_table runs the
+    three once each, and finds the identity rather than requiring it at 0."""
     _check_shape(table)
-    if any(table[0][x] != x or table[x][0] != x for x in range(n)):
+    if any(table[0][x] != x or table[x][0] != x for x in range(len(table))):
         raise NoIdentity("index 0 is not a two-sided identity")
+    _check_associative(table)
+
+
+def _check_associative(table):
+    """Light's test on a table with identity 0: (a*b)*c = a*(b*c) for all
+    a and c but b only in a generating set (generators).  The b that pass
+    are closed under the product, so they are all of the table: the triple
+    loop's verdict at a cost of |generators|*n^2 <= n^3."""
+    n = len(table)
     for b in generators(table):
         col_b = [table[x][b] for x in range(n)]
         row_b = table[b]
@@ -186,28 +189,31 @@ def _validate_table(table):
 
 
 def from_cayley_table(table, names=None, label=None):
-    """Build a group from a raw multiplication table, relabeling the identity to 0."""
+    """Build a group from a raw multiplication table, relabeling the identity to 0.
+
+    Each check runs once: the shape, the search for the identity, then
+    Light's test on the relabelled table, a fresh list of rows with the
+    identity at 0 as generators assumes; FiniteGroup is then built with
+    _validated=True, so it only finds the inverses.
+    """
     n = len(table)
     if n == 0:
         raise NoIdentity("empty table")
     _check_shape(table)
-    e = None
-    for x in range(n):
-        if all(table[x][y] == y and table[y][x] == y for y in range(n)):
-            e = x
-            break
+    elements = range(n)
+    e = next((x for x in elements if all(table[x][y] == y == table[y][x] for y in elements)), None)
     if e is None:
         raise NoIdentity("table has no two-sided identity")
-    if e != 0:
-        # Swap element e with element 0 so the identity lands at index 0.
-        sub = {e: 0, 0: e}
-        perm = [sub.get(x, x) for x in range(n)]
-        table = [[perm[table[perm[x]][perm[y]]] for y in range(n)] for x in range(n)]
-        if names:
-            reordered = list(names)
-            reordered[0], reordered[e] = reordered[e], reordered[0]
-            names = reordered
-    return FiniteGroup(table, names=names, label=label)
+    if e:
+        perm = list(elements)  # swap e with 0 so the identity lands at index 0
+        perm[0], perm[e] = e, 0
+        table = [[perm[table[perm[x]][perm[y]]] for y in elements] for x in elements]
+        if names and len(names) == n:  # FiniteGroup refuses names of another length
+            names = [names[p] for p in perm]
+    else:
+        table = [list(row) for row in table]
+    _check_associative(table)
+    return FiniteGroup(table, names=names, label=label, _validated=True)
 
 
 def _check_shape(table):
@@ -216,7 +222,7 @@ def _check_shape(table):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"entry {v!r} out of range in row {i}")
 
 

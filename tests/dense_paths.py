@@ -44,11 +44,13 @@ checks: the transport-matrix test over all |G|^2 pairs
 with dense matrices, before it ran over the generators only on sparse
 rows, without its curvature cross-check; and the square of the
 two-sided connection through d and the Maurer-Cartan forms d theta^v,
-before it was read off rho.  The last section keeps the read helpers
+before it was read off rho.  The next keeps the read helpers
 that left the package because only tests called them: the edge-basis
 conversions of 1-forms, C^h_{g,g'} by its formula, one connection
 coefficient as a group function, an element's order and the adjoint
-orbit classes of a bi-invariant solution space.  pytest does not collect
+orbit classes of a bi-invariant solution space.  The last keeps the
+character scanner of cycle notation that cli.parse_permutation
+replaced, as scan_permutation.  pytest does not collect
 this module; test modules import it by name from the tests directory.
 """
 
@@ -1206,3 +1208,67 @@ def orbit_classes(space):
     """bi_invariant's adjoint orbits on pairs, as lists of pairs."""
     pairs = space.calculus.pairs()
     return [[pairs[a] for a in b] for b in space.blocks] if space.kind == "bi_invariant" else None
+
+
+# ---------------------------------------------------------------------------
+# Cycle notation read character by character.  cli.parse_permutation reads
+# it with one cycle pattern and refuses overlapping cycles and commas
+# inside a cycle; this is the scanner it replaced, which took both.
+
+
+def scan_permutation(text, set_size=None):
+    """Parse cycle notation like (12) or (1 2 3)(4 5) into one-line form.
+
+    Points are 1-based in the notation.  With set_size the permutation
+    acts on that many points, and a larger point is refused before the
+    one-line list is built.
+    """
+    text = text.strip()
+    if not text:
+        raise UsageError("empty permutation")
+    cycles = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            if depth:
+                raise UsageError(f"nested cycle in {text!r}")
+            depth = 1
+            current = []
+        elif ch == ")":
+            if not depth:
+                raise UsageError(f"unbalanced cycle in {text!r}")
+            depth = 0
+            cycles.append(current)
+            current = []
+        elif depth:
+            current.append(ch)
+        elif not ch.isspace():
+            raise UsageError(f"unexpected character {ch!r} in {text!r}")
+    if depth:
+        raise UsageError(f"unbalanced cycle in {text!r}")
+    parsed = []
+    for raw in cycles:
+        joined = "".join(raw)
+        if "," in joined or " " in joined:
+            points = [p for p in joined.replace(",", " ").split() if p]
+        else:
+            points = list(joined)
+        try:
+            cyc = [int(p) - 1 for p in points]
+        except ValueError:
+            raise UsageError(f"cannot parse cycle points in {text!r}")
+        if len(set(cyc)) != len(cyc) or any(p < 0 for p in cyc):
+            raise UsageError(f"bad cycle {joined!r}")
+        parsed.append(cyc)
+    top = max((max(c) for c in parsed if c), default=-1) + 1
+    if set_size is not None and top > set_size:
+        raise UsageError(f"permutation moves point {top} beyond the set size {set_size}")
+    degree = max(top, set_size or 0)
+    if degree == 0:
+        raise UsageError(f"empty permutation {text!r}")
+    onel = list(range(degree))
+    for cyc in parsed:
+        for i, p in enumerate(cyc):
+            onel[p] = cyc[(i + 1) % len(cyc)]
+    return tuple(onel)

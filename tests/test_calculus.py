@@ -207,3 +207,14 @@ def test_dot_export_is_deterministic(s3_universal):
     assert one == two
     assert one.startswith("digraph calculus {")
     assert '"e"' in one
+
+
+def test_edges_and_hatG_entries_are_checked(s3):
+    with pytest.raises(ValueError, match=r"^loop edge at element 2$"):
+        calculus.DifferentialCalculus(s3, [(0, 1), (2, 2)])
+    for edge in ((0, 6), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]},{edge[1]}\) out of range$"):
+            calculus.DifferentialCalculus(s3, [edge])
+    for entry in (6, -1):
+        with pytest.raises(ValueError, match=r"^hatG entry out of range$"):
+            from_hatG(s3, [1, entry])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -723,3 +724,62 @@ def test_exponent_notation_is_a_usage_error(capsys, tmp_path):
     plain = json.loads(capsys.readouterr().out)
     assert cli.main(named + ["--lambdas", "0.5,1/4,-3.0"]) == 0
     assert json.loads(capsys.readouterr().out) == plain
+
+
+def _main_json(capsys, argv):
+    """The exit status of main and the JSON it prints."""
+    status = cli.main([*argv, "--json"])
+    return status, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv,files,error", [
+    (["group", "info", "@{file}"], {"table": [[0, True], [True, 0]]},
+     "bad group table: entry True out of range in row 0"),
+    (["calculus", "show", "--group", "S3", "--hatg", " , "], None, "empty reduced set from ' , '"),
+    (["connection", "named", "--group", "S3", "--hatg", "all", "--name", "family",
+      "--lambdas", "1,x,0"], None, "cannot parse rational 'x'"),
+    (["connection", "named", "--group", "S3", "--hatg", "all", "--name", "family"], None,
+     "--lambdas is required for the family"),
+    (["connection", "analyze", "--group", "S3", "--hatg", "a", "--connection", "{file}"],
+     {"gamma": {"a|a|a": ["1", "0"]}}, "function value list must have length 6"),
+    (["connection", "analyze", "--group", "S3", "--hatg", "a", "--connection", "{file}"],
+     [{"gamma": {}}], "a connection or metric document must be a JSON object"),
+    (["metric", "check", "--group", "S3", "--hatg", "a", "--metric", "{file}"],
+     {"coeffs": {"a|a|a": "1"}}, "bad coefficient key 'a|a|a': expected 2 names joined by |"),
+    (["connection", "solve", "--group", "S3", "--hatg", "all"], None,
+     "only --torsion-free solving is available"),
+], ids=["boolean-table-entries", "empty-reduced-set", "bad-rational", "family-without-lambdas",
+        "short-function-list", "document-not-an-object", "key-of-the-wrong-rank",
+        "solve-without-torsion-free"])
+def test_input_refusals_exit_with_two_and_name_the_input(tmp_path, capsys, argv, files, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(files))
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    assert _main_json(capsys, argv) == (2, {"error": error})
+
+
+def test_refusals_raise_usage_errors(s3):
+    cal = calculus.from_hatG(s3, [s3.element_index("a")])
+    for call, args, error in [
+        (cli.parse_hatg, (s3, ","), "empty reduced set from ','"),
+        (cli._parse_fraction, ("1//2",), "cannot parse rational '1//2'"),
+        (cli._function_from_json, (s3, ["1"]), "function value list must have length 6"),
+        (cli._document_terms, (cal, [], "gamma", 3),
+         "a connection or metric document must be a JSON object"),
+        (cli._document_terms, (cal, {"gamma": {"a": "1"}}, "gamma", 3),
+         "bad coefficient key 'a': expected 3 names joined by |"),
+        (cli._named_connection, (cal, "family"), "--lambdas is required for the family"),
+    ]:
+        with pytest.raises(UsageError) as caught:
+            call(*args)
+        assert str(caught.value) == error
+
+
+def test_a_max_order_that_is_not_an_integer_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FINITEGEO_MAX_ORDER", "1e3")
+    error = "FINITEGEO_MAX_ORDER must be an integer, got '1e3'"
+    with pytest.raises(UsageError, match=re.escape(error)):
+        cli._max_order()
+    for argv in (["group", "info", "Z3"],
+                 ["action", "orbits", "--set", "3", "--group-generators", "(12)"]):
+        assert _main_json(capsys, argv) == (2, {"error": error})

@@ -196,3 +196,9 @@ def test_combination_rejects_a_foreign_group(s3):
         funcs.combination(s3, [(1, funcs.one(s3)), (1, funcs.from_values(other, range(6)))])
     with pytest.raises(CalculusMismatch):
         funcs.combination(s3, [(1, funcs.from_values(other, range(6)))])
+
+
+def test_a_value_list_must_match_the_group_order(s3):
+    for values in ([1] * 5, [1] * 7):
+        with pytest.raises(ValueError, match=r"^value list does not match the group order$"):
+            funcs.from_values(s3, values)

@@ -394,3 +394,66 @@ def test_from_permutations_refuses_a_closure_past_the_bound():
         groups.from_permutations([(1, 2, 0)], max_order=2)
     with pytest.raises(TooLarge, match="closure exceeds the bound 0"):
         groups.alternating(1, max_order=0)
+
+
+def test_booleans_are_not_table_entries():
+    """JSON true is a Python bool, an int subclass; it is no element index."""
+    for build in (groups.from_cayley_table, groups.FiniteGroup):
+        with pytest.raises(ValueError, match=r"^entry True out of range in row 0$"):
+            build([[0, True], [True, 0]])
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1]],  # Z3, identity at 0
+    [[2, 0, 1], [0, 1, 2], [1, 2, 0]],  # Z3, identity at 1
+], ids=["identity-at-0", "identity-at-1"])
+def test_from_cayley_table_checks_each_step_once(monkeypatch, table):
+    """One shape check, one Light's test on the relabelled table, and a
+    FiniteGroup that checks neither again."""
+    calls = []
+
+    def counted(name):
+        real = getattr(groups, name)
+
+        def check(t):
+            calls.append(name)
+            return real(t)
+        return check
+
+    for name in ("_check_shape", "_check_associative", "_validate_table"):
+        monkeypatch.setattr(groups, name, counted(name))
+    group = groups.from_cayley_table(table)
+    assert calls == ["_check_shape", "_check_associative"]
+    assert group.table == groups.cyclic(3).table and group.table is not table
+    assert all(new is not old for new, old in zip(group.table, table))
+
+
+def test_relabelled_names_follow_the_identity_or_are_refused():
+    table = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+    assert groups.from_cayley_table(table, names=["a", "e", "b"]).names == ["e", "a", "b"]
+    for names in (["a"], ["a", "e", "b", "c"]):  # the identity's index 1 is past ["a"]
+        with pytest.raises(ValueError, match=r"^names must be distinct and match the order$"):
+            groups.from_cayley_table(table, names=names)
+
+
+def test_a_direct_table_keeps_its_identity_check():
+    with pytest.raises(NoIdentity, match=r"^index 0 is not a two-sided identity$"):
+        groups.FiniteGroup([[1, 0], [0, 1]])
+
+
+def test_an_empty_table_has_no_identity():
+    with pytest.raises(NoIdentity, match=r"^empty table$"):
+        groups.from_cayley_table([])
+
+
+@pytest.mark.parametrize("spec", [3, -1])
+def test_an_element_index_out_of_range_is_refused(spec):
+    with pytest.raises(KeyError, match=rf"element index {spec} out of range"):
+        groups.cyclic(3).element_index(spec)
+
+
+def test_from_permutations_refuses_no_or_false_permutations():
+    with pytest.raises(ValueError, match=r"^need at least one permutation$"):
+        groups.from_permutations([])
+    with pytest.raises(ValueError, match=r"^\(0, 0, 1\) is not a permutation of 0\.\.2$"):
+        groups.from_permutations([(1, 0, 2), (0, 0, 1)])

@@ -220,3 +220,18 @@ def test_one_changed_entry_beyond_the_first_generator_is_rejected(perms):
         assert not dense_paths.respects_product(group, size, table)
         with pytest.raises(NotAnAction):
             GSet(group, size, table)
+
+
+def test_an_action_table_that_misses_or_misplaces_a_pair_is_refused():
+    z2 = cyclic(2)
+    full = {(a, x): (a + x) % 2 for a in range(2) for x in range(2)}
+    assert GSet(z2, 2, full).size == 2
+    for key, value in (((1, 0), None), ((1, 1), 2), ((0, 1), -1)):
+        table = dict(full)
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+        with pytest.raises(NotAnAction, match=rf"^action table misses or misplaces \({key[0]}, "
+                                              rf"{key[1]}\)$"):
+            GSet(z2, 2, table)
