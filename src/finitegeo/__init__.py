@@ -18,7 +18,6 @@ from .braid import (
     project_two_form,
     sigma_build,
     sigma_for,
-    symmetric_universal_sigma_order,
     symmetrize,
     tensor_product,
     wedge,
@@ -31,7 +30,6 @@ from .calculus import (
     enumerate_bicovariant,
     enumerate_left_covariant,
     export_dot,
-    from_edges,
     from_hatG,
     omega_coefficients,
     omega_form,
@@ -50,7 +48,6 @@ from .connection import (
     c_connection,
     canonical_connection,
     extend_on_basis_pairs,
-    extend_on_pair,
     extend_to_tensor,
     extensibility_analysis,
     flatness_representation_check,
@@ -59,7 +56,6 @@ from .connection import (
     nabla_sigma_inverse,
     sigma_family,
     solve_torsion_free,
-    two_sided_connection,
     two_sided_space,
 )
 from .dual import (
@@ -67,15 +63,12 @@ from .dual import (
     Metric,
     VectorField,
     canonical_form_and_torsion,
-    dual_connection,
     metric_compatibility,
     metric_symmetry,
     pair,
     sigma_prime,
-    sigma_prime_connection,
     sigma_x,
     sigma_x_apply,
-    vector_field_basis,
 )
 from .errors import FiniteGeoError, InternalInconsistency
 from .funcs import GroupFunction, delta, ell, left_translate, right_translate

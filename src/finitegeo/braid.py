@@ -134,16 +134,13 @@ class SigmaOperator:
 
     def order(self):
         if self._order is None:
-            self._order = lcm(*self.cycle_lengths())
+            self._order = lcm(*map(len, self.cycles()))
             ad_order = self.calculus.group.ad_order()
             if (2 * ad_order) % self._order != 0:
                 raise InternalInconsistency(
                     f"sigma order {self._order} does not divide 2|ad(G)| = {2 * ad_order}"
                 )
         return self._order
-
-    def cycle_lengths(self):
-        return [len(c) for c in self.cycles()]
 
     def cycles(self):
         """sigma's cycles as lists of pair indices, lexicographic pair order."""
@@ -266,17 +263,6 @@ def sigma_for(calculus):
     if got is None:
         got = calculus._sigma_cache = SigmaOperator(calculus)
     return got
-
-
-def symmetric_universal_sigma_order(n):
-    """Order of sigma on the universal calculus of the symmetric group S_n.
-
-    Closed form for n >= 3: twice the smallest positive exponent that kills
-    every element of S_n, which is 2 * lcm(2, ..., n).
-    """
-    if n < 3:
-        raise ValueError("closed form requires n >= 3")
-    return 2 * lcm(*range(2, n + 1))
 
 
 def braid_check(sigma):

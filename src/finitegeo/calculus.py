@@ -53,12 +53,13 @@ ENUM_LIMIT = 4096
 class DifferentialCalculus:
     """A first-order calculus on a group.
 
-    from_edges keeps the edges it is given and finds hatG = {y^-1 x} when
-    the digraph is left-covariant; from_hatG stores hatG alone.  Either
-    way a left-covariant calculus is right-covariant, and so bicovariant,
-    exactly when hatG is a union of conjugacy classes: the right set
-    {x y^-1} = {h g h^-1} is the conjugation closure of hatG.  Equality
-    and hash read hatG when it is set and the edges otherwise.
+    DifferentialCalculus(group, edges) keeps the edges it is given and
+    finds hatG = {y^-1 x} when the digraph is left-covariant; from_hatG
+    stores hatG alone.  Either way a left-covariant calculus is
+    right-covariant, and so bicovariant, exactly when hatG is a union of
+    conjugacy classes: the right set {x y^-1} = {h g h^-1} is the
+    conjugation closure of hatG.  Equality and hash read hatG when it is
+    set and the edges otherwise.
     """
 
     def __init__(self, group, edges):
@@ -132,11 +133,6 @@ class DifferentialCalculus:
         if not self.bicovariant:
             raise NotBicovariant("operation needs a bicovariant calculus")
 
-    def hat_index(self, g):
-        if self.hatG is None or g not in self.hatG:
-            raise NotInHatG(f"element {g} is not in hatG")
-        return self.hatG.index(g)
-
     def pairs(self):
         """All (g, g') in hatG x hatG, lexicographic."""
         return [(g, gp) for g in self.hatG for gp in self.hatG]
@@ -170,10 +166,6 @@ def universal(group):
 
 def trivial(group):
     return from_hatG(group, ())
-
-
-def from_edges(group, edges):
-    return DifferentialCalculus(group, edges)
 
 
 def unions(blocks):
@@ -448,7 +440,8 @@ def theta_form(calculus, g, coeff=1):
 def omega_form(calculus, g):
     """The right-invariant basis form omega^g written in the theta basis."""
     calculus.require_bicovariant()
-    calculus.hat_index(g)
+    if g not in calculus.hatG:
+        raise NotInHatG(f"element {g} is not in hatG")
     grp = calculus.group
     coeffs = {}
     for k in calculus.hatG:

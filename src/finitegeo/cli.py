@@ -26,7 +26,7 @@ from . import dual as dual_mod
 from . import groups as groups_mod
 from . import gset as gset_mod
 from . import invariants as invariants_mod
-from .errors import FiniteGeoError, TooLarge, UsageError
+from .errors import BadLambdaLength, FiniteGeoError, TooLarge, UsageError
 from .funcs import GroupFunction, from_values
 
 
@@ -301,7 +301,10 @@ def _named_connection(calculus, name, lambdas=None):
         if lambdas is None:
             raise UsageError("--lambdas is required for the family")
         lams = [_parse_fraction(tok) for tok in lambdas.split(",")]
-        return connection_mod.sigma_family(calculus, lams)
+        try:
+            return connection_mod.sigma_family(calculus, lams)
+        except BadLambdaLength as exc:  # a count that is not sigma's order
+            raise UsageError(str(exc)) from None
     raise UsageError(f"unknown connection name {name!r}")
 
 
@@ -580,6 +583,8 @@ def _action_gset(args):
     if not 1 <= args.set <= bound:
         raise UsageError(f"--set must lie between 1 and the bound {bound}, got {args.set}")
     tokens = [t for t in args.group_generators.split(",") if t.strip()]
+    if not tokens:
+        raise UsageError(f"no permutation in --group-generators {args.group_generators!r}")
     perms = [parse_permutation(tok, args.set) for tok in tokens]
     return gset_mod.gset_from_permutations(perms, size=args.set, max_order=bound)
 

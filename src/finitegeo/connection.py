@@ -10,8 +10,6 @@ extensibility to a two-argument Leibniz rule, and extends connections to
 tensor products and to the two-sided setting.
 """
 
-from fractions import Fraction
-
 from .braid import TensorField, d_rep, project_two_form, sigma_for, tensor_product, wedge
 from .calculus import (
     OneForm,
@@ -69,9 +67,6 @@ class Connection:
         n = len(self.terms)
         return f"Connection({self.calculus!r}, {n} nonzero coefficients)"
 
-    def sigma(self):
-        return sigma_for(self.calculus)
-
     def connection_one_forms(self):
         """Matrix of 1-forms omega^i_j = Gamma^i_{j,k} theta^k with
         nabla theta^i = -omega^i_j (x) theta^j."""
@@ -119,7 +114,7 @@ class Connection:
         Without phi, returns a dict mapping each basis label h to the
         torsion of theta^h.
         """
-        sig = self.sigma()
+        sig = sigma_for(self.calculus)
         if phi is not None:
             return project_two_form(d_rep(phi) - self.apply(phi), sig)
         return {h: project_two_form(rep, sig) for h, rep in self._torsion_raw().items()}
@@ -127,7 +122,7 @@ class Connection:
     def is_torsion_free(self):
         """True when every torsion 2-form vanishes: each representative is
         fixed by sigma, so A kills it."""
-        sig = self.sigma()
+        sig = sigma_for(self.calculus)
         return all(t == sig.apply(t) for t in self._torsion_raw().values())
 
     def _curvature_raw(self, h, gp):
@@ -152,7 +147,7 @@ class Connection:
         """
         if h is None:
             return {g: self.curvature(g) for g in self.calculus.hatG}
-        sig = self.sigma()
+        sig = sigma_for(self.calculus)
         return {
             gp: project_two_form(self._curvature_raw(h, gp), sig)
             for gp in self.calculus.hatG
@@ -160,7 +155,7 @@ class Connection:
 
     def curvature_is_zero(self):
         """True when every curvature 2-form vanishes."""
-        sig = self.sigma()
+        sig = sigma_for(self.calculus)
         return all(
             t == sig.apply(t)
             for t in (self._curvature_raw(h, gp) for h, gp in self.calculus.pairs())
@@ -194,7 +189,7 @@ def sigma_family(calculus, lambdas):
     """
     sig = sigma_for(calculus)
     order = sig.order()
-    lams = [_exact(Fraction(x)) for x in lambdas]
+    lams = [_exact(x) for x in lambdas]
     if len(lams) != order:
         raise BadLambdaLength(
             f"expected {order} parameters (the braid operator order), "
@@ -348,9 +343,7 @@ class TorsionFreeFamily:
         return vec
 
     def member(self, params=None):
-        if params is None:
-            params = [Fraction(0)] * self.dimension
-        params = [Fraction(p) for p in params]
+        params = [0] * self.dimension if params is None else [_exact(p) for p in params]
         if len(params) != self.dimension:
             raise UsageError(
                 f"expected {self.dimension} parameters, got {len(params)}"
@@ -374,7 +367,7 @@ class TorsionFreeFamily:
         target = _orbit_values(conn, self.orbits)
         if target is None:
             return None
-        params = [Fraction(target[support[-1]]) for support in self.supports]
+        params = [target[support[-1]] for support in self.supports]
         return params if self._vector(params) == target else None
 
 
@@ -449,7 +442,7 @@ class ExtensibilityReport:
             raise NotExtensible(
                 "connection does not satisfy the two-argument Leibniz rule"
             )
-        sig = self.connection.sigma()
+        sig = sigma_for(self.connection.calculus)
         return sig.apply(t) - self.v_apply(t)
 
 
@@ -539,18 +532,6 @@ def _extend_pair(report, phi, nabla_phi, psi, nabla_psi, out):
     return out
 
 
-def extend_on_pair(conn, phi, psi):
-    """nabla on the tensor square, applied to phi (x) psi.
-
-    Computes (nabla phi) (x) psi + (Psi (x) id)(phi (x) nabla psi).
-    Raises NotExtensible when the connection has no twist map.
-    """
-    report = _extensible_report(conn)
-    return _extend_pair(
-        report, phi, conn.apply(phi), psi, conn.apply(psi), TensorField(conn.calculus, rank=3)
-    )
-
-
 def extend_on_basis_pairs(report):
     """Yield ((v, w), nabla(theta^v (x) theta^w)) for every pair of labels.
 
@@ -599,12 +580,7 @@ class TwoSidedConnection:
         self.rho = rho(calculus)
 
     def apply(self, phi):
-        return tensor_product(self.rho, phi), tensor_product(phi, self.rho).scale(Fraction(-1))
-
-
-def two_sided_connection(calculus):
-    """The basic two-sided connection phi -> (rho (x) phi, -phi (x) rho)."""
-    return TwoSidedConnection(calculus)
+        return tensor_product(self.rho, phi), -tensor_product(phi, self.rho)
 
 
 def two_sided_space(calculus):
@@ -619,7 +595,7 @@ def two_sided_space(calculus):
     calculus.require_left_covariant()
     slots = bimodule_hom_space(calculus, "W")
     return {
-        "base": two_sided_connection(calculus),
+        "base": TwoSidedConnection(calculus),
         "left_slots": list(slots),
         "right_slots": list(slots),
         "dimension": 2 * len(slots),

@@ -20,7 +20,9 @@ Both braid transposes come from sigma, with tau the flip of the two
 legs: the mixed transpose is sigma' = tau sigma tau and the
 doubled-field transpose is sigma_X = tau sigma^-1 tau, so sigma_X has
 sigma's order.  The sigma'-connection X -> sigma'(rho (x) X) - X (x) rho
-is the dual of the braid connection nabla_sigma.
+is the dual of the braid connection, DualConnection(nabla_sigma(calculus)):
+it annihilates every basis field ell_g and acts on a general field as
+ell_g (x) dX^g.
 """
 
 from .braid import (
@@ -53,11 +55,6 @@ class VectorField(Tensor):
     def apply_to_function(self, f):
         """X f = <df, X> = (ell_g f) X^g."""
         return pair(differential(self.calculus, f), self)
-
-
-def vector_field_basis(calculus, g):
-    """The basis field ell_g."""
-    return VectorField(calculus, {g: 1})
 
 
 def pair(t, x):
@@ -129,11 +126,6 @@ class DualConnection:
         return lhs_form == rhs
 
 
-def dual_connection(conn):
-    """The dual right connection of a left connection."""
-    return DualConnection(conn)
-
-
 def sigma_prime(calculus, h, g):
     """Basis action of the mixed braid transpose sigma' = tau sigma tau.
 
@@ -144,15 +136,6 @@ def sigma_prime(calculus, h, g):
     if image is None:
         raise NotInHatG("mixed basis labels must lie in the reduced set")
     return image[1], image[0]
-
-
-def sigma_prime_connection(calculus):
-    """The right connection X -> sigma'(rho (x) X) - X (x) rho.
-
-    It annihilates every basis field ell_g and acts on general fields as
-    ell_g (x) dX^g: it is the dual of the braid connection.
-    """
-    return DualConnection(nabla_sigma(calculus))
 
 
 def sigma_x(calculus, g, gp):
@@ -236,8 +219,8 @@ def metric_compatibility(m, route="both", connection=None):
     group = cal.group
     results = {}
     if route in ("dual-extension", "both"):
-        dual = dual_connection(connection)
-        star = {x: dual.apply(vector_field_basis(cal, x)) for x in cal.hatG}
+        dual = DualConnection(connection)
+        star = {x: dual.apply(VectorField(cal, {x: 1})) for x in cal.hatG}
         out = {}
 
         def add(p, q, form):

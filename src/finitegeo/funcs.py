@@ -164,14 +164,6 @@ def constant(group, value):
     return GroupFunction(group, (_exact(value),) * group.order)
 
 
-def zero(group):
-    return constant(group, 0)
-
-
-def one(group):
-    return constant(group, 1)
-
-
 def delta(group, g):
     """The indicator function e_g."""
     return GroupFunction(group, tuple(int(h == g) for h in range(group.order)))

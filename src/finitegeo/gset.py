@@ -96,14 +96,6 @@ def pair_orbits(gs):
     )
 
 
-def is_covariant(gs, edges):
-    """Whether an edge set is stable under the diagonal action."""
-    edges = set(edges)
-    return all(
-        (gs.act(a, x), gs.act(a, y)) in edges for x, y in edges for a in range(gs.group.order)
-    )
-
-
 def covariant_calculi(gs):
     """All covariant calculi on the set, as sorted edge-set tuples.
 

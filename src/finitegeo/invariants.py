@@ -9,10 +9,10 @@ with free function multipliers, so the spaces below store constant
 basis tensors, block by block from braid.echelon_rows.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .braid import Part, TensorField, echelon_rows, sigma_for
+from .funcs import _exact
 from .groups import adjoint_orbits
 
 
@@ -46,10 +46,6 @@ class SolutionSpace:
     @property
     def dimension(self):
         return len(self.vectors)
-
-    def verify(self):
-        """Re-test the defining condition on every basis vector."""
-        return all(self.contains_vector(v) for v in self.vectors)
 
     def contains_vector(self, vec):
         """Whether a constant fiber vector (lexicographic pairs) meets the
@@ -131,15 +127,16 @@ def pattern_matrix(space, order=None):
     for block in space.blocks:
         for row in echelon_rows(space.part, block, cell.__getitem__):
             row = sorted((cell[a], x) for a, x in row)
-            rows.append([(c, x / row[0][1]) for c, x in row])  # 1 at the pivot
+            # 1 at the pivot: x * p = x / p, as the pivot entry p is 1 or -1
+            rows.append([(c, _exact(x * row[0][1])) for c, x in row])
     rows.sort()
     by_cell = [[] for _ in range(n * n)]
     for k, row in enumerate(rows):
         for c, x in row:
             by_cell[c].append((k, x))
-    zero, coeff_cells, strings = Fraction(0), {}, [[] for _ in order]
+    coeff_cells, strings = {}, [[] for _ in order]
     for c, ((g, gp), entries) in enumerate(zip(product(order, order), by_cell)):
-        coeffs = [zero] * len(rows)
+        coeffs = [0] * len(rows)
         for k, x in entries:
             coeffs[k] = x
         coeff_cells[(g, gp)] = tuple(coeffs)

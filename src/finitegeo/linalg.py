@@ -5,21 +5,20 @@ x_u - x_v = c by union-find.  The package builds no dense matrix; the
 dense elimination it replaced is kept in tests/elimination.py.
 """
 
-from fractions import Fraction
-
 from .errors import Infeasible
+from .funcs import _exact
 
 
-def solve_differences(nvars, equations) -> tuple[list[Fraction], list[list[int]]]:
+def solve_differences(nvars, equations):
     """Solve the equations x_u - x_v = c, given as triples (u, v, c).
 
     Union-find with potentials, pot[i] = x_i - x_parent(i), rooting each
     connected set of variables at its largest index.  Returns a particular
-    solution, the potentials relative to the roots (roots read 0), and
-    the sets ordered by root, each as its ascending variable indices (so
-    the root comes last).  The sets' indicator vectors span the solutions
-    of the homogeneous system.  Raises Infeasible on an inconsistent
-    cycle or self-loop.
+    solution, the potentials relative to the roots (roots read 0) as
+    exact scalars (funcs._exact), and the sets ordered by root, each as
+    its ascending variable indices (so the root comes last).  The sets'
+    indicator vectors span the solutions of the homogeneous system.
+    Raises Infeasible on an inconsistent cycle or self-loop.
     """
     parent = list(range(nvars))
     pot = [0] * nvars
@@ -49,4 +48,4 @@ def solve_differences(nvars, equations) -> tuple[list[Fraction], list[list[int]]
     sets = {r: [] for r in range(nvars) if parent[r] == r}
     for i in range(nvars):
         sets[parent[i]].append(i)
-    return [Fraction(p) for p in pot], list(sets.values())
+    return [_exact(p) for p in pot], list(sets.values())

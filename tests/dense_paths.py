@@ -47,8 +47,10 @@ two-sided connection through d and the Maurer-Cartan forms d theta^v,
 before it was read off rho.  The next keeps the read helpers
 that left the package because only tests called them: the edge-basis
 conversions of 1-forms, C^h_{g,g'} by its formula, one connection
-coefficient as a group function, an element's order and the adjoint
-orbit classes of a bi-invariant solution space.  The last keeps the
+coefficient as a group function, an element's order, the adjoint
+orbit classes of a bi-invariant solution space, the closed-form order
+of sigma on the universal calculus of S_n and the covariance test of an
+edge set on a G-set.  The last keeps the
 character scanner of cycle notation that cli.parse_permutation
 replaced, as scan_permutation.  pytest does not collect
 this module; test modules import it by name from the tests directory.
@@ -82,7 +84,7 @@ from finitegeo.errors import (
     NotUniversal,
     UsageError,
 )
-from finitegeo.funcs import constant, ell, right_translate, zero
+from finitegeo.funcs import constant, ell, right_translate
 from finitegeo.groups import cycles, orbits
 from finitegeo.linalg import solve_differences
 
@@ -153,7 +155,7 @@ def curvature_raw(conn, h, gp):
     for u in cal.hatG:
         uinv = group.inverse(u)
         for v in cal.hatG:
-            acc = zero(group)
+            acc = constant(group, 0)
             gam = gamma.get((h, gp, v))
             if gam is not None:
                 acc = acc + right_translate(uinv, gam) - gam
@@ -343,7 +345,7 @@ def psi_apply(report, t):
         raise NotExtensible(
             "connection does not satisfy the two-argument Leibniz rule"
         )
-    sig = report.connection.sigma()
+    sig = sigma_for(report.connection.calculus)
     out = TensorField(sig.calculus)
     for pair, c in t.terms.items():
         out.accumulate(sig.map_pair(pair), c)
@@ -397,7 +399,7 @@ def pair(phi, x):
     """Duality contraction <phi, X> = phi_g X^g."""
     if phi.calculus != x.calculus:
         raise CalculusMismatch("form and field on different calculi")
-    acc = zero(phi.calculus.group)
+    acc = constant(phi.calculus.group, 0)
     for g, c in phi.terms.items():
         xg = x.terms.get(g)
         if xg is not None:
@@ -444,7 +446,7 @@ def pair_rank3_metric(r, m):
 def apply_to_function(x, f):
     """X f = <df, X> = (ell_g f) X^g."""
     group = x.calculus.group
-    acc = zero(group)
+    acc = constant(group, 0)
     for g, c in x.terms.items():
         acc = acc + ell(g, f) * c
     return acc
@@ -857,7 +859,7 @@ def function_valued():
 
 # ---------------------------------------------------------------------------
 # Braid transposes written out.  dual.sigma_prime reads sigma's table,
-# sigma_X has sigma's order and dual.sigma_prime_connection is the dual of
+# sigma_X has sigma's order and the sigma'-connection is the dual of
 # the braid connection; these are the formulas they replaced.
 
 
@@ -1148,8 +1150,9 @@ def two_sided_square(ts, phi):
 # ---------------------------------------------------------------------------
 # Read helpers that only tests called, as the package had them:
 # calculus.to_edge_coeffs and from_edge_coeffs, StructureConstants.C,
-# Connection.gamma_value, FiniteGroup.element_order and
-# SolutionSpace.orbit_classes, each written as a function of its object.
+# Connection.gamma_value, FiniteGroup.element_order,
+# SolutionSpace.orbit_classes, braid.symmetric_universal_sigma_order and
+# gset.is_covariant, each written as a function of its object.
 
 
 def to_edge_coeffs(form):
@@ -1208,6 +1211,25 @@ def orbit_classes(space):
     """bi_invariant's adjoint orbits on pairs, as lists of pairs."""
     pairs = space.calculus.pairs()
     return [[pairs[a] for a in b] for b in space.blocks] if space.kind == "bi_invariant" else None
+
+
+def symmetric_universal_sigma_order(n):
+    """Order of sigma on the universal calculus of the symmetric group S_n.
+
+    Closed form for n >= 3: twice the smallest positive exponent that kills
+    every element of S_n, which is 2 * lcm(2, ..., n).
+    """
+    if n < 3:
+        raise ValueError("closed form requires n >= 3")
+    return 2 * lcm(*range(2, n + 1))
+
+
+def is_covariant(gs, edges):
+    """Whether an edge set is stable under the diagonal action."""
+    edges = set(edges)
+    return all(
+        (gs.act(a, x), gs.act(a, y)) in edges for x, y in edges for a in range(gs.group.order)
+    )
 
 
 # ---------------------------------------------------------------------------

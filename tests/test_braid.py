@@ -15,14 +15,18 @@ from finitegeo.braid import (
     d_one_form,
     project_two_form,
     sigma_for,
-    symmetric_universal_sigma_order,
     symmetrize,
     tensor_product,
     wedge,
 )
 from finitegeo.calculus import rho, theta_form
 
-from dense_paths import constant_vector, d_theta, structure_constant
+from dense_paths import (
+    constant_vector,
+    d_theta,
+    structure_constant,
+    symmetric_universal_sigma_order,
+)
 from elimination import SubspaceReducer
 
 

@@ -2,8 +2,8 @@
 
 dual.sigma_prime reads sigma(g, h) off sigma's table and swaps its legs
 (sigma' = tau sigma tau), sigma_X = tau sigma^-1 tau has sigma's order
-(SigmaOperator.order), and dual.sigma_prime_connection is the dual of the
-braid connection.  Each must agree with the formula it replaced
+(SigmaOperator.order), and the sigma'-connection is the dual of the braid
+connection, DualConnection(nabla_sigma(cal)).  Each must agree with the formula it replaced
 (dense_paths) on every calculus of the bicovariant catalog sample; the
 connection is compared on seeded function-valued vector fields.
 """
@@ -15,7 +15,8 @@ import pytest
 
 from finitegeo import calculus, funcs, groups
 from finitegeo.braid import sigma_for
-from finitegeo.dual import VectorField, sigma_prime, sigma_prime_connection
+from finitegeo.connection import nabla_sigma
+from finitegeo.dual import DualConnection, VectorField, sigma_prime
 from finitegeo.errors import NotBicovariant, NotInHatG
 
 import dense_paths
@@ -43,7 +44,7 @@ def test_sigma_x_order_is_sigma_order(name, cal):
 def test_sigma_prime_connection_is_the_dual_braid_connection(name, cal):
     group = cal.group
     rng = random.Random(len(cal.hatG) * 37 + group.order)
-    prime = sigma_prime_connection(cal)
+    prime = DualConnection(nabla_sigma(cal))
     for _ in range(3):
         labels = rng.sample(cal.hatG, max(1, len(cal.hatG) // 2))
         x = VectorField(cal, {
@@ -60,6 +61,6 @@ def test_transposes_need_a_bicovariant_calculus():
     a = cal.hatG[0]
     for call in (lambda: sigma_prime(cal, a, a), lambda: dense_paths.sigma_prime(cal, a, a),
                  lambda: sigma_for(cal).order(), lambda: dense_paths.sigma_x_order(cal),
-                 lambda: sigma_prime_connection(cal)):
+                 lambda: DualConnection(nabla_sigma(cal))):
         with pytest.raises(NotBicovariant):
             call()

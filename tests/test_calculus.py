@@ -82,7 +82,7 @@ def test_left_covariant_but_not_bicovariant_exists(s3):
 
 
 def test_single_edge_graph_is_not_left_covariant(s3):
-    cal = calculus.from_edges(s3, [(1, 0)])
+    cal = calculus.DifferentialCalculus(s3, [(1, 0)])
     assert not cal.left_covariant
     with pytest.raises(NotLeftCovariant):
         cal.require_left_covariant()
@@ -198,7 +198,7 @@ def test_omega_form_of_central_free_group_twists(s3_transposition_calculus):
 def test_rho_is_invariant_under_both_bases(s3_universal):
     psi = omega_coefficients(rho(s3_universal))
     assert list(psi) == list(s3_universal.hatG)
-    assert all(c == funcs.one(s3_universal.group) for c in psi.values())
+    assert all(c == funcs.constant(s3_universal.group, 1) for c in psi.values())
 
 
 def test_dot_export_is_deterministic(s3_universal):

@@ -13,7 +13,7 @@ import pytest
 
 import dense_paths
 from finitegeo import groups
-from finitegeo.calculus import enumerate_bicovariant, from_edges, from_hatG
+from finitegeo.calculus import DifferentialCalculus, enumerate_bicovariant, from_hatG
 from finitegeo.catalog import small_group_catalog
 
 CATALOG = small_group_catalog()
@@ -49,7 +49,7 @@ def _check(group, subsets, pairwise):
         assert cal._edges is None, "hashing built the edges"
         assert _flags(cal) == _flags(ora)
         assert cal.edges == ora.edges
-        again = from_edges(group, ora.edges)
+        again = DifferentialCalculus(group, ora.edges)
         assert _flags(again) == _flags(ora)
         assert again == cal and hash(again) == hash(cal)
     assert len(set(cals)) == len(set(oracles)) == len(subsets)
@@ -90,17 +90,17 @@ def test_calculus_that_is_not_left_covariant_compares_by_edges():
     right_edges = [(s3.mul(a, g), g) for g in range(s3.order)]
     lone_edge = [(a, 0)]
     for edges in (right_edges, lone_edge):
-        cal = from_edges(s3, edges)
+        cal = DifferentialCalculus(s3, edges)
         ora = dense_paths.EdgeRoundTripCalculus(s3, edges)
         assert cal.hatG is None and not cal.left_covariant
         assert _flags(cal) == _flags(ora)
         assert cal.edges == ora.edges
-        same = from_edges(s3, reversed(edges))
+        same = DifferentialCalculus(s3, reversed(edges))
         assert same == cal and hash(same) == hash(cal)
         assert cal != from_hatG(s3, [a])
-    assert from_edges(s3, right_edges).right_covariant
-    assert not from_edges(s3, lone_edge).right_covariant
-    assert from_edges(s3, right_edges) != from_edges(s3, lone_edge)
+    assert DifferentialCalculus(s3, right_edges).right_covariant
+    assert not DifferentialCalculus(s3, lone_edge).right_covariant
+    assert DifferentialCalculus(s3, right_edges) != DifferentialCalculus(s3, lone_edge)
 
 
 def test_calculi_on_different_group_objects_are_unequal():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from finitegeo import calculus, connection, dual, funcs
+from finitegeo import calculus, connection, dual, funcs, invariants
 from finitegeo.braid import TensorField
 from finitegeo.calculus import OneForm, Tensor, theta_form
 from finitegeo.catalog import small_group_catalog
@@ -122,6 +122,27 @@ def _is_canonical(c):
 
 
 @pytest.mark.parametrize("name,reps", SAMPLE, ids=IDS)
+def test_solver_results_hold_exact_scalars_in_one_form(name, reps):
+    """Pattern cells, torsion-free particular solutions and the parameters
+    contains recovers hold ints and non-integral Fractions only
+    (funcs._exact), never an integral Fraction."""
+    cal = _calculus(name, reps)
+    spaces = [invariants.solve_symmetry(cal, kind)
+              for kind in ("s_sym", "s_antisym", "w_sym", "w_antisym")]
+    for space in spaces + [invariants.solve_bi_invariant(cal)]:
+        cells = invariants.pattern_matrix(space)["cells"].values()
+        assert all(_is_canonical(x) for cell in cells for x in cell)
+    for mode in ("left", "bi"):
+        family = connection.solve_torsion_free(cal, mode)
+        assert all(_is_canonical(x) for x in family.particular)
+        params = [Fraction(k - 1, 1 + k % 2) for k in range(family.dimension)]
+        for given in (None, params):
+            found = family.contains(family.member(given))
+            assert found == (given or [0] * family.dimension)
+            assert all(_is_canonical(x) for x in found)
+
+
+@pytest.mark.parametrize("name,reps", SAMPLE, ids=IDS)
 def test_geometry_matches_function_valued_storage(name, reps):
     cal = _calculus(name, reps)
     gammas, tensor, metric = _inputs(cal, seed=len(cal.hatG) * 31 + cal.group.order)
@@ -170,7 +191,7 @@ def test_constant_function_and_scalar_build_equal_objects(s3, s3_cycle_calculus)
     assert a.terms == b.terms and a == b
     a, b = Connection(cal, {(g, g, gp): two}), Connection(cal, {(g, g, gp): 2})
     assert a.terms == b.terms == {(g, g, gp): 2} and a == b
-    assert OneForm(cal, {g: funcs.zero(s3)}).terms == {}
+    assert OneForm(cal, {g: funcs.constant(s3, 0)}).terms == {}
 
 
 def test_read_surfaces_return_functions(s3, s3_cycle_calculus):
@@ -179,15 +200,15 @@ def test_read_surfaces_return_functions(s3, s3_cycle_calculus):
     form = OneForm(cal, {g: 2})
     assert all(isinstance(c, funcs.GroupFunction) for c in form.coeffs.values())
     assert form.coeffs[g] == funcs.constant(s3, 2)
-    assert form.coeffs[gp] == funcs.zero(s3)
+    assert form.coeffs[gp] == funcs.constant(s3, 0)
     assert form.coeff(g) == funcs.constant(s3, 2)
-    assert form.coeff(gp) == funcs.zero(s3)
+    assert form.coeff(gp) == funcs.constant(s3, 0)
     f = funcs.from_values(s3, [0, 1, 2, 3, 4, 5])
     conn = Connection(cal, {(g, g, gp): 2, (g, gp, gp): f})
     assert conn.terms == {(g, g, gp): 2, (g, gp, gp): f}
     assert conn.gamma == {(g, g, gp): funcs.constant(s3, 2), (g, gp, gp): f}
     assert dense_paths.gamma_value(conn, g, g, gp) == funcs.constant(s3, 2)
-    assert dense_paths.gamma_value(conn, g, g, g) == funcs.zero(s3)
+    assert dense_paths.gamma_value(conn, g, g, g) == funcs.constant(s3, 0)
 
 
 def test_integral_fraction_is_stored_as_int(s3_cycle_calculus):

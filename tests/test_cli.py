@@ -748,9 +748,23 @@ def _main_json(capsys, argv):
      {"coeffs": {"a|a|a": "1"}}, "bad coefficient key 'a|a|a': expected 2 names joined by |"),
     (["connection", "solve", "--group", "S3", "--hatg", "all"], None,
      "only --torsion-free solving is available"),
+    (["action", "orbits", "--set", "3", "--group-generators", ","], None,
+     "no permutation in --group-generators ','"),
+    (["action", "orbits", "--set", "3", "--group-generators", " "], None,
+     "no permutation in --group-generators ' '"),
+    (["action", "orbits", "--set", "3", "--group-generators", ", ,"], None,
+     "no permutation in --group-generators ', ,'"),
+    (["action", "calculi", "--set", "3", "--group-generators", ","], None,
+     "no permutation in --group-generators ','"),
+    (["connection", "named", "--group", "S3", "--hatg", "class:a", "--name", "family",
+      "--lambdas", "1"], None, "expected 3 parameters (the braid operator order), got 1"),
+    (["connection", "analyze", "--group", "S3", "--hatg", "class:a", "--name", "family",
+      "--lambdas", "1,2,3,4"], None, "expected 3 parameters (the braid operator order), got 4"),
 ], ids=["boolean-table-entries", "empty-reduced-set", "bad-rational", "family-without-lambdas",
         "short-function-list", "document-not-an-object", "key-of-the-wrong-rank",
-        "solve-without-torsion-free"])
+        "solve-without-torsion-free", "orbits-without-generators", "orbits-blank-generators",
+        "orbits-blank-generator-list", "calculi-without-generators", "named-lambda-count",
+        "analyze-lambda-count"])
 def test_input_refusals_exit_with_two_and_name_the_input(tmp_path, capsys, argv, files, error):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(files))

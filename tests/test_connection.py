@@ -9,11 +9,11 @@ from finitegeo.braid import TensorField, d_one_form, sigma_for
 from finitegeo.calculus import omega_form, theta_form
 from finitegeo.connection import (
     Connection,
+    TwoSidedConnection,
     bimodule_hom_space,
     c_connection,
     canonical_connection,
     extend_on_basis_pairs,
-    extend_on_pair,
     extend_to_tensor,
     extensibility_analysis,
     flatness_representation_check,
@@ -22,7 +22,6 @@ from finitegeo.connection import (
     nabla_sigma_inverse,
     sigma_family,
     solve_torsion_free,
-    two_sided_connection,
     two_sided_space,
     two_sided_square,
 )
@@ -257,7 +256,7 @@ def test_two_sided_square_vanishes(s3_transposition_calculus):
     form with a delta coefficient."""
     cal = s3_transposition_calculus
     s3 = cal.group
-    ts = two_sided_connection(cal)
+    ts = TwoSidedConnection(cal)
     phi = theta_form(cal, cal.hatG[1], coeff=funcs.delta(s3, 4))
     left, mixed, right = two_sided_square(ts, phi)
     assert not left
@@ -275,7 +274,6 @@ def test_extension_entry_points_refuse_a_connection_without_twist(z4):
     assert not report.extensible
     theta, t, m = theta_form(cal, 1), TensorField(cal, {(1, 2): 1}), Metric(cal, {(1, 1): 1})
     calls = {
-        "extend_on_pair": lambda: extend_on_pair(conn, theta, theta),
         "extend_to_tensor": lambda: extend_to_tensor(conn, t),
         "extend_to_tensor on zero": lambda: extend_to_tensor(conn, TensorField(cal)),
         "extend_on_basis_pairs": lambda: next(extend_on_basis_pairs(report)),

@@ -107,7 +107,7 @@ def test_a_representation_that_is_not_flat_raises(monkeypatch):
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)
 def test_two_sided_square_matches_maurer_cartan(label, cal):
     rng = random.Random(label)
-    ts = connection.two_sided_connection(cal)
+    ts = connection.TwoSidedConnection(cal)
     for _ in range(2):
         phi = _seeded_form(cal, rng)
         assert connection.two_sided_square(ts, phi) == dense_paths.two_sided_square(ts, phi)

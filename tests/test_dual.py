@@ -14,17 +14,16 @@ from finitegeo.connection import (
     solve_torsion_free,
 )
 from finitegeo.dual import (
+    DualConnection,
     Metric,
     VectorField,
     canonical_form_and_torsion,
-    dual_connection,
     metric_compatibility,
     metric_symmetry,
     pair,
     sigma_prime,
     sigma_x,
     sigma_x_apply,
-    vector_field_basis,
 )
 from finitegeo.errors import NotBicovariant, NotInHatG
 
@@ -32,7 +31,7 @@ import dense_paths
 
 
 def _delta_pair_form_field(cal, g, x):
-    return pair(theta_form(cal, g), vector_field_basis(cal, x))
+    return pair(theta_form(cal, g), VectorField(cal, {x: 1}))
 
 
 def test_basis_pairing_is_kronecker(s3_transposition_calculus):
@@ -41,7 +40,7 @@ def test_basis_pairing_is_kronecker(s3_transposition_calculus):
         for x in cal.hatG:
             val = _delta_pair_form_field(cal, g, x)
             if g == x:
-                assert val == funcs.one(cal.group)
+                assert val == funcs.constant(cal.group, 1)
             else:
                 assert val.is_zero()
 
@@ -61,7 +60,7 @@ def test_dual_defining_identity(s3_transposition_calculus):
     cal = s3_transposition_calculus
     s3 = cal.group
     conn = c_connection(cal)
-    dual = dual_connection(conn)
+    dual = DualConnection(conn)
     gamma = theta_form(cal, cal.hatG[0], coeff=funcs.delta(s3, 1)) + theta_form(
         cal, cal.hatG[2], coeff=3
     )
@@ -80,7 +79,7 @@ def test_dual_of_braid_connection_differentiates_coefficients(
 ):
     cal = s3_transposition_calculus
     s3 = cal.group
-    dual = dual_connection(nabla_sigma(cal))
+    dual = DualConnection(nabla_sigma(cal))
     f = funcs.from_values(s3, [0, 1, 1, 0, 2, 0])
     g = cal.hatG[1]
     out = dual.apply(VectorField(cal, {g: f}))
@@ -225,15 +224,15 @@ def test_pair_tensor_field_contracts_inner_slot(s3_transposition_calculus):
     cal = s3_transposition_calculus
     conn = c_connection(cal)
     gamma = theta_form(cal, cal.hatG[0])
-    x = vector_field_basis(cal, cal.hatG[1])
+    x = VectorField(cal, {cal.hatG[1]: 1})
     contracted = pair(conn.apply(gamma), x)
     lhs = differential(cal, pair(gamma, x)) - contracted
-    dual = dual_connection(conn)
+    dual = DualConnection(conn)
     out = dual.apply(x)
     acc = {}
     for (h, k), c in out.items():
         if h == cal.hatG[0]:
-            acc[k] = acc.get(k, funcs.zero(cal.group)) + c
+            acc[k] = acc.get(k, funcs.constant(cal.group, 0)) + c
     from finitegeo.calculus import OneForm
 
     assert OneForm(cal, acc) == lhs

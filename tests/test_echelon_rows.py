@@ -69,7 +69,7 @@ def test_solution_spaces_match_the_dense_vectors(label, cal):
         assert [t.terms for t in space.basis] == [
             {p: x for p, x in zip(cal.pairs(), v) if x} for v in want
         ]
-        assert space.verify()
+        assert all(space.contains_vector(v) for v in space.vectors)
 
 
 @pytest.mark.parametrize("label,cal", SAMPLE, ids=IDS)

@@ -89,7 +89,7 @@ def _dense_extend_pair(report, phi, psi):
                 continue
             g = f * funcs.right_translate(trans, c)
             if not g.is_zero():
-                out[(u, v, w)] = out.get((u, v, w), funcs.zero(group)) + g
+                out[(u, v, w)] = out.get((u, v, w), funcs.constant(group, 0)) + g
     out = TensorField(cal, {k: v for k, v in out.items() if not v.is_zero()}, rank=3)
     nab_psi = conn.apply(psi)
     for g in cal.hatG:
@@ -159,8 +159,8 @@ def test_fraction_sums_stay_exact(s3):
     half = funcs.constant(s3, Fraction(1, 2))
     assert all(type(v) is Fraction for v in half.values)
     total = half + half
-    assert total == funcs.one(s3)
-    assert hash(total) == hash(funcs.one(s3))
+    assert total == funcs.constant(s3, 1)
+    assert hash(total) == hash(funcs.constant(s3, 1))
     assert all(v == 1 and not isinstance(v, float) for v in total.values)
     third = funcs.constant(s3, Fraction(1, 3))
     assert (third + third + third).values == (1,) * 6
@@ -183,14 +183,14 @@ def test_arithmetic_matches_fraction_arithmetic(s3):
 
 def test_coercion_helper_rejects_a_foreign_group(s3, z3):
     assert funcs.as_function(s3, 2) == funcs.constant(s3, 2)
-    f = funcs.one(s3)
+    f = funcs.constant(s3, 1)
     assert funcs.as_function(s3, f) is f
     with pytest.raises(CalculusMismatch):
         funcs.as_function(z3, f)
     with pytest.raises(CalculusMismatch):
         funcs.canonical(z3, f)
     with pytest.raises(CalculusMismatch):
-        f + funcs.one(z3)
+        f + funcs.constant(z3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_extend_to_tensor_matches_dense_accumulation(name, reps):
         assert got == _dense_extend_to_tensor(conn, t)
         assert all(type(v) in (int, Fraction) for v in _values(got))
         phi, psi = theta_form(cal, cal.hatG[0]), theta_form(cal, cal.hatG[-1])
-        pair = connection.extend_on_pair(conn, phi, psi)
+        pair = connection.extend_to_tensor(conn, tensor_product(phi, psi))
         report = connection.extensibility_analysis(conn)
         assert pair == _dense_extend_pair(report, phi, psi)
 

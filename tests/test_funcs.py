@@ -15,10 +15,10 @@ from finitegeo.funcs import GroupFunction
 
 
 def test_delta_functions_form_a_basis(s3):
-    total = funcs.zero(s3)
+    total = funcs.constant(s3, 0)
     for g in s3.elements():
         total = total + funcs.delta(s3, g)
-    assert total == funcs.one(s3)
+    assert total == funcs.constant(s3, 1)
 
 
 def test_pointwise_product_is_diagonal_on_deltas(s3):
@@ -92,12 +92,12 @@ def test_int_and_fraction_values_compare_equal_and_hash_alike(s3):
 
 def test_functions_on_different_group_objects_are_unequal():
     a, b = groups.cyclic(3), groups.cyclic(3)
-    assert funcs.one(a) != funcs.one(b)
-    assert funcs.one(a) == funcs.one(a)
+    assert funcs.constant(a, 1) != funcs.constant(b, 1)
+    assert funcs.constant(a, 1) == funcs.constant(a, 1)
 
 
 def test_group_function_is_immutable(s3):
-    f = funcs.one(s3)
+    f = funcs.constant(s3, 1)
     with pytest.raises(AttributeError):
         f.values = (0,) * 6
     with pytest.raises(AttributeError):
@@ -193,7 +193,9 @@ def test_combination_of_a_constant_is_an_int(s3):
 def test_combination_rejects_a_foreign_group(s3):
     other = groups.symmetric(3)
     with pytest.raises(CalculusMismatch):
-        funcs.combination(s3, [(1, funcs.one(s3)), (1, funcs.from_values(other, range(6)))])
+        funcs.combination(
+            s3, [(1, funcs.constant(s3, 1)), (1, funcs.from_values(other, range(6)))]
+        )
     with pytest.raises(CalculusMismatch):
         funcs.combination(s3, [(1, funcs.from_values(other, range(6)))])
 

@@ -15,7 +15,6 @@ from finitegeo.gset import (
     gset_dot,
     gset_from_permutations,
     irreducible_calculi,
-    is_covariant,
     left_translation_gset,
     pair_orbits,
 )
@@ -83,13 +82,13 @@ def test_covariant_calculi_are_orbit_unions():
     assert cals[0] == ()
     assert len(cals[-1]) == 6
     for edges in cals:
-        assert is_covariant(gs, edges)
+        assert dense_paths.is_covariant(gs, edges)
 
 
 def test_raw_edge_set_can_fail_covariance():
     gs = swap_action()
-    assert not is_covariant(gs, [(0, 1)])
-    assert is_covariant(gs, [(0, 1), (1, 0)])
+    assert not dense_paths.is_covariant(gs, [(0, 1)])
+    assert dense_paths.is_covariant(gs, [(0, 1), (1, 0)])
 
 
 def test_irreducible_calculi_drop_one_orbit():
@@ -101,7 +100,7 @@ def test_irreducible_calculi_drop_one_orbit():
         ((0, 1), (0, 2), (1, 0), (1, 2)),
     ]
     for edges in cals:
-        assert is_covariant(gs, edges)
+        assert dense_paths.is_covariant(gs, edges)
 
 
 def test_irreducible_calculi_for_the_cycle_action():
@@ -141,7 +140,7 @@ def test_left_translation_action_matches_group_calculi():
     cals = covariant_calculi(gs)
     assert len(cals) == len(enumerate_left_covariant(grp)) == 4
     for cal in enumerate_left_covariant(grp):
-        assert is_covariant(gs, cal.edges)
+        assert dense_paths.is_covariant(gs, cal.edges)
 
 
 def test_dot_output_is_deterministic():

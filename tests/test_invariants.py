@@ -44,9 +44,10 @@ def test_symmetry_space_dimensions(s3_universal):
 
 
 def test_all_solution_spaces_verify(s3_universal):
-    for kind in ("s_sym", "s_antisym", "w_sym", "w_antisym"):
-        assert solve_symmetry(s3_universal, kind).verify()
-    assert solve_bi_invariant(s3_universal).verify()
+    kinds = ("s_sym", "s_antisym", "w_sym", "w_antisym")
+    spaces = [solve_symmetry(s3_universal, kind) for kind in kinds]
+    for space in spaces + [solve_bi_invariant(s3_universal)]:
+        assert all(space.contains_vector(v) for v in space.vectors)
 
 
 def test_unknown_kind_rejected(s3_universal):
@@ -169,4 +170,4 @@ def test_bi_invariant_splits_under_symmetrization(s3_universal):
 def test_transposition_bi_invariant_matches_orbits(s3_transposition_calculus):
     space = solve_bi_invariant(s3_transposition_calculus)
     assert space.dimension == 2
-    assert space.verify()
+    assert all(space.contains_vector(v) for v in space.vectors)

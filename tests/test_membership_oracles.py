@@ -118,7 +118,7 @@ def _shifted(fam, params, k):
     """The member with these parameters, its orbit k's value raised by 1."""
     gamma = dict(fam.member(params).gamma)
     for t in fam.orbits[k]:
-        gamma[t] = gamma.get(t, funcs.zero(fam.calculus.group)) + 1
+        gamma[t] = gamma.get(t, funcs.constant(fam.calculus.group, 0)) + 1
     return Connection(fam.calculus, gamma)
 
 

@@ -151,7 +151,7 @@ def test_covariant_and_irreducible_calculi_match_the_mask_loop(label, gs):
 def test_sigma_order_cycle_lengths_and_powers_match_the_inverse_table(label, cal):
     sig = SigmaOperator(cal)
     assert sig.order() == dense_paths.sigma_order(sig)
-    assert sig.cycle_lengths() == dense_paths.sigma_cycle_lengths(sig)
+    assert [len(c) for c in sig.cycles()] == dense_paths.sigma_cycle_lengths(sig)
     for pair in cal.pairs():
         for power in range(-3, 4):
             assert sig.map_pair(pair, power) == dense_paths.sigma_map_pair(sig, pair, power)

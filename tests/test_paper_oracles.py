@@ -28,10 +28,10 @@ from finitegeo.connection import (
     canonical_connection,
     extend_on_basis_pairs,
     extensibility_analysis,
+    TwoSidedConnection,
     nabla_sigma,
-    two_sided_connection,
 )
-from finitegeo.dual import canonical_form_and_torsion, dual_connection, vector_field_basis
+from finitegeo.dual import DualConnection, VectorField, canonical_form_and_torsion
 
 CATALOG = small_group_catalog()
 
@@ -111,11 +111,11 @@ def _invariance_transport(conn):
         for gp in cal.hatG
     )
     ok_tensor = all(r3.is_constant() for _, r3 in extend_on_basis_pairs(report))
-    star = dual_connection(conn)
+    star = DualConnection(conn)
     ok_dual = not any(
         isinstance(c, funcs.GroupFunction)
         for g in cal.hatG
-        for c in star.apply(vector_field_basis(cal, g)).values()
+        for c in star.apply(VectorField(cal, {g: 1})).values()
     )
     return {"psi": ok_psi, "tensor": ok_tensor, "dual": ok_dual}
 
@@ -160,7 +160,7 @@ def test_invariance_passes_to_twist_extension_and_dual(name, cal):
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_two_sided_connection_obeys_the_two_sided_leibniz_rule(name, cal):
     rng = random.Random(len(cal.hatG) * 43 + cal.group.order)
-    ts = two_sided_connection(cal)
+    ts = TwoSidedConnection(cal)
     for _ in range(2):
         f, fp = _seeded_function(cal.group, rng), _seeded_function(cal.group, rng)
         phi = OneForm(cal, {g: _seeded_function(cal.group, rng) for g in cal.hatG})
@@ -202,7 +202,7 @@ def test_a_function_coefficient_breaks_every_invariance(name, cal):
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_a_doubled_rho_breaks_the_two_sided_leibniz_rule(name, cal):
     rng = random.Random(len(cal.hatG) * 59 + cal.group.order)
-    ts = two_sided_connection(cal)
+    ts = TwoSidedConnection(cal)
     ts.rho = ts.rho.scale(2)
     f, fp = funcs.delta(cal.group, rng.randrange(cal.group.order)), funcs.constant(cal.group, 1)
     phi = OneForm(cal, {g: 1 for g in cal.hatG})

@@ -156,7 +156,7 @@ def test_both_solvers_reject_infeasible_systems(nvars, equations):
 
 def test_s4_universal_dims_count_cycles():
     sig = SigmaOperator(calculus.universal(groups.symmetric(4)))
-    lengths = sig.cycle_lengths()
+    lengths = [len(c) for c in sig.cycles()]
     m = len(sig.perm)
     cycles = len(lengths)
     even = sum(1 for n in lengths if n % 2 == 0)

@@ -132,10 +132,10 @@ def test_connection_paths_match_dense_loops(name, cal):
 @pytest.mark.parametrize("name,cal", SAMPLE, ids=IDS)
 def test_dual_connection_matches_dense_loop(name, cal):
     rng = random.Random(len(cal.hatG) * 53 + cal.group.order)
-    fields = [dual.vector_field_basis(cal, g) for g in cal.hatG]
+    fields = [dual.VectorField(cal, {g: 1}) for g in cal.hatG]
     fields.append(dual.VectorField(cal, {g: _seeded(cal.group, rng) for g in cal.hatG}))
     for conn in _connections(cal, rng):
-        star = dual.dual_connection(conn)
+        star = dual.DualConnection(conn)
         for x in fields:
             got = star.apply(x)
             dense = dense_paths.dual_apply(star, x)
@@ -187,7 +187,7 @@ def test_tensor_product_and_d_match_rank_specific_routines(name, cal):
 def test_pair_and_vector_fields_match_rank_specific_routines(name, cal):
     rng = random.Random(len(cal.hatG) * 89 + cal.group.order)
     f = _seeded(cal.group, rng)
-    fields = [dual.vector_field_basis(cal, cal.hatG[-1]), _tensor(dual.VectorField, cal, rng, 3)]
+    fields = [dual.VectorField(cal, {cal.hatG[-1]: 1}), _tensor(dual.VectorField, cal, rng, 3)]
     metric = _tensor(dual.Metric, cal, rng, 2 * len(cal.hatG))
     for x in fields:
         assert x.apply_to_function(f) == dense_paths.apply_to_function(x, f)
@@ -198,7 +198,7 @@ def test_pair_and_vector_fields_match_rank_specific_routines(name, cal):
     r3 = _tensor(RANK3, cal, rng, 3 * len(cal.hatG))
     assert dual.pair(r3, metric) == dense_paths.pair_rank3_metric(r3, metric)
     for conn in _connections(cal, rng):
-        star = dual.dual_connection(conn)
+        star = dual.DualConnection(conn)
         for x in fields:
             got = star.apply(x)
             assert got == dense_paths.sparse_dual_apply(star, x)
@@ -235,7 +235,7 @@ def test_twist_and_extension_match_rank_specific_routines(name, cal):
         assert report.psi_apply(r3) == sliced
         for a, b in ((phi, psi), (theta_form(cal, cal.hatG[0]), psi), (phi, theta_form(cal, cal.hatG[-1]))):
             want = dense_paths.extend_pair(report, a, conn.apply(a), b, conn.apply(b), RANK3(cal))
-            assert connection.extend_on_pair(conn, a, b) == want
+            assert connection.extend_to_tensor(conn, tensor_product(a, b)) == want
         assert connection.extend_to_tensor(conn, t) == dense_paths.extend_to_tensor(conn, t)
 
 
@@ -249,11 +249,10 @@ def test_extend_pair_twists_once_per_pair(monkeypatch, s3_universal):
 
     monkeypatch.setattr(connection.ExtensibilityReport, "psi_apply", counting)
     cal = s3_universal
-    rng = random.Random(3)
-    phi, psi = _forms(cal, rng)[-1], _forms(cal, rng)[-1]
-    conn = connection.nabla_sigma(cal)
-    assert not connection.extend_on_pair(conn, phi, psi).is_zero()
-    assert calls == [3]
+    report = connection.extensibility_analysis(connection.c_connection(cal))
+    extended = dict(connection.extend_on_basis_pairs(report))
+    assert not all(r3.is_zero() for r3 in extended.values())
+    assert calls == [3] * len(extended) and len(extended) == len(cal.pairs())
 
 
 def test_differential_skips_constant_functions(monkeypatch, s3_universal):

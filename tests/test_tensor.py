@@ -191,9 +191,9 @@ def test_accumulate_adds_in_place_and_drops_zeros(s3_universal, kind):
     assert t.coeffs[key] == f + f
     t.accumulate(key, -(f + f))
     assert key not in t.terms and t.is_zero()
-    t.accumulate(key, funcs.zero(cal.group))
+    t.accumulate(key, funcs.constant(cal.group, 0))
     assert not t.terms
-    assert t.coeffs[key] == funcs.zero(cal.group)
+    assert t.coeffs[key] == funcs.constant(cal.group, 0)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
@@ -202,7 +202,7 @@ def test_coeffs_list_every_key_and_write_through(s3_universal, kind):
     keys = _keys(kind, cal)
     f = funcs.from_values(cal.group, [1, 0, 2, 0, Fraction(1, 2), 3])
     t = kind(cal, {keys[1]: f})
-    zero = funcs.zero(cal.group)
+    zero = funcs.constant(cal.group, 0)
     assert list(t.coeffs) == keys
     assert list(t.coeffs.values()) == [f if k == keys[1] else zero for k in keys]
     t.coeffs[keys[0]] = f
